@@ -68,8 +68,8 @@ CatchupCost Run(bool diff_mode, double stale_fraction) {
     testbed.fabric()->SetPartitioned(0, peer->node(), false);
   }
 
-  uint64_t w0 = testbed.fabric()->stats().write_bytes;
-  uint64_t r0 = testbed.fabric()->stats().read_bytes;
+  uint64_t w0 = testbed.metrics()->CounterValue("fabric.wr.write_bytes");
+  uint64_t r0 = testbed.metrics()->CounterValue("fabric.wr.read_bytes");
   auto server = testbed.MakeServer(app);
   const_cast<NclConfig&>(server->fs->ncl()->config()).diff_catchup =
       diff_mode;
@@ -87,8 +87,10 @@ CatchupCost Run(bool diff_mode, double stale_fraction) {
                      ? 0.0
                      : static_cast<double>(it->second.total) / 1e6;
   // Subtract the recovery prefetch read; what remains is catch-up traffic.
-  cost.bytes_written = testbed.fabric()->stats().write_bytes - w0;
-  cost.bytes_read = testbed.fabric()->stats().read_bytes - r0;
+  cost.bytes_written =
+      testbed.metrics()->CounterValue("fabric.wr.write_bytes") - w0;
+  cost.bytes_read =
+      testbed.metrics()->CounterValue("fabric.wr.read_bytes") - r0;
   return cost;
 }
 

@@ -24,23 +24,6 @@ inline void Title(const std::string& what) {
   std::printf("\n==== %s ====\n", what.c_str());
 }
 
-// Reproducibility override: SPLITFT_SEED=<n> pins any seeded bench (and the
-// chaos campaign) to one schedule, which is how a reported violation or an
-// interesting run is replayed exactly.
-inline uint64_t SeedFromEnv(uint64_t fallback) {
-  const char* env = std::getenv("SPLITFT_SEED");
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  uint64_t seed = std::strtoull(env, &end, 0);
-  if (end == env) {
-    std::fprintf(stderr, "ignoring unparsable SPLITFT_SEED='%s'\n", env);
-    return fallback;
-  }
-  return seed;
-}
-
 inline void Note(const std::string& text) {
   std::printf("  %s\n", text.c_str());
 }

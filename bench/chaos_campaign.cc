@@ -18,7 +18,6 @@ int main() {
   bench::Title("Chaos campaign: seeded fault schedules vs. the protocol");
 
   CampaignOptions options;
-  options.base_seed = bench::SeedFromEnv(options.base_seed);
   // Full mode is nightly scale: 10x the 200-seed tier-1 sweep. The scale
   // is what makes the calendar-queue scheduler's throughput load-bearing.
   options.runs = reporter.smoke() ? 3 : 2000;

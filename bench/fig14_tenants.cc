@@ -51,13 +51,9 @@ struct Tenant {
 // tracks whatever redundancy the sweep point configured instead of
 // hard-coding the 3x replication factor.
 double ExpectedBytesPerTenant(const NclConfig& config) {
-  if (config.ec_enabled) {
-    return static_cast<double>(config.ec.shards()) *
-           NclShardRegionBytes(
-               config.ec.ShardCapacity(config.default_capacity));
-  }
-  return static_cast<double>(2 * config.fault_budget + 1) *
-         NclRegionBytes(config.default_capacity);
+  NclGeometry geo = config.geometry();
+  return static_cast<double>(geo.n()) *
+         static_cast<double>(geo.SlotRegionBytes(config.default_capacity));
 }
 
 // Builds `n` tenants drawing QPs from the testbed's shared pool, each

@@ -16,6 +16,7 @@ constexpr char kOpSet = 'S';
 constexpr char kOpDel = 'D';
 constexpr char kOpHSet = 'H';
 constexpr char kOpLPush = 'L';
+constexpr size_t kFrameHeaderBytes = 8;
 
 std::string Frame(char op, std::initializer_list<std::string_view> args) {
   std::string payload;
@@ -243,19 +244,19 @@ Status Redis::Recover() {
                   params_->cpu.parse_log_per_byte_ns);
     std::string_view data = *raw;
     size_t pos = 0;
-    while (pos + 8 <= data.size()) {
+    while (pos + kFrameHeaderBytes <= data.size()) {
       uint32_t crc = UnmaskCrc(DecodeFixed32(data.data() + pos));
       uint32_t len = DecodeFixed32(data.data() + pos + 4);
-      if (pos + 8 + len > data.size()) {
+      if (pos + kFrameHeaderBytes + len > data.size()) {
         break;  // torn tail
       }
-      std::string_view payload = data.substr(pos + 8, len);
+      std::string_view payload = data.substr(pos + kFrameHeaderBytes, len);
       if (Crc32c(payload) != crc) {
         break;
       }
       RETURN_IF_ERROR(ApplyCommand(payload));
       replayed_commands_++;
-      pos += 8 + len;
+      pos += kFrameHeaderBytes + len;
     }
     aof_ = std::move(file);
     return OkStatus();
@@ -266,8 +267,7 @@ Status Redis::Recover() {
   return OkStatus();
 }
 
-Status Redis::AppendCommands(const std::vector<std::string>& frames,
-                             bool /*mutate*/) {
+Status Redis::AppendCommands(const std::vector<std::string>& frames) {
   std::string joined;
   for (const std::string& f : frames) {
     joined += f;
@@ -282,6 +282,13 @@ Status Redis::AppendCommands(const std::vector<std::string>& frames,
   // in-flight window) commit the AOF before acking the command.
   if (options_.mode != DurabilityMode::kWeak) {
     RETURN_IF_ERROR(aof_->Sync());
+  }
+  // The one mutation path: the dataset changes only through the replay
+  // decoder, and before the rewrite check, so an RDB snapshot taken below
+  // holds every batch the AOF it replaces held.
+  for (const std::string& f : frames) {
+    RETURN_IF_ERROR(
+        ApplyCommand(std::string_view(f).substr(kFrameHeaderBytes)));
   }
   if (aof_->Size() >= options_.aof_rewrite_bytes) {
     RETURN_IF_ERROR(MaybeRewriteAof());
@@ -331,11 +338,7 @@ Status Redis::ApplyWriteBatch(const std::vector<KvWrite>& batch) {
   for (const KvWrite& w : batch) {
     frames.push_back(Frame(kOpSet, {w.key, w.value}));
   }
-  RETURN_IF_ERROR(AppendCommands(frames, true));
-  for (const KvWrite& w : batch) {
-    strings_[w.key] = w.value;
-  }
-  return OkStatus();
+  return AppendCommands(frames);
 }
 
 Status Redis::Put(std::string_view key, std::string_view value) {
@@ -353,11 +356,7 @@ Result<std::string> Redis::Get(std::string_view key) {
 
 Status Redis::Del(std::string_view key) {
   sim_->Advance(params_->cpu.redis_op);
-  RETURN_IF_ERROR(AppendCommands({Frame(kOpDel, {key})}, true));
-  strings_.erase(std::string(key));
-  hashes_.erase(std::string(key));
-  lists_.erase(std::string(key));
-  return OkStatus();
+  return AppendCommands({Frame(kOpDel, {key})});
 }
 
 Result<int64_t> Redis::Incr(std::string_view key) {
@@ -369,17 +368,14 @@ Result<int64_t> Redis::Incr(std::string_view key) {
   }
   value++;
   std::string text = std::to_string(value);
-  RETURN_IF_ERROR(AppendCommands({Frame(kOpSet, {key, text})}, true));
-  strings_[std::string(key)] = text;
+  RETURN_IF_ERROR(AppendCommands({Frame(kOpSet, {key, text})}));
   return value;
 }
 
 Status Redis::HSet(std::string_view key, std::string_view field,
                    std::string_view value) {
   sim_->Advance(params_->cpu.redis_op);
-  RETURN_IF_ERROR(AppendCommands({Frame(kOpHSet, {key, field, value})}, true));
-  hashes_[std::string(key)][std::string(field)] = std::string(value);
-  return OkStatus();
+  return AppendCommands({Frame(kOpHSet, {key, field, value})});
 }
 
 Result<std::string> Redis::HGet(std::string_view key, std::string_view field) {
@@ -397,9 +393,7 @@ Result<std::string> Redis::HGet(std::string_view key, std::string_view field) {
 
 Status Redis::LPush(std::string_view key, std::string_view value) {
   sim_->Advance(params_->cpu.redis_op);
-  RETURN_IF_ERROR(AppendCommands({Frame(kOpLPush, {key, value})}, true));
-  lists_[std::string(key)].push_front(std::string(value));
-  return OkStatus();
+  return AppendCommands({Frame(kOpLPush, {key, value})});
 }
 
 Result<std::string> Redis::LIndex(std::string_view key, int64_t index) {

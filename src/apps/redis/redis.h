@@ -71,7 +71,10 @@ class Redis : public StorageApp {
         RedisOptions options);
 
   Status Recover();
-  Status AppendCommands(const std::vector<std::string>& frames, bool mutate);
+  // Appends the command frames to the AOF, commits them, then applies them
+  // to the dataset (through ApplyCommand, the replay decoder) and rewrites
+  // the AOF if it crossed the threshold.
+  Status AppendCommands(const std::vector<std::string>& frames);
   Status MaybeRewriteAof();
   Status ApplyCommand(std::string_view frame);
   std::string SerializeRdb() const;

@@ -1,7 +1,6 @@
 #include "src/chaos/campaign.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -389,23 +388,16 @@ void RunChaosSchedule(uint64_t seed, const CampaignOptions& options,
 
 CampaignResult RunChaosCampaign(const CampaignOptions& options) {
   CampaignResult result;
-  if (options.seed_from_env) {
-    const char* env = std::getenv("SPLITFT_SEED");
-    char* end = nullptr;
-    uint64_t seed = env != nullptr ? std::strtoull(env, &end, 0) : 0;
-    if (env != nullptr && env[0] != '\0' && end == env) {
-      LOG_WARNING << "ignoring unparsable SPLITFT_SEED='" << env << "'";
-    } else if (env != nullptr && env[0] != '\0') {
-      LOG_INFO << "chaos campaign: SPLITFT_SEED=" << seed
-               << " — running only that schedule";
-      RunChaosSchedule(seed, options, &result);
-      for (const CampaignViolation& v : result.violations) {
-        LOG_ERROR << "chaos violation [" << v.invariant << "] seed=" << v.seed
-                  << ": " << v.detail << "\nschedule:\n"
-                  << v.schedule;
-      }
-      return result;
+  if (auto seed = options.seed_from_env ? SeedFromEnv() : std::nullopt) {
+    LOG_INFO << "chaos campaign: SPLITFT_SEED=" << *seed
+             << " — running only that schedule";
+    RunChaosSchedule(*seed, options, &result);
+    for (const CampaignViolation& v : result.violations) {
+      LOG_ERROR << "chaos violation [" << v.invariant << "] seed=" << v.seed
+                << ": " << v.detail << "\nschedule:\n"
+                << v.schedule;
     }
+    return result;
   }
   for (int k = 0; k < options.runs; ++k) {
     RunChaosSchedule(options.base_seed + static_cast<uint64_t>(k), options,

@@ -1,6 +1,9 @@
 #include "src/common/rng.h"
 
 #include <cmath>
+#include <cstdlib>
+
+#include "src/common/logging.h"
 
 namespace splitft {
 namespace {
@@ -72,6 +75,20 @@ double Rng::Exponential(double mean) {
     u = 1e-18;
   }
   return -mean * std::log(u);
+}
+
+std::optional<uint64_t> SeedFromEnv() {
+  const char* env = std::getenv("SPLITFT_SEED");
+  if (env == nullptr || env[0] == '\0') {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  uint64_t seed = std::strtoull(env, &end, 0);
+  if (end == env) {
+    LOG_WARNING << "ignoring unparsable SPLITFT_SEED='" << env << "'";
+    return std::nullopt;
+  }
+  return seed;
 }
 
 }  // namespace splitft

@@ -5,6 +5,7 @@
 #define SRC_COMMON_RNG_H_
 
 #include <cstdint>
+#include <optional>
 
 namespace splitft {
 
@@ -36,6 +37,12 @@ class Rng {
  private:
   uint64_t s_[4];
 };
+
+// The SPLITFT_SEED reproducibility override, which pins a seeded run (the
+// chaos campaign, a bench) to one schedule so a reported violation replays
+// exactly. Parsed with strtoull base 0, so 0x... works. Unset or empty
+// gives nullopt; an unparsable value is warned about and ignored.
+std::optional<uint64_t> SeedFromEnv();
 
 }  // namespace splitft
 

@@ -1,7 +1,6 @@
 #include "src/ncl/ncl_client.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
 
 #include "src/common/logging.h"
@@ -13,6 +12,7 @@ namespace splitft {
 NclClient::NclClient(NclConfig config, Fabric* fabric, Controller* controller,
                      PeerDirectory* directory, NodeId node, ObsContext obs)
     : config_(std::move(config)),
+      geometry_(config_.geometry()),
       fabric_(fabric),
       controller_(controller),
       directory_(directory),
@@ -151,10 +151,8 @@ Result<std::unique_ptr<NclFile>> NclClient::Create(const std::string& file,
   std::unique_ptr<NclFile> out(new NclFile(this, file, capacity));
   out->epoch_ = *epoch;
 
-  // Per-slot region: a shard region (k-th of the content space plus
-  // parity-row twins) in EC mode, a full replica otherwise.
-  uint64_t region_bytes = out->SlotRegionBytes();
-  for (int i = 0; i < n_peers(); ++i) {
+  uint64_t region_bytes = geometry_.SlotRegionBytes(capacity);
+  for (int i = 0; i < geometry_.n(); ++i) {
     auto got = AllocateOnFreshPeer(file, region_bytes, *epoch, out->ever_used_);
     if (!got.ok()) {
       // Partial allocations leak until the peers' GC notices the epoch has
@@ -162,14 +160,8 @@ Result<std::unique_ptr<NclFile>> NclClient::Create(const std::string& file,
       return got.status();
     }
     auto [peer, grant] = *got;
-    NclFile::PeerSlot slot;
-    slot.peer_name = peer->name();
-    slot.peer = peer;
-    slot.node = peer->node();
-    slot.rkey = grant.rkey;
-    slot.qp = pool_->Connect(peer->node());
-    slot.shard_index = static_cast<uint32_t>(i);
-    out->slots_.push_back(std::move(slot));
+    out->slots_.push_back(out->MakeSlot(peer->name(), static_cast<uint32_t>(i),
+                                        peer, grant.rkey));
     out->ever_used_.insert(peer->name());
   }
   out->RefreshPeerNames();
@@ -253,309 +245,106 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
   if (!apmap.ok()) {
     return apmap.status();
   }
-  // Mode fence: the ap-map records the stripe geometry the file was
-  // written with; recovering it under a different one would misinterpret
-  // every shard region.
-  const bool ec = config_.ec_enabled;
-  if (ec) {
-    if (apmap->ec_k != config_.ec.k || apmap->ec_m != config_.ec.m ||
-        apmap->ec_stripe_unit != config_.ec.stripe_unit) {
-      return FailedPreconditionError(
-          "ncl file " + file + " has ap-map geometry k=" +
-          std::to_string(apmap->ec_k) + ",m=" + std::to_string(apmap->ec_m) +
-          ",unit=" + std::to_string(apmap->ec_stripe_unit) +
-          " but the client is configured for k=" +
-          std::to_string(config_.ec.k) + ",m=" + std::to_string(config_.ec.m) +
-          ",unit=" + std::to_string(config_.ec.stripe_unit));
-    }
-  } else if (apmap->ec_k != 0) {
-    return FailedPreconditionError(
-        "ncl file " + file +
-        " is erasure-coded; configure the client with the matching ec "
-        "geometry to recover it");
-  }
+  // Mode fence: the ap-map records the geometry the file was written with;
+  // recovering it under a different one would misinterpret every region.
+  RETURN_IF_ERROR(geometry_.CheckApMap(*apmap, file));
 
   // Phase 2: contact the peers; each either grants the region or rejects
   // (it crashed and lost its mr-map, §4.5.1).
   std::unique_ptr<NclFile> out(new NclFile(this, file, 0));
   {
     ObsSpan phase(obs_.tracer, "ncl.recover.connect");
-    uint32_t index = 0;
     for (const std::string& name : apmap->peers) {
-      NclFile::PeerSlot slot;
-      slot.peer_name = name;
-      slot.alive = false;
-      slot.shard_index = index++;
+      const auto role = static_cast<uint32_t>(out->slots_.size());
       out->ever_used_.insert(name);
       LogPeer* peer = LookupPeerWithRetry(name);
-      if (peer != nullptr && peer->alive()) {
-        auto grant = peer->LookupForRecovery(config_.app_id, file);
-        if (grant.ok()) {
-          slot.peer = peer;
-          slot.node = peer->node();
-          slot.rkey = grant->rkey;
-          slot.qp = pool_->Connect(peer->node());
-          slot.alive = true;
-          // Back out the logical capacity from the per-slot region size:
-          // a shard holds a k-th of the (group-rounded) content space.
-          uint64_t slot_capacity =
-              ec ? (grant->region_bytes - kNclEcHeaderBytes) * config_.ec.k
-                 : grant->region_bytes - kNclRegionHeaderBytes;
-          out->capacity_ = std::max(out->capacity_, slot_capacity);
-        }
+      Result<AllocationGrant> grant =
+          peer != nullptr && peer->alive()
+              ? peer->LookupForRecovery(config_.app_id, file)
+              : Result<AllocationGrant>(UnavailableError(name + " is down"));
+      if (!grant.ok()) {
+        out->slots_.push_back(out->MakeSlot(name, role));  // dead
+        continue;
       }
-      out->slots_.push_back(std::move(slot));
+      out->slots_.push_back(out->MakeSlot(name, role, peer, grant->rkey));
+      out->capacity_ =
+          std::max(out->capacity_, geometry_.CapacityOf(grant->region_bytes));
     }
-    if (out->alive_peers() < ack_quorum()) {
+    if (out->alive_peers() < geometry_.ack_quorum()) {
       // Too many peers lost the region (more than f replicas / more than m
       // shards): correctly make the file unavailable rather than lose
       // acknowledged writes (§4.2).
       return UnavailableError("only " + std::to_string(out->alive_peers()) +
-                              " of " + std::to_string(n_peers()) +
+                              " of " + std::to_string(geometry_.n()) +
                               " peers hold " + file);
     }
   }
 
-  // Phase 3: read headers from all reachable peers; wait for a quorum
-  // (f+1 replicas, or any k shard streams in EC mode).
+  // Phase 3: read the header of every reachable peer, claim the freshest
+  // state an ack quorum guarantees, and rebuild it from the claim's sources.
   {
-  ObsSpan phase(obs_.tracer, "ncl.recover.rdma_read");
-  const uint64_t header_bytes = out->HeaderBytes();
-  struct HeaderRead {
-    int slot_idx;
-    uint64_t wr_id;
-    bool done = false;
-    uint64_t seq = 0;
-    uint64_t length = 0;
-  };
-  std::vector<HeaderRead> reads;
-  for (size_t i = 0; i < out->slots_.size(); ++i) {
-    NclFile::PeerSlot& slot = out->slots_[i];
-    if (!slot.alive) {
-      continue;
-    }
-    HeaderRead hr;
-    hr.slot_idx = static_cast<int>(i);
-    hr.wr_id = slot.qp->PostRead(slot.rkey, 0, header_bytes);
-    reads.push_back(hr);
-  }
-  auto count_done = [&reads] {
-    int done = 0;
-    for (const HeaderRead& hr : reads) {
-      if (hr.done) {
-        done++;
+    ObsSpan phase(obs_.tracer, "ncl.recover.rdma_read");
+    std::vector<NclFile::WrWait> reads;
+    for (NclFile::PeerSlot& slot : out->slots_) {
+      if (slot.alive) {
+        reads.push_back({&slot, slot.qp->PostRead(slot.rkey, 0,
+                                                  geometry_.header_bytes())});
       }
     }
-    return done;
-  };
-  // A false return (simulation ran out of events with reads pending) is
-  // subsumed by the quorum check below: stalled readers stay !done.
-  sim->RunUntilPredicate([&] {
-    for (HeaderRead& hr : reads) {
-      if (hr.done) {
+    // A slot whose read fails is dead; keep waiting for the others. A
+    // stalled simulation leaves the stragglers unanswered.
+    NclFile::PeerSlot* failed = nullptr;
+    while (!out->AwaitWrs(&reads, &failed).ok() && failed != nullptr) {
+      failed->alive = false;
+      std::erase_if(reads, [&](const NclFile::WrWait& w) {
+        return w.slot == failed;
+      });
+      failed = nullptr;
+    }
+    std::vector<NclGeometry::Responder> responders;
+    for (const NclFile::WrWait& read : reads) {
+      if (!read.done) {
         continue;
       }
-      NclFile::PeerSlot& slot = out->slots_[hr.slot_idx];
-      Completion c;
-      while (slot.qp->PollCq(&c)) {
-        if (c.status != WcStatus::kSuccess) {
-          slot.alive = false;
-          break;
-        }
-        if (c.wr_id == hr.wr_id) {
-          if (ec) {
-            NclShardHeader h = NclShardHeader::Decode(c.read_data);
-            // A never-written region decodes all-zero (seq 0): accept it
-            // as empty. A written header must carry the file's geometry
-            // and this slot's shard role; anything else is a stale or
-            // foreign region and the slot cannot be trusted.
-            if (h.seq != 0 &&
-                (h.k != config_.ec.k || h.m != config_.ec.m ||
-                 h.stripe_unit != config_.ec.stripe_unit ||
-                 h.shard_index != slot.shard_index)) {
-              slot.alive = false;
-              break;
-            }
-            hr.seq = h.seq;
-            hr.length = h.length;
-          } else {
-            NclRegionHeader h = NclRegionHeader::Decode(c.read_data);
-            hr.seq = h.seq;
-            hr.length = h.length;
-          }
-          hr.done = true;
-        }
+      NclGeometry::Responder r{read.slot->role, 0, 0};
+      if (!geometry_.DecodeHeader(read.data, r.role, &r.seq, &r.length)) {
+        read.slot->alive = false;  // stale or foreign region
+        continue;
       }
+      responders.push_back(r);
     }
-    // All reachable peers either answered or failed.
-    int pending = 0;
-    for (const HeaderRead& hr : reads) {
-      if (!hr.done && out->slots_[hr.slot_idx].alive) {
-        pending++;
-      }
+    if (static_cast<int>(responders.size()) < geometry_.ack_quorum()) {
+      return UnavailableError(
+          "fewer than " + std::to_string(geometry_.ack_quorum()) +
+          " peers answered recovery reads");
     }
-    return pending == 0;
-  });
-  if (count_done() < ack_quorum()) {
-    return UnavailableError(ec
-                                ? "fewer than k shard peers answered "
-                                  "recovery reads"
-                                : "fewer than f+1 peers answered recovery "
-                                  "reads");
-  }
-
-  if (!ec) {
-    // The maximum sequence number across f+1 (here: all) responses is the
-    // most up-to-date state (§4.5.1).
-    int best = -1;
-    uint64_t best_seq = 0;
-    uint64_t best_length = 0;
-    for (const HeaderRead& hr : reads) {
-      if (hr.done && (best < 0 || hr.seq > best_seq)) {
-        best = hr.slot_idx;
-        best_seq = hr.seq;
-        best_length = hr.length;
-      }
-    }
-    out->recovery_slot_ = best;
-    out->seq_ = best_seq;
-    out->length_ = best_length;
-
-    // Fetch the full contents from the recovery peer. In prefetch mode
-    // this also becomes the buffer that serves application reads (Fig 11a).
+    NclGeometry::Claim claim = geometry_.ClaimFrom(std::move(responders));
+    out->seq_ = claim.seq;
+    out->length_ = claim.length;
+    out->recovery_slot_ = static_cast<int>(claim.sources[0]);
     if (out->length_ > 0) {
-      NclFile::PeerSlot& rslot = out->slots_[best];
-      uint64_t wr = rslot.qp->PostRead(rslot.rkey, kNclRegionHeaderBytes,
-                                       out->length_);
-      Completion c;
-      bool got = sim->RunUntilPredicate([&] {
-        Completion tmp;
-        while (rslot.qp->PollCq(&tmp)) {
-          if (tmp.wr_id == wr) {
-            c = tmp;
-            return true;
-          }
-        }
-        return false;
-      });
-      if (!got || c.status != WcStatus::kSuccess) {
-        return UnavailableError("recovery peer failed during region read");
+      const uint64_t image_bytes = geometry_.FullRange(out->length_).size();
+      std::vector<NclFile::WrWait> fetches;
+      for (uint32_t role : claim.sources) {
+        NclFile::PeerSlot& slot = out->slots_[role];
+        fetches.push_back({&slot, slot.qp->PostRead(slot.rkey,
+                                                    geometry_.header_bytes(),
+                                                    image_bytes)});
       }
-      out->buffer_ = std::move(c.read_data);
+      if (!out->AwaitWrs(&fetches).ok()) {
+        return UnavailableError("recovery read of " + file + " failed");
+      }
+      std::vector<NclGeometry::SlotImage> images;
+      for (NclFile::WrWait& f : fetches) {
+        images.push_back({f.slot->role, std::move(f.data)});
+      }
+      RETURN_IF_ERROR(
+          geometry_.Rebuild(std::move(images), out->length_, &out->buffer_));
     }
-    out->serve_reads_locally_ = config_.prefetch_on_recovery;
-  } else {
-    // EC late-binding recovery (DESIGN.md §16): every acknowledged append
-    // landed on at least k shards, so among any set of responders the
-    // k-th largest shard seq is at least the committed watermark — and
-    // in-order shard delivery means the k freshest responders can each
-    // serve every stripe up to that seq. Reconstruct the logical prefix
-    // at S = k-th largest seq from exactly those k shard streams.
-    std::vector<const HeaderRead*> done_reads;
-    for (const HeaderRead& hr : reads) {
-      if (hr.done) {
-        done_reads.push_back(&hr);
-      }
-    }
-    // Freshest first; ties broken by slot index for determinism.
-    std::stable_sort(done_reads.begin(), done_reads.end(),
-                     [](const HeaderRead* a, const HeaderRead* b) {
-                       return a->seq > b->seq;
-                     });
-    const uint32_t k = config_.ec.k;
-    const HeaderRead* floor_read = done_reads[k - 1];
-    const uint64_t floor_seq = floor_read->seq;
-    // Choose the k streams to decode from among the responders at or above
-    // the claim floor. A data shard at any seq >= S serves its lane
-    // verbatim over the whole claimed prefix (append-only), so data shards
-    // are always exact — take the freshest. A parity shard that ran past S
-    // has folded later appends into the tail stripe group's columns, so
-    // when parity must be used, take the *stalest* still >= S: that keeps
-    // the parity state at or below every chosen data state whenever the
-    // responder set allows, which is exactly the condition under which the
-    // decode is column-consistent (DESIGN.md §16).
-    std::vector<const HeaderRead*> chosen;
-    for (const HeaderRead* hr : done_reads) {
-      if (chosen.size() < k && hr->seq >= floor_seq &&
-          out->slots_[hr->slot_idx].shard_index < k) {
-        chosen.push_back(hr);
-      }
-    }
-    for (auto it = done_reads.rbegin(); it != done_reads.rend(); ++it) {
-      if (chosen.size() < k && (*it)->seq >= floor_seq &&
-          out->slots_[(*it)->slot_idx].shard_index >= k) {
-        chosen.push_back(*it);
-      }
-    }
-    done_reads = std::move(chosen);
-    out->seq_ = floor_read->seq;
-    out->length_ = floor_read->length;
-    out->recovery_slot_ = done_reads[0]->slot_idx;
-
-    if (out->length_ > 0) {
-      // Pull each chosen shard's content prefix and decode. Data shards
-      // ahead of S only differ beyond logical length_ (EC files are
-      // append-only); the chooser above keeps any parity stream as close
-      // to S as the responders allow, so the mixed-seq decode stays
-      // column-consistent (see DESIGN.md §16 for the residual corner).
-      const uint64_t shard_len = config_.ec.ShardCapacity(out->length_);
-      struct ShardFetch {
-        int slot_idx;
-        uint64_t wr_id;
-        bool done = false;
-        std::string data;
-      };
-      std::vector<ShardFetch> fetches;
-      for (const HeaderRead* hr : done_reads) {
-        NclFile::PeerSlot& slot = out->slots_[hr->slot_idx];
-        ShardFetch f;
-        f.slot_idx = hr->slot_idx;
-        f.wr_id = slot.qp->PostRead(slot.rkey, kNclEcHeaderBytes, shard_len);
-        fetches.push_back(std::move(f));
-      }
-      bool failed = false;
-      bool got = sim->RunUntilPredicate([&] {
-        int pending = 0;
-        for (ShardFetch& f : fetches) {
-          if (f.done) {
-            continue;
-          }
-          NclFile::PeerSlot& slot = out->slots_[f.slot_idx];
-          Completion c;
-          while (slot.qp->PollCq(&c)) {
-            if (c.status != WcStatus::kSuccess) {
-              failed = true;
-              return true;
-            }
-            if (c.wr_id == f.wr_id) {
-              f.data = std::move(c.read_data);
-              f.done = true;
-            }
-          }
-          if (!f.done) {
-            pending++;
-          }
-        }
-        return pending == 0;
-      });
-      if (!got || failed) {
-        return UnavailableError("recovery shard read failed");
-      }
-      std::vector<EcShardView> views;
-      for (const ShardFetch& f : fetches) {
-        views.push_back(EcShardView{out->slots_[f.slot_idx].shard_index,
-                                    std::string_view(f.data)});
-      }
-      Status decoded = EcReconstruct(config_.ec, views, out->length_,
-                                     &out->buffer_);
-      if (!decoded.ok()) {
-        return decoded;
-      }
-    }
-    // A single shard peer cannot serve logical reads; EC recovery always
-    // materializes the local buffer and serves from it.
-    out->serve_reads_locally_ = true;
-  }
+    // Prefetch mode serves application reads from the rebuilt buffer (Fig
+    // 11a); a slot that cannot serve logical reads forces it.
+    out->serve_reads_locally_ =
+        config_.prefetch_on_recovery || !geometry_.slot_serves_reads();
   }
 
   // Phase 4: catch every reachable peer up with the recovered state via
@@ -580,7 +369,7 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
           slot.alive = false;
         }
       }
-      if (out->alive_peers() < ack_quorum()) {
+      if (out->alive_peers() < geometry_.ack_quorum()) {
         return UnavailableError("peers failed during recovery catch-up");
       }
     } else {
@@ -590,13 +379,13 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
         }
       }
     }
-    // The recovered tail is majority-durable by construction (catch-up
-    // completed on >= f+1 peers), so the commit watermark starts there.
+    // The recovered tail is quorum-durable by construction (catch-up
+    // completed on an ack quorum), so the commit watermark starts there.
     out->committed_seq_ = out->seq_;
     for (NclFile::PeerSlot& slot : out->slots_) {
       if (!slot.alive) {
         // Best effort: maintain the fault-tolerance level. Failure here is
-        // tolerable as long as a majority is alive.
+        // tolerable as long as an ack quorum is alive.
         DiscardStatus(out->ReplaceSlot(&slot),
                       "NclClient recovery slot replacement");
       }
@@ -668,63 +457,81 @@ void NclFile::RefreshPeerNames() {
 Status NclFile::WriteApMap() {
   ApMapEntry entry;
   entry.epoch = epoch_;
-  entry.peers = peer_names_;
-  if (ec()) {
-    // Slot order is shard-role order: peers[i] holds shard i.
-    entry.ec_k = ec_geometry().k;
-    entry.ec_m = ec_geometry().m;
-    entry.ec_stripe_unit = ec_geometry().stripe_unit;
-  }
+  entry.peers = peer_names_;  // slot order is role order
+  geo().Stamp(&entry);
   return client_->RetryControllerRpc([&] {
     return client_->controller_->SetApMap(client_->config_.app_id, name_,
                                           entry);
   });
 }
 
-// ---- Erasure-coding helpers (DESIGN.md §16) --------------------------------
-
-uint64_t NclFile::HeaderBytes() const {
-  return ec() ? kNclEcHeaderBytes : kNclRegionHeaderBytes;
-}
-
-uint64_t NclFile::SlotRegionBytes() const {
-  return ec() ? NclShardRegionBytes(ec_geometry().ShardCapacity(capacity_))
-              : NclRegionBytes(capacity_);
-}
-
-EcShardRange NclFile::ShardRangeFor(uint32_t shard_index, uint64_t offset,
-                                    uint64_t length) const {
-  const EcGeometry& geo = ec_geometry();
-  return shard_index < geo.k ? DataShardRange(geo, shard_index, offset, length)
-                             : ParityShardRange(geo, offset, length);
-}
-
-EcShardRange NclFile::FullShardRange() const {
-  return EcShardRange{0, ec_geometry().ShardCapacity(length_)};
-}
-
-void NclFile::EncodeShardRange(uint32_t shard_index, const EcShardRange& range,
-                               std::string* out) const {
-  const EcGeometry& geo = ec_geometry();
-  if (shard_index < geo.k) {
-    ExtractDataShard(geo, shard_index, buffer_, range, out);
-  } else {
-    EncodeParityShard(geo, shard_index - geo.k, buffer_, range, out);
+NclFile::PeerSlot NclFile::MakeSlot(const std::string& name, uint32_t role,
+                                    LogPeer* peer, RKey rkey) const {
+  PeerSlot slot;
+  slot.peer_name = name;
+  slot.role = role;
+  slot.alive = peer != nullptr;
+  if (peer != nullptr) {
+    slot.peer = peer;
+    slot.node = peer->node();
+    slot.rkey = rkey;
+    slot.qp = client_->pool_->Connect(peer->node());
   }
+  return slot;
 }
 
-void NclFile::EncodeSlotHeader(uint32_t shard_index, char* out) const {
-  if (ec()) {
-    const EcGeometry& geo = ec_geometry();
-    NclShardHeader{seq_, length_, geo.k, geo.m, shard_index, geo.stripe_unit}
-        .EncodeTo(out);
-  } else {
-    NclRegionHeader{seq_, length_}.EncodeTo(out);
+Status NclFile::AwaitWrs(std::vector<WrWait>* waits, PeerSlot** failed) {
+  PeerSlot* failed_slot = nullptr;
+  bool finished = client_->fabric_->sim()->RunUntilPredicate([&] {
+    bool pending = false;
+    for (size_t i = 0; i < waits->size(); ++i) {
+      WrWait& w = (*waits)[i];
+      Completion c;
+      while (!w.done && w.slot->qp->PollCq(&c)) {
+        if (c.status != WcStatus::kSuccess) {
+          failed_slot = w.slot;
+          return true;
+        }
+        // Several waits may share one QP. Its completions surface in post
+        // order, so this one is w's or a later wait's.
+        for (size_t j = i; j < waits->size(); ++j) {
+          WrWait& owner = (*waits)[j];
+          if (owner.slot == w.slot && owner.wr_id == c.wr_id) {
+            owner.done = true;
+            owner.data = std::move(c.read_data);
+            break;
+          }
+        }
+      }
+      pending = pending || !w.done;
+    }
+    return !pending;
+  });
+  if (failed_slot != nullptr) {
+    if (failed != nullptr) {
+      *failed = failed_slot;
+    }
+    return UnavailableError("WR to " + failed_slot->peer_name + " failed");
   }
+  if (!finished) {
+    return UnavailableError("fabric stalled with WRs to " + name_ +
+                            "'s peers pending");
+  }
+  return OkStatus();
+}
+
+Status NclFile::PostAndAwait(PeerSlot* slot,
+                             const std::vector<QueuePair::WriteOp>& ops) {
+  std::vector<WrWait> waits;
+  for (const QueuePair::WriteOp& op : ops) {
+    waits.push_back(
+        {slot, slot->qp->PostWrite(op.rkey, op.remote_offset, op.data)});
+  }
+  return AwaitWrs(&waits);
 }
 
 void NclFile::UpdateDegradedGauge() {
-  if (!ec()) {
+  if (!geo().striped()) {
     return;
   }
   // How far the most-degraded slot trails the commit watermark. A dead
@@ -773,9 +580,9 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
   }
   const NclConfig& config = client_->config_;
   bool truncate = data.empty() && offset == 0;
-  if (config.ec_enabled && !truncate && offset < length_) {
-    // Degraded EC recovery reconstructs the prefix from shard streams at
-    // mixed sequence numbers; that is only column-consistent when writes
+  if (!geo().overwrite_allowed() && !truncate && offset < length_) {
+    // Degraded striped recovery reconstructs the prefix from shard streams
+    // at mixed sequence numbers; that is only column-consistent when writes
     // never go back over committed bytes (DESIGN.md §16). Truncate stays
     // legal — it is header-only.
     return InvalidArgumentError(
@@ -803,14 +610,12 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
   seq_++;
   window_.push_back(WindowEntry{seq_, offset, data.size(), truncate,
                                 record_start});
-  const bool is_ec = config.ec_enabled;
-  const uint64_t header_bytes = HeaderBytes();
-  char header[kNclEcHeaderBytes];
-  EncodeSlotHeader(0, header);
-  std::string_view header_view(header, header_bytes);
-  // EC: shard payload for the slot currently being posted. The chain post
-  // copies it into pooled WR buffers, so one scratch serves every slot.
-  std::string shard_scratch;
+  const uint64_t header_bytes = geo().header_bytes();
+  char header[kNclMaxHeaderBytes];
+  // Shard bytes of the slot being posted. The chain post copies them into
+  // pooled WR buffers, so one scratch serves every slot; a replica's bytes
+  // are a view of buffer_ and never touch it.
+  std::string scratch;
 
   int posted = 0;
   for (PeerSlot& slot : slots_) {
@@ -823,44 +628,34 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
         posted >= config.test_crash_after_posting) {
       break;
     }
-    // One WR chain per peer, one doorbell: data + header in SQ order, so
-    // the header's arrival implies the data's (§4.4). The last WR of the
-    // chain carries the seq the ack commits. In replication mode
-    // everything stays on the stack — the chain post copies payloads into
-    // pooled WR buffers, so a steady-state append performs no heap
-    // allocation. In EC mode each peer gets its shard's slice (lane
-    // extraction or parity encoding) instead of the full payload, and the
-    // header carries the slot's shard role; a short append can miss a data
-    // lane entirely, in which case the slot still gets the header WR so
-    // its watermark advances.
-    std::string_view payload = data;
-    uint64_t remote_offset = header_bytes + offset;
-    bool have_data = !truncate;
-    if (is_ec) {
-      EncodeFixed32(header + 24, slot.shard_index);
-      if (have_data) {
-        EcShardRange range =
-            ShardRangeFor(slot.shard_index, offset, data.size());
-        if (range.empty()) {
-          have_data = false;
-        } else {
-          EncodeShardRange(slot.shard_index, range, &shard_scratch);
-          payload = shard_scratch;
-          remote_offset = header_bytes + range.begin;
-        }
-      }
+    // One WR chain per peer, one doorbell: the slot's bytes for the write,
+    // then its header, in SQ order, so the header's arrival implies the
+    // data's (§4.4). The last WR of the chain carries the seq the ack
+    // commits. A replicated append stays on the stack — the chain post
+    // copies payloads into pooled WR buffers, so a steady-state append
+    // performs no heap allocation. A short append can miss a data lane
+    // entirely; that slot still gets the header WR so its watermark
+    // advances.
+    EncodeHeader(slot.role, header);
+    std::string_view header_view(header, header_bytes);
+    SlotRange range = truncate ? SlotRange{}
+                               : geo().RangeFor(slot.role, offset, data.size());
+    std::string_view payload;
+    if (!range.empty()) {
+      payload = geo().SlotBytes(slot.role, buffer_, range, &scratch);
     }
+    const uint64_t remote_offset = header_bytes + range.begin;
     QueuePair::WriteOp ops[2];
     size_t nops = 0;
     if (config.unsafe_seq_before_data) {
       // BUG (for §4.6 validation): header lands before the data; a peer
       // holding the header but not the data can win recovery.
       ops[nops++] = QueuePair::WriteOp{slot.rkey, 0, header_view};
-      if (have_data) {
+      if (!range.empty()) {
         ops[nops++] = QueuePair::WriteOp{slot.rkey, remote_offset, payload};
       }
     } else {
-      if (have_data) {
+      if (!range.empty()) {
         ops[nops++] = QueuePair::WriteOp{slot.rkey, remote_offset, payload};
       }
       ops[nops++] = QueuePair::WriteOp{slot.rkey, 0, header_view};
@@ -905,7 +700,7 @@ Status NclFile::WaitFor(uint64_t seq) {
   const NclConfig& config = client_->config_;
   ObsSpan wait_span(client_->obs_.tracer, "ncl.record");
 
-  // Wait until a majority of peers completed `target` and all before it.
+  // Wait until an ack quorum completed `target` and all before it.
   Simulation* sim = client_->fabric_->sim();
   while (committed_seq_ < target) {
     bool progressed = PumpCompletions();
@@ -916,13 +711,13 @@ Status NclFile::WaitFor(uint64_t seq) {
     if (committed_seq_ >= target) {
       break;
     }
-    if (alive_peers() < client_->ack_quorum()) {
+    if (alive_peers() < geo().ack_quorum()) {
       // Too many peers failed (more than f replicas, or more than m shard
-      // holders in EC mode): writes block until replacements are caught up
+      // holders): writes block until replacements are caught up
       // (§4.5.2). Replace just enough to regain an ack quorum; the rest
       // are replaced off the critical path below.
       for (PeerSlot& slot : slots_) {
-        if (alive_peers() >= client_->ack_quorum()) {
+        if (alive_peers() >= geo().ack_quorum()) {
           break;
         }
         if (!slot.alive) {
@@ -932,11 +727,11 @@ Status NclFile::WaitFor(uint64_t seq) {
           }
         }
       }
-      if (alive_peers() < client_->ack_quorum()) {
-        return UnavailableError(
-            client_->config_.ec_enabled
-                ? "fewer than k shard peers are available"
-                : "more than f log peers are unavailable");
+      if (alive_peers() < geo().ack_quorum()) {
+        return UnavailableError("fewer than " +
+                                std::to_string(geo().ack_quorum()) + " of " +
+                                std::to_string(geo().n()) +
+                                " log peers are available");
       }
       AdvanceCommitWatermark();  // replacements ack the full tail
       continue;
@@ -977,7 +772,7 @@ Status NclFile::WaitFor(uint64_t seq) {
 
 uint64_t NclFile::ComputeCommittedSeq() const {
   // The quorum-th largest acked_seq among alive slots: that prefix has
-  // landed, in order, on at least f+1 replicas — or, in EC mode, on the
+  // landed, in order, on at least f+1 replicas — or, for a stripe, on the
   // first k of the k+m shard peers (late binding: the m slowest shards are
   // off the critical path). Monotonic — once durable on a quorum, a prefix
   // stays committed even if those slots die later (replacements only join
@@ -988,7 +783,7 @@ uint64_t NclFile::ComputeCommittedSeq() const {
       acked.push_back(slot.acked_seq);
     }
   }
-  int maj = client_->ack_quorum();
+  int maj = geo().ack_quorum();
   if (static_cast<int>(acked.size()) < maj) {
     return committed_seq_;
   }
@@ -1056,55 +851,51 @@ bool NclFile::PostSuffix(PeerSlot* slot) {
     return false;  // history pruned past the gap
   }
   slot->inflight.clear();
-  const uint64_t header_bytes = HeaderBytes();
+  const uint64_t header_bytes = geo().header_bytes();
   std::vector<QueuePair::WriteOp> ops;
-  // EC: each replayed range is re-encoded into this slot's shard; the
-  // encoded chunks must outlive the PostWriteBatch call (which copies them
-  // out), so they accumulate here rather than in one reused scratch. The
-  // reserve is load-bearing: ops holds string_views into these strings, and
-  // a reallocation would move the small (SSO) ones out from under them.
-  std::vector<std::string> shard_scratch;
-  shard_scratch.reserve(window_.size());
-  std::string_view buffer_view(buffer_);
+  // Each replayed range's shard encoding must outlive the PostWriteBatch
+  // call (which copies it out), so they accumulate here rather than in one
+  // reused scratch; replica bytes are views of buffer_. The reserve is
+  // load-bearing: ops holds string_views into these strings, and a
+  // reallocation would move the small (SSO) ones out from under them.
+  std::vector<std::string> scratch;
+  scratch.reserve(window_.size());
   for (const WindowEntry& entry : window_) {
     if (entry.seq <= slot->acked_seq || entry.truncate || entry.len == 0) {
       continue;
     }
     // Replay from the *current* buffer: later overwrites of the same range
     // only make the replayed bytes newer, and the final header commits the
-    // current (seq_, length_) snapshot. The ops view buffer_ directly; the
-    // chain post copies the ranges out before returning.
+    // current (seq_, length_) snapshot.
     uint64_t end = std::min<uint64_t>(entry.offset + entry.len,
                                       buffer_.size());
     if (entry.offset >= end) {
       continue;
     }
-    if (ec()) {
-      EcShardRange range =
-          ShardRangeFor(slot->shard_index, entry.offset, end - entry.offset);
-      if (range.empty()) {
-        continue;  // this append missed the slot's lane entirely
-      }
-      shard_scratch.emplace_back();
-      EncodeShardRange(slot->shard_index, range, &shard_scratch.back());
-      ops.push_back(QueuePair::WriteOp{slot->rkey, header_bytes + range.begin,
-                                       shard_scratch.back()});
-      continue;
+    SlotRange range =
+        geo().RangeFor(slot->role, entry.offset, end - entry.offset);
+    if (range.empty()) {
+      continue;  // this append missed the slot's lane entirely
     }
+    scratch.emplace_back();
     ops.push_back(QueuePair::WriteOp{
-        slot->rkey, header_bytes + entry.offset,
-        buffer_view.substr(entry.offset, end - entry.offset)});
+        slot->rkey, header_bytes + range.begin,
+        geo().SlotBytes(slot->role, buffer_, range, &scratch.back())});
   }
-  char header[kNclEcHeaderBytes];
-  EncodeSlotHeader(slot->shard_index, header);
+  char header[kNclMaxHeaderBytes];
+  EncodeHeader(slot->role, header);
   ops.push_back(QueuePair::WriteOp{
       slot->rkey, 0, std::string_view(header, header_bytes)});
+  PostChain(slot, std::move(ops));
+  ObsAdd(client_->c_suffix_reposts_);
+  return true;
+}
+
+void NclFile::PostChain(PeerSlot* slot, std::vector<QueuePair::WriteOp> ops) {
   std::vector<uint64_t> ids = slot->qp->PostWriteBatch(std::move(ops));
   for (size_t k = 0; k < ids.size(); ++k) {
     slot->inflight.emplace_back(ids[k], k + 1 == ids.size() ? seq_ : 0);
   }
-  ObsAdd(client_->c_suffix_reposts_);
-  return true;
 }
 
 bool NclFile::PumpCompletions() {
@@ -1202,28 +993,27 @@ void NclFile::PostFullState(PeerSlot* slot) {
   slot->inflight.clear();
   // Full-state post, data before header (§4.4 ordering still applies: the
   // header's arrival implies the contents'), chained behind one doorbell.
-  // EC mode ships this slot's full shard instead of the whole buffer.
-  const uint64_t header_bytes = HeaderBytes();
+  std::string scratch;
+  char header[kNclMaxHeaderBytes];
+  PostChain(slot, FullStateOps(*slot, slot->rkey, &scratch, header));
+}
+
+std::vector<QueuePair::WriteOp> NclFile::FullStateOps(const PeerSlot& slot,
+                                                      RKey rkey,
+                                                      std::string* scratch,
+                                                      char* header) const {
+  const uint64_t header_bytes = geo().header_bytes();
   std::vector<QueuePair::WriteOp> ops;
-  std::string shard_scratch;
-  if (ec()) {
-    EcShardRange range = FullShardRange();
-    if (!range.empty()) {
-      EncodeShardRange(slot->shard_index, range, &shard_scratch);
-      ops.push_back(QueuePair::WriteOp{slot->rkey, header_bytes + range.begin,
-                                       shard_scratch});
-    }
-  } else if (!buffer_.empty()) {
-    ops.push_back(QueuePair::WriteOp{slot->rkey, header_bytes, buffer_});
+  SlotRange range = geo().FullRange(length_);
+  if (!range.empty()) {
+    ops.push_back(QueuePair::WriteOp{
+        rkey, header_bytes + range.begin,
+        geo().SlotBytes(slot.role, buffer_, range, scratch)});
   }
-  char header[kNclEcHeaderBytes];
-  EncodeSlotHeader(slot->shard_index, header);
-  ops.push_back(QueuePair::WriteOp{
-      slot->rkey, 0, std::string_view(header, header_bytes)});
-  std::vector<uint64_t> ids = slot->qp->PostWriteBatch(std::move(ops));
-  for (size_t k = 0; k < ids.size(); ++k) {
-    slot->inflight.emplace_back(ids[k], k + 1 == ids.size() ? seq_ : 0);
-  }
+  EncodeHeader(slot.role, header);
+  ops.push_back(
+      QueuePair::WriteOp{rkey, 0, std::string_view(header, header_bytes)});
+  return ops;
 }
 
 bool NclFile::MaybeRetrySuspects() {
@@ -1273,59 +1063,11 @@ SimTime NclFile::NextSuspectRetryAt() const {
   return earliest;
 }
 
-int NclFile::CountAcked(uint64_t seq) const {
-  int acked = 0;
-  for (const PeerSlot& slot : slots_) {
-    if (slot.alive && slot.acked_seq >= seq) {
-      acked++;
-    }
-  }
-  return acked;
-}
-
 Status NclFile::BulkCatchUp(PeerSlot* slot, RKey rkey) {
   ObsSpan span(client_->obs_.tracer, "ncl.catchup.bulk");
-  const uint64_t header_bytes = HeaderBytes();
-  std::vector<uint64_t> wanted;
-  std::string shard_scratch;
-  if (ec()) {
-    EcShardRange range = FullShardRange();
-    if (!range.empty()) {
-      EncodeShardRange(slot->shard_index, range, &shard_scratch);
-      wanted.push_back(
-          slot->qp->PostWrite(rkey, header_bytes + range.begin, shard_scratch));
-    }
-  } else if (!buffer_.empty()) {
-    wanted.push_back(slot->qp->PostWrite(rkey, header_bytes, buffer_));
-  }
-  char header[kNclEcHeaderBytes];
-  EncodeSlotHeader(slot->shard_index, header);
-  wanted.push_back(
-      slot->qp->PostWrite(rkey, 0, std::string_view(header, header_bytes)));
-
-  Simulation* sim = client_->fabric_->sim();
-  size_t done = 0;
-  bool failed = false;
-  bool ok = sim->RunUntilPredicate([&] {
-    Completion c;
-    while (slot->qp->PollCq(&c)) {
-      if (c.status != WcStatus::kSuccess) {
-        failed = true;
-        return true;
-      }
-      for (uint64_t id : wanted) {
-        if (c.wr_id == id) {
-          done++;
-        }
-      }
-    }
-    return done == wanted.size();
-  });
-  if (!ok || failed) {
-    return UnavailableError("catch-up transfer to " + slot->peer_name +
-                            " failed");
-  }
-  return OkStatus();
+  std::string scratch;
+  char header[kNclMaxHeaderBytes];
+  return PostAndAwait(slot, FullStateOps(*slot, rkey, &scratch, header));
 }
 
 namespace {
@@ -1372,123 +1114,84 @@ std::vector<DiffRange> ComputeDiffRanges(std::string_view a,
 
 Status NclFile::CatchUpViaStagedRegion(PeerSlot* slot) {
   ObsSpan span(client_->obs_.tracer, "ncl.catchup.staged");
-  const NclConfig& config = client_->config_;
+  const std::string& app = client_->config_.app_id;
   LogPeer* peer = slot->peer;
   if (peer == nullptr) {
     return UnavailableError("peer process unreachable: " + slot->peer_name);
   }
-  Simulation* sim = client_->fabric_->sim();
-
-  const uint64_t header_bytes = HeaderBytes();
-  // EC: the diff target is this slot's *encoded shard*, not the logical
-  // buffer. Encode the full shard once and diff/ship in shard space.
-  std::string local_shard;
-  if (ec()) {
-    EcShardRange range = FullShardRange();
-    if (!range.empty()) {
-      EncodeShardRange(slot->shard_index, range, &local_shard);
-    }
-  }
-  std::string_view local_content = ec() ? std::string_view(local_shard)
-                                        : std::string_view(buffer_);
-  if (!ec()) {
-    local_content = local_content.substr(
-        0, std::min<uint64_t>(length_, capacity_));
-  }
-  if (config.diff_catchup) {
+  RKey staged_rkey = 0;
+  if (client_->config_.diff_catchup) {
     // §4.5.1 optimization: clone the peer's current region locally on the
-    // peer and ship only the bytewise difference.
-    //
-    // First read the peer's current contents so we can diff against them.
-    std::string remote;
-    if (!local_content.empty()) {
-      uint64_t wr =
-          slot->qp->PostRead(slot->rkey, header_bytes, local_content.size());
-      bool failed = false;
-      bool ok = sim->RunUntilPredicate([&] {
-        Completion c;
-        while (slot->qp->PollCq(&c)) {
-          if (c.status != WcStatus::kSuccess) {
-            failed = true;
-            return true;
-          }
-          if (c.wr_id == wr) {
-            remote = std::move(c.read_data);
-            return true;
-          }
-        }
-        return false;
-      });
-      if (!ok || failed) {
-        return UnavailableError("diff catch-up read failed");
-      }
+    // peer and ship only the bytewise difference of the slot image.
+    const uint64_t header_bytes = geo().header_bytes();
+    std::string scratch;
+    std::string_view local = geo().SlotBytes(
+        slot->role, buffer_, geo().FullRange(length_), &scratch);
+    // First read the peer's current image so we can diff against it.
+    std::vector<WrWait> remote;
+    if (!local.empty()) {
+      remote.push_back(
+          {slot, slot->qp->PostRead(slot->rkey, header_bytes, local.size())});
+      RETURN_IF_ERROR(AwaitWrs(&remote));
     }
-    auto staged = peer->CloneRegionForCatchup(client_->config_.app_id, name_,
-                                              epoch_);
+    auto staged = peer->CloneRegionForCatchup(app, name_, epoch_);
     if (!staged.ok()) {
       return staged.status();
     }
-    std::vector<uint64_t> wanted;
-    for (const DiffRange& r : ComputeDiffRanges(remote, local_content)) {
-      wanted.push_back(slot->qp->PostWrite(
-          staged->rkey, header_bytes + r.offset,
-          local_content.substr(r.offset, r.len)));
+    std::vector<QueuePair::WriteOp> ops;
+    for (const DiffRange& r : ComputeDiffRanges(
+             remote.empty() ? std::string_view() : remote[0].data, local)) {
+      ops.push_back(QueuePair::WriteOp{staged->rkey, header_bytes + r.offset,
+                                       local.substr(r.offset, r.len)});
     }
-    char header[kNclEcHeaderBytes];
-    EncodeSlotHeader(slot->shard_index, header);
-    wanted.push_back(slot->qp->PostWrite(
-        staged->rkey, 0, std::string_view(header, header_bytes)));
-    size_t done = 0;
-    bool failed = false;
-    bool ok = sim->RunUntilPredicate([&] {
-      Completion c;
-      while (slot->qp->PollCq(&c)) {
-        if (c.status != WcStatus::kSuccess) {
-          failed = true;
-          return true;
-        }
-        for (uint64_t id : wanted) {
-          if (c.wr_id == id) {
-            done++;
-          }
-        }
-      }
-      return done == wanted.size();
-    });
-    if (!ok || failed) {
-      return UnavailableError("diff catch-up transfer failed");
-    }
-    RETURN_IF_ERROR(peer->SwitchRegion(client_->config_.app_id, name_,
-                                       staged->rkey));
-    slot->rkey = staged->rkey;
+    char header[kNclMaxHeaderBytes];
+    EncodeHeader(slot->role, header);
+    ops.push_back(QueuePair::WriteOp{staged->rkey, 0,
+                                     std::string_view(header, header_bytes)});
+    RETURN_IF_ERROR(PostAndAwait(slot, ops));
+    staged_rkey = staged->rkey;
   } else {
     auto staged = peer->AllocateCatchupRegion(
-        client_->config_.app_id, name_, SlotRegionBytes(), epoch_);
+        app, name_, geo().SlotRegionBytes(capacity_), epoch_);
     if (!staged.ok()) {
       return staged.status();
     }
     RETURN_IF_ERROR(BulkCatchUp(slot, staged->rkey));
-    RETURN_IF_ERROR(peer->SwitchRegion(client_->config_.app_id, name_,
-                                       staged->rkey));
-    slot->rkey = staged->rkey;
+    staged_rkey = staged->rkey;
   }
+  RETURN_IF_ERROR(peer->SwitchRegion(app, name_, staged_rkey));
+  slot->rkey = staged_rkey;
   slot->acked_seq = seq_;
   slot->inflight.clear();
   return OkStatus();
+}
+
+Result<NclFile::PeerSlot> NclFile::AllocateSuccessor(
+    const PeerSlot& slot, const std::set<std::string>& exclude) {
+  NclClient* client = client_;
+  // New epoch: we intend to update the ap-map (§4.5.1).
+  auto epoch = client->RetryControllerRpc([&] {
+    return client->controller_->BumpAppEpoch(client->config_.app_id);
+  });
+  if (!epoch.ok()) {
+    return epoch.status();
+  }
+  epoch_ = *epoch;
+  auto got = client->AllocateOnFreshPeer(
+      name_, geo().SlotRegionBytes(capacity_), epoch_, exclude);
+  if (!got.ok()) {
+    return got.status();
+  }
+  auto [peer, grant] = *got;
+  // The successor takes over the slot's role: slot order is role order (the
+  // ap-map contract), and its catch-up writes exactly that role's bytes.
+  return MakeSlot(peer->name(), slot.role, peer, grant.rkey);
 }
 
 Status NclFile::ReplaceSlot(PeerSlot* slot) {
   NclClient* client = client_;
   const NclConfig& config = client->config_;
   ObsSpan span(client->obs_.tracer, "ncl.replace_slot");
-
-  // New epoch: we intend to update the ap-map (§4.5.1).
-  auto epoch = client->RetryControllerRpc(
-      [&] { return client->controller_->BumpAppEpoch(config.app_id); });
-  if (!epoch.ok()) {
-    return epoch.status();
-  }
-  epoch_ = *epoch;
 
   // Exclude only the file's *other* current members. Any other peer —
   // including one used in the past, or this failed slot's own peer after a
@@ -1501,26 +1204,10 @@ Status NclFile::ReplaceSlot(PeerSlot* slot) {
       exclude.insert(s.peer_name);
     }
   }
-  auto got = client->AllocateOnFreshPeer(name_, SlotRegionBytes(),
-                                         epoch_, exclude);
-  if (!got.ok()) {
-    return got.status();
-  }
-  auto [peer, grant] = *got;
-
-  PeerSlot fresh;
-  fresh.peer_name = peer->name();
-  fresh.peer = peer;
-  fresh.node = peer->node();
-  fresh.rkey = grant.rkey;
-  fresh.qp = client->pool_->Connect(peer->node());
-  fresh.alive = true;
-  // The successor inherits the failed slot's shard role: slot order is
-  // shard-role order (ap-map contract), and the catch-up below re-encodes
-  // exactly that shard from the local buffer. In EC mode this IS background
-  // repair — the lost shard is rebuilt on a fresh peer.
-  fresh.shard_index = slot->shard_index;
-  if (ec()) {
+  ASSIGN_OR_RETURN(PeerSlot fresh, AllocateSuccessor(*slot, exclude));
+  // For a striped file this IS background repair: the lost shard is
+  // re-encoded from the local buffer onto a fresh peer.
+  if (geo().striped()) {
     ObsAdd(client->c_ec_repairs_);
   }
 
@@ -1528,7 +1215,7 @@ Status NclFile::ReplaceSlot(PeerSlot* slot) {
     // BUG (for §4.6 validation): recording the new peer before it is caught
     // up makes the Fig 7(iii) data loss possible.
     *slot = std::move(fresh);
-    ever_used_.insert(peer->name());
+    ever_used_.insert(slot->peer_name);
     RefreshPeerNames();
     RETURN_IF_ERROR(WriteApMap());
     if (config.test_crash_after_apmap_update) {
@@ -1546,7 +1233,7 @@ Status NclFile::ReplaceSlot(PeerSlot* slot) {
   RETURN_IF_ERROR(BulkCatchUp(&fresh, fresh.rkey));
   fresh.acked_seq = seq_;
   *slot = std::move(fresh);
-  ever_used_.insert(peer->name());
+  ever_used_.insert(slot->peer_name);
   RefreshPeerNames();
   RETURN_IF_ERROR(WriteApMap());
   client->peers_replaced_++;
@@ -1555,28 +1242,17 @@ Status NclFile::ReplaceSlot(PeerSlot* slot) {
 }
 
 Status NclFile::AwaitSlotDrain(PeerSlot* slot) {
-  Simulation* sim = client_->fabric_->sim();
-  bool failed = false;
-  bool ok = sim->RunUntilPredicate([&] {
-    Completion c;
-    while (slot->qp->PollCq(&c)) {
-      if (c.status != WcStatus::kSuccess) {
-        failed = true;
-        return true;
-      }
-      if (!slot->inflight.empty() && slot->inflight.front().first == c.wr_id) {
-        uint64_t committed = slot->inflight.front().second;
-        slot->inflight.pop_front();
-        if (committed > 0) {
-          slot->acked_seq = committed;
-        }
-      }
-    }
-    return slot->inflight.empty();
-  });
-  if (!ok || failed) {
-    return UnavailableError("transfer to " + slot->peer_name + " failed");
+  std::vector<WrWait> waits;
+  for (const auto& wr : slot->inflight) {
+    waits.push_back({slot, wr.first});
   }
+  RETURN_IF_ERROR(AwaitWrs(&waits));
+  for (const auto& wr : slot->inflight) {
+    if (wr.second > 0) {
+      slot->acked_seq = wr.second;
+    }
+  }
+  slot->inflight.clear();
   return OkStatus();
 }
 
@@ -1607,38 +1283,15 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
 
   // Bump-then-write (§4.5.1): the new epoch fences the outgoing membership
   // — a straggling ap-map write carrying the old peer set is rejected by
-  // the controller once the cutover lands.
-  auto epoch = client->RetryControllerRpc(
-      [&] { return client->controller_->BumpAppEpoch(client->config_.app_id); });
-  if (!epoch.ok()) {
-    return epoch.status();
-  }
-  epoch_ = *epoch;
-  const uint64_t my_epoch = epoch_;
-
-  // The target must be outside the current membership entirely (including
-  // the source: the point is to move the region elsewhere).
+  // the controller once the cutover lands. The target must be outside the
+  // current membership entirely (including the source: the point is to
+  // move the region elsewhere), and takes over exactly the source's role.
   std::set<std::string> exclude;
   for (const PeerSlot& s : slots_) {
     exclude.insert(s.peer_name);
   }
-  auto got = client->AllocateOnFreshPeer(name_, SlotRegionBytes(),
-                                         epoch_, exclude);
-  if (!got.ok()) {
-    return got.status();
-  }
-  auto [peer, grant] = *got;
-
-  PeerSlot fresh;
-  fresh.peer_name = peer->name();
-  fresh.peer = peer;
-  fresh.node = peer->node();
-  fresh.rkey = grant.rkey;
-  fresh.qp = client->pool_->Connect(peer->node());
-  fresh.alive = true;
-  // Planned moves keep the shard role too: the target takes over exactly
-  // the source's lane in the stripe geometry.
-  fresh.shard_index = slot->shard_index;
+  ASSIGN_OR_RETURN(PeerSlot fresh, AllocateSuccessor(*slot, exclude));
+  const uint64_t my_epoch = epoch_;
 
   // Phase 1: snapshot copy. Appends re-entering through simulation events
   // while the copy is in flight keep landing on the *old* membership, so
@@ -1706,46 +1359,25 @@ Result<std::string> NclFile::Read(uint64_t offset, uint64_t len) {
     return std::string();
   }
   len = std::min<uint64_t>(len, length_ - offset);
-  Simulation* sim = client_->fabric_->sim();
-  const SimParams& params = client_->fabric_->params();
-
-  if (serve_reads_locally_ || recovery_slot_ < 0) {
-    // Served from the prefetched local buffer.
-    sim->Advance(params.MemReadLatency(len));
-    return buffer_.substr(offset, len);
-  }
-
-  // No-prefetch variant (Fig 11a): one RDMA read per application read.
-  PeerSlot& slot = slots_[recovery_slot_];
-  if (!slot.alive || slot.suspect || slot.qp == nullptr) {
-    // Fall back to the local copy held for catch-up purposes.
-    sim->Advance(params.MemReadLatency(len));
-    return buffer_.substr(offset, len);
-  }
-  uint64_t wr = slot.qp->PostRead(slot.rkey, kNclRegionHeaderBytes + offset,
-                                  len);
-  std::string data;
-  bool failed = false;
-  bool ok = sim->RunUntilPredicate([&] {
-    Completion c;
-    while (slot.qp->PollCq(&c)) {
-      if (c.status != WcStatus::kSuccess) {
-        failed = true;
-        return true;
+  if (!serve_reads_locally_ && recovery_slot_ >= 0) {
+    // No-prefetch variant (Fig 11a): one RDMA read per application read,
+    // while the recovery peer stays reachable.
+    PeerSlot& slot = slots_[recovery_slot_];
+    if (slot.alive && !slot.suspect && slot.qp != nullptr) {
+      std::vector<WrWait> read{
+          {&slot, slot.qp->PostRead(slot.rkey, geo().header_bytes() + offset,
+                                    len)}};
+      if (AwaitWrs(&read).ok()) {
+        return std::move(read[0].data);
       }
-      if (c.wr_id == wr) {
-        data = std::move(c.read_data);
-        return true;
-      }
+      slot.alive = false;
     }
-    return false;
-  });
-  if (!ok || failed) {
-    slot.alive = false;
-    sim->Advance(params.MemReadLatency(len));
-    return buffer_.substr(offset, len);
   }
-  return data;
+  // Served from the prefetched local buffer (or, without prefetch, the
+  // local copy held for catch-up purposes).
+  const Fabric* fabric = client_->fabric_;
+  fabric->sim()->Advance(fabric->params().MemReadLatency(len));
+  return buffer_.substr(offset, len);
 }
 
 Status NclFile::Delete() {

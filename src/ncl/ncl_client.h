@@ -1,17 +1,18 @@
 // ncl-lib: the application-side NCL library (§4.2–§4.5).
 //
 // NclClient manages one application instance's ncl files. NclFile implements
-// the replication protocol:
+// the NCL protocol over the client's NclGeometry (src/ncl/geometry.h):
+// 2f+1 replication is the k = 1 geometry, k+m erasure coding the striped
+// one, and both run the same code:
 //   * every application write becomes two ordered RDMA WRITE WRs per peer
-//     (data, then the sequence-number header);
-//   * a write is acknowledged once a majority (f+1) of the n = 2f+1 peers
-//     have completed it *and every preceding write* (in-order majority
-//     replication);
+//     (the slot's bytes for the write, then the sequence-number header);
+//   * a write is acknowledged once an ack quorum (f+1 replicas, or the
+//     first k shards) has completed it *and every preceding write*;
 //   * peer failures are detected via WR errors; the failed peer is replaced
 //     with a fresh one, which is caught up from the local buffer *before*
 //     the ap-map is updated (§4.5.2, Fig 7iii);
-//   * recovery reads the header from at least f+1 peers, picks the maximum
-//     sequence number, prefetches the region from that recovery peer, and
+//   * recovery reads the header from every reachable peer, claims the
+//     freshest state a quorum guarantees, rebuilds it locally, and
 //     atomically catches every reachable peer up before returning data to
 //     the application (§4.5.1, Fig 7i–ii).
 #ifndef SRC_NCL_NCL_CLIENT_H_
@@ -32,6 +33,7 @@
 #include "src/obs/obs.h"
 #include "src/ncl/connection_pool.h"
 #include "src/ncl/ec.h"
+#include "src/ncl/geometry.h"
 #include "src/ncl/peer.h"
 #include "src/ncl/peer_directory.h"
 #include "src/ncl/region_format.h"
@@ -55,7 +57,7 @@ struct NclConfig {
   // Replace failed peers as soon as the failure is detected.
   bool eager_peer_replacement = true;
   // Bounded append pipelining: how many appends may be in flight (posted
-  // but not yet majority-committed) before AppendAsync blocks. 1 keeps the
+  // but not yet quorum-committed) before AppendAsync blocks. 1 keeps the
   // seed's fully synchronous behaviour — every append waits out its quorum
   // round before the next one posts. Larger windows overlap quorum rounds;
   // SQ ordering keeps the region log prefix-ordered regardless, so
@@ -78,6 +80,11 @@ struct NclConfig {
   // registered-peer count at client construction; see NclClient::status().
   bool ec_enabled = false;
   EcGeometry ec;
+  // The redundancy geometry these settings select.
+  NclGeometry geometry() const {
+    return ec_enabled ? NclGeometry::Striped(ec)
+                      : NclGeometry::Replicated(fault_budget);
+  }
 
   // Shared connection pool (DESIGN.md §14). When set, this client draws its
   // peer QPs from the pool (shared with every co-located tenant on the same
@@ -158,8 +165,8 @@ class NclClient {
                                           uint64_t capacity = 0);
 
   // recover() (§4.2): rebuilds the most up-to-date contents from the peers.
-  // Fails kUnavailable when fewer than f+1 peers still hold the region —
-  // NCL "correctly makes the file unavailable" (§4.2).
+  // Fails kUnavailable when fewer than an ack quorum of peers still hold
+  // the region — NCL "correctly makes the file unavailable" (§4.2).
   Result<std::unique_ptr<NclFile>> Recover(const std::string& file);
 
   // Deletes an ncl file without recovering it first: releases the regions
@@ -212,18 +219,6 @@ class NclClient {
  private:
   friend class NclFile;
 
-  // Peers per file: k+m shard holders in EC mode, 2f+1 replicas otherwise.
-  int n_peers() const {
-    return config_.ec_enabled ? static_cast<int>(config_.ec.shards())
-                              : 2 * config_.fault_budget + 1;
-  }
-  // Slots that must ack before an append commits: the first k shard
-  // completions in EC mode (late binding), a majority f+1 otherwise.
-  int ack_quorum() const {
-    return config_.ec_enabled ? static_cast<int>(config_.ec.k)
-                              : config_.fault_budget + 1;
-  }
-
   // Finds a peer (excluding `exclude`) that grants `region_bytes`, trying
   // several candidates because controller info is a hint.
   Result<std::pair<LogPeer*, AllocationGrant>> AllocateOnFreshPeer(
@@ -267,6 +262,8 @@ class NclClient {
   Status ValidateConfig();
 
   NclConfig config_;
+  // Built once from config_: every file of this client uses it.
+  const NclGeometry geometry_;
   Status init_status_;
   Fabric* fabric_;
   Controller* controller_;
@@ -319,26 +316,26 @@ class NclFile {
   uint64_t seq() const { return seq_; }
 
   // record() (§4.2): appends at the current end of the log and blocks until
-  // a majority of peers committed it (AppendAsync + WaitFor).
+  // an ack quorum of peers committed it (AppendAsync + WaitFor).
   Status Append(std::string_view data);
 
   // Pipelined append: applies locally, posts the WRs to every alive peer,
   // and returns without waiting for the quorum round — unless the bounded
   // in-flight window (NclConfig::inflight_window) is full, in which case it
   // blocks until the oldest outstanding append commits. Errors discovered
-  // while waiting out backpressure (majority loss, test-hook aborts)
+  // while waiting out backpressure (quorum loss, test-hook aborts)
   // surface here; otherwise they surface in WaitFor/Drain.
   Status AppendAsync(std::string_view data);
 
   // Blocks until every append with sequence number <= `seq` is committed on
-  // a majority of peers (clamped to the current tail). The committed prefix
-  // is exactly what recovery is guaranteed to return.
+  // an ack quorum of peers (clamped to the current tail). The committed
+  // prefix is exactly what recovery is guaranteed to return.
   Status WaitFor(uint64_t seq);
 
   // Drains the whole in-flight window: WaitFor(seq()).
   Status Drain();
 
-  // Highest sequence number known committed on a majority (monotonic).
+  // Highest sequence number known committed on a quorum (monotonic).
   uint64_t committed_seq() const { return committed_seq_; }
   // Appends posted but not yet known committed.
   uint64_t inflight() const { return seq_ - committed_seq_; }
@@ -384,10 +381,10 @@ class NclFile {
     SimTime suspect_since = 0;
     SimTime next_retry_at = 0;
     std::optional<RetryState> retry;
-    // EC mode: which shard this slot holds (0..k-1 data, k..k+m-1 parity).
-    // Stable across replacement and migration — the successor peer takes
-    // over the same shard role. Unused in replication mode.
-    uint32_t shard_index = 0;
+    // The slot's role in the geometry (its position in slots_: a replica
+    // number, or a shard index). Stable across replacement and migration —
+    // the successor peer takes over the same role.
+    uint32_t role = 0;
     // Sequence number of the last write fully completed (header landed).
     uint64_t acked_seq = 0;
     // In-flight header WRs: (wr_id of the header WR, seq it commits).
@@ -406,9 +403,35 @@ class NclFile {
     bool reported = false;  // commit already surfaced (span + histogram)
   };
 
+  // One posted WR being waited for: the slot whose QP carries it, its
+  // wr_id, and — once it completed — its READ payload (empty for writes).
+  struct WrWait {
+    WrWait(PeerSlot* s, uint64_t id) : slot(s), wr_id(id) {}
+    PeerSlot* slot;
+    uint64_t wr_id;
+    bool done = false;
+    std::string data;
+  };
+
   NclFile(NclClient* client, std::string name, uint64_t capacity);
 
-  // The replication critical path, blocking: RecordAsync + WaitFor(seq_).
+  const NclGeometry& geo() const { return client_->geometry_; }
+
+  // A slot playing `role` on `name`. Live, on a fresh pooled QP, when
+  // `peer` granted it region `rkey`; dead when `peer` is null.
+  PeerSlot MakeSlot(const std::string& name, uint32_t role,
+                    LogPeer* peer = nullptr, RKey rkey = 0) const;
+
+  // The one completion wait: runs the simulation until every WR in `waits`
+  // completed (their READ payloads filled in). Returns kUnavailable at the
+  // first failed completion, naming its slot in `*failed` when given, or
+  // when the simulation runs out of events first (`*failed` untouched).
+  Status AwaitWrs(std::vector<WrWait>* waits, PeerSlot** failed = nullptr);
+  // Posts each write of `ops` on `slot`'s QP as its own WR and awaits them.
+  Status PostAndAwait(PeerSlot* slot,
+                      const std::vector<QueuePair::WriteOp>& ops);
+
+  // The critical path, blocking: RecordAsync + WaitFor(seq_).
   Status Record(uint64_t offset, std::string_view data);
 
   // Applies the write locally, posts one WR chain (data + header, single
@@ -420,11 +443,10 @@ class NclFile {
   // WR failures: transient ones mark the slot suspect, permanent ones
   // demote it to dead.
   bool PumpCompletions();
-  int CountAcked(uint64_t seq) const;
 
   // ---- Commit watermark & window history ---------------------------------
-  // The committed watermark is the majority-th largest acked_seq among
-  // alive slots, cached monotonically: once a prefix was majority-durable
+  // The committed watermark is the quorum-th largest acked_seq among
+  // alive slots, cached monotonically: once a prefix was quorum-durable
   // it stays committed even if the acking slots die later (their
   // replacements are caught up to the full tail before joining).
   uint64_t ComputeCommittedSeq() const;
@@ -436,21 +458,34 @@ class NclFile {
   // history as one WR chain. Returns false when the history no longer
   // covers the gap — the caller falls back to PostFullState.
   bool PostSuffix(PeerSlot* slot);
+  // Posts `ops` behind one doorbell on `slot`'s QP, tracked as inflight;
+  // the last WR's completion acks seq_.
+  void PostChain(PeerSlot* slot, std::vector<QueuePair::WriteOp> ops);
 
   // ---- Suspect-slot machinery (transient faults) -------------------------
   void OnSlotError(PeerSlot* slot, WcStatus status);
   void MarkSuspect(PeerSlot* slot);
   void DemoteSlot(PeerSlot* slot);
-  // Posts a full-state repost (buffer + header) on a fresh QP; completions
-  // flow through the regular inflight pump.
+  // Posts a full-state repost (slot image + header) on a fresh QP;
+  // completions flow through the regular inflight pump.
   void RepostSuspect(PeerSlot* slot);
   void PostFullState(PeerSlot* slot);
+  // The WRs that bring `slot`'s region `rkey` to the current state: its
+  // whole slot image (when non-empty), then its header. The ops view
+  // `scratch` and `header` (kNclMaxHeaderBytes).
+  std::vector<QueuePair::WriteOp> FullStateOps(const PeerSlot& slot, RKey rkey,
+                                               std::string* scratch,
+                                               char* header) const;
   // Fires due resurrection attempts; demotes slots whose deadline expired.
   // Returns true if any WRs were posted.
   bool MaybeRetrySuspects();
   // Earliest pending resurrection time across suspect slots, or -1.
   SimTime NextSuspectRetryAt() const;
 
+  // Bumps the epoch and allocates a successor for `slot` (same role) on a
+  // fresh peer outside `exclude`; the caller catches it up.
+  Result<PeerSlot> AllocateSuccessor(const PeerSlot& slot,
+                                     const std::set<std::string>& exclude);
   // Replaces a dead slot with a freshly allocated, caught-up peer and
   // updates the ap-map (§4.5.2). On success the slot is alive and fully
   // caught up.
@@ -463,11 +498,11 @@ class NclFile {
   // the migration — the abandoned target region is reclaimed by the epoch
   // GC.
   Status MigrateSlot(PeerSlot* slot);
-  // Pumps only `slot`'s CQ until its inflight queue drains; kUnavailable on
-  // a WR failure or a stalled fabric.
+  // Waits out `slot`'s inflight WRs and advances its acked_seq;
+  // kUnavailable on a WR failure or a stalled fabric.
   Status AwaitSlotDrain(PeerSlot* slot);
-  // Bulk-writes the current buffer + header into (rkey on slot's QP) and
-  // waits for completion.
+  // Bulk-writes the current slot image + header into (rkey on slot's QP)
+  // and waits for completion.
   Status BulkCatchUp(PeerSlot* slot, RKey rkey);
   // Recovery catch-up (§4.5.1): stages a fresh (or cloned, in diff mode)
   // region on the peer, fills it with the recovered contents, and commits
@@ -476,32 +511,13 @@ class NclFile {
   Status WriteApMap();
   void RefreshPeerNames();
 
-  // ---- Erasure-coding helpers (DESIGN.md §16) ----------------------------
-  // True when this file stripes shards instead of replicating.
-  bool ec() const { return client_->config_.ec_enabled; }
-  const EcGeometry& ec_geometry() const { return client_->config_.ec; }
-  // Per-slot region header size (32-byte shard header vs 16-byte replica
-  // header) and total per-slot region bytes for the file's capacity.
-  uint64_t HeaderBytes() const;
-  uint64_t SlotRegionBytes() const;
-  // Encodes slot `shard_index`'s bytes for shard range `range` from the
-  // local buffer: lane extraction for data shards, parity encoding for
-  // parity shards.
-  void EncodeShardRange(uint32_t shard_index, const EcShardRange& range,
-                        std::string* out) const;
-  // The shard range a logical write [offset, offset+length) lands on for
-  // `shard_index` (may be empty for data lanes a short append misses).
-  EcShardRange ShardRangeFor(uint32_t shard_index, uint64_t offset,
-                             uint64_t length) const;
-  // Full-state shard image: range [0, ShardCapacity(length_)).
-  EcShardRange FullShardRange() const;
-  // Encodes the per-slot header for the current (seq_, length_) into `out`
-  // (which must hold HeaderBytes()): NclShardHeader in EC mode,
-  // NclRegionHeader otherwise.
-  void EncodeSlotHeader(uint32_t shard_index, char* out) const;
-  // Refreshes the ncl.ec.degraded_stripes gauge: how far the most-degraded
-  // shard slot trails the commit watermark (0 when all slots are caught
-  // up; grows while a dead slot awaits repair).
+  // The current (seq_, length_) header for slot `role`, at `out`.
+  void EncodeHeader(uint32_t role, char* out) const {
+    geo().EncodeHeader(seq_, length_, role, out);
+  }
+  // Refreshes the ncl.ec.degraded_stripes gauge of a striped file: how far
+  // the most-degraded shard slot trails the commit watermark (0 when all
+  // slots are caught up; grows while a dead slot awaits repair).
   void UpdateDegradedGauge();
 
   NclClient* client_;
@@ -510,7 +526,7 @@ class NclFile {
   uint64_t epoch_ = 0;
   uint64_t seq_ = 0;
   uint64_t length_ = 0;
-  // Highest seq known committed on a majority; never regresses.
+  // Highest seq known committed on a quorum; never regresses.
   uint64_t committed_seq_ = 0;
   // Recent appends, oldest first, covering at least (min alive acked, seq_].
   std::deque<WindowEntry> window_;

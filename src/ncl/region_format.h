@@ -121,11 +121,6 @@ struct NclShardHeader {
   }
 };
 
-// Total shard-region size needed for `shard_capacity` shard content bytes.
-inline constexpr uint64_t NclShardRegionBytes(uint64_t shard_capacity) {
-  return kNclEcHeaderBytes + shard_capacity;
-}
-
 }  // namespace splitft
 
 #endif  // SRC_NCL_REGION_FORMAT_H_

@@ -9,9 +9,9 @@
 // path is a single add on a cached pointer.
 //
 // The registry replaces the previous scatter of per-component stats
-// structs as the canonical measurement surface. The NCL client's structs
-// (NclStats, RecoveryBreakdown) are deleted outright; FabricStats remains
-// as the fabric's internal bookkeeping, mirrored into "fabric.*" keys.
+// structs as the only measurement surface: the old NclStats,
+// RecoveryBreakdown and FabricStats shims are deleted outright (the fabric
+// counts into "fabric.wr.*" keys).
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 

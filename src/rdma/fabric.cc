@@ -275,7 +275,6 @@ void Fabric::CompleteWr(const std::shared_ptr<QpState>& qp,
     // The QP enters the error state immediately (the NIC knows), even if
     // the completion itself surfaces late.
     qp->error = true;
-    stats_.failed_wrs++;
     ObsAdd(c_failed_wrs_);
   }
   if (obs_.tracer != nullptr) {
@@ -312,7 +311,6 @@ bool Fabric::TryDeliverOnce(const std::shared_ptr<QpState>& qp,
     SimTime interval = params_->rdma.unreachable_retry_interval;
     SimTime budget = params_->rdma.unreachable_retry_timeout;
     if (now - wr->first_attempt + interval <= budget) {
-      stats_.wr_retries++;
       ObsAdd(c_wr_retries_);
       qp->retrying = true;
       auto state = qp;
@@ -327,7 +325,6 @@ bool Fabric::TryDeliverOnce(const std::shared_ptr<QpState>& qp,
   }
   if (wr->first_attempt < now) {
     // At least one retry tick happened and the target is reachable again.
-    stats_.wr_retry_recoveries++;
     ObsAdd(c_wr_retry_recoveries_);
   }
   auto region_it = target.regions.find(wr->rkey);
@@ -405,7 +402,6 @@ QueuePair::~QueuePair() {
 
 uint64_t QueuePair::PostWrite(RKey rkey, uint64_t remote_offset,
                               std::string_view data) {
-  fabric_->stats_.doorbells++;
   ObsAdd(fabric_->c_doorbells_);
   fabric_->sim_->Advance(fabric_->params_->rdma.post_overhead);
   return EnqueueWrite(rkey, remote_offset, data);
@@ -421,14 +417,12 @@ void QueuePair::PostWriteChain(const WriteOp* ops, size_t count,
   if (rdma.doorbell_batching) {
     // One doorbell for the whole chain: full post cost for the first WQE,
     // marginal cost for each one appended behind it.
-    fabric_->stats_.doorbells++;
     ObsAdd(fabric_->c_doorbells_);
     fabric_->sim_->Advance(rdma.post_overhead +
                            rdma.batched_wr_overhead * (n - 1));
   } else {
     // Coalescing off: the chain degenerates to one doorbell per WR, the
     // seed's posting cost.
-    fabric_->stats_.doorbells += count;
     ObsAdd(fabric_->c_doorbells_, count);
     fabric_->sim_->Advance(rdma.post_overhead * n);
   }
@@ -454,8 +448,6 @@ uint64_t QueuePair::EnqueueWrite(RKey rkey, uint64_t remote_offset,
   wr.data = fabric_->AcquirePayload(data);
   wr.read_len = 0;
 
-  fabric_->stats_.writes_posted++;
-  fabric_->stats_.write_bytes += wr.data.size();
   ObsAdd(fabric_->c_writes_posted_);
   ObsAdd(fabric_->c_write_bytes_, wr.data.size());
   wr.posted_at = fabric_->sim_->Now();
@@ -490,9 +482,6 @@ uint64_t QueuePair::PostRead(RKey rkey, uint64_t remote_offset, uint64_t len) {
   wr.remote_offset = remote_offset;
   wr.read_len = len;
 
-  fabric_->stats_.reads_posted++;
-  fabric_->stats_.read_bytes += len;
-  fabric_->stats_.doorbells++;
   ObsAdd(fabric_->c_reads_posted_);
   ObsAdd(fabric_->c_read_bytes_, len);
   ObsAdd(fabric_->c_doorbells_);

@@ -59,28 +59,6 @@ struct Completion {
   std::string read_data;
 };
 
-// Aggregate transfer statistics, exposed for benches and tests.
-// Deprecated in favor of the ObsContext registry ("fabric.wr.*" counters,
-// which mirror these fields exactly); kept as a compat shim for existing
-// exact-value assertions.
-struct FabricStats {
-  uint64_t writes_posted = 0;
-  uint64_t reads_posted = 0;
-  uint64_t write_bytes = 0;
-  uint64_t read_bytes = 0;
-  uint64_t failed_wrs = 0;
-  // Doorbell rings: one per PostWrite/PostRead, one per PostWriteBatch
-  // chain when doorbell coalescing is enabled. doorbells < writes_posted +
-  // reads_posted measures how much batching the NCL write path achieves.
-  uint64_t doorbells = 0;
-  // NIC-level retransmissions toward unreachable targets (see
-  // RdmaParams::unreachable_retry_timeout).
-  uint64_t wr_retries = 0;
-  // WRs that survived an unreachable window because the fault healed
-  // before the retry budget ran out.
-  uint64_t wr_retry_recoveries = 0;
-};
-
 class QueuePair;
 
 class Fabric {
@@ -165,7 +143,6 @@ class Fabric {
 
   Simulation* sim() const { return sim_; }
   const SimParams& params() const { return *params_; }
-  const FabricStats& stats() const { return stats_; }
 
  private:
   friend class QueuePair;
@@ -225,7 +202,6 @@ class Fabric {
   std::unordered_map<uint64_t, SimTime> link_delays_;
   std::unordered_map<uint64_t, SimTime> completion_delays_;
   RKey next_rkey_ = 1;
-  FabricStats stats_;
 
   // Payload pool size classes (capacity, in bytes) and per-class freelist
   // cap. Class 0 covers the 16B region header + small records; class 1 the

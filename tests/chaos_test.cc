@@ -30,7 +30,8 @@ namespace {
 
 class ChaosFabricTest : public ::testing::Test {
  protected:
-  ChaosFabricTest() : fabric_(&sim_, &params_) {
+  ChaosFabricTest()
+      : fabric_(&sim_, &params_, ObsContext{&metrics_, nullptr}) {
     app_ = fabric_.AddNode("app");
     peer_ = fabric_.AddNode("peer1");
   }
@@ -43,6 +44,7 @@ class ChaosFabricTest : public ::testing::Test {
 
   Simulation sim_;
   SimParams params_;
+  MetricsRegistry metrics_;
   Fabric fabric_;
   NodeId app_;
   NodeId peer_;
@@ -114,8 +116,8 @@ TEST_F(ChaosFabricTest, NicRetryWindowSurvivesHealedPartition) {
   // The partition healed inside the NIC retransmission window: no error
   // ever surfaced.
   EXPECT_EQ(c.status, WcStatus::kSuccess);
-  EXPECT_GT(fabric_.stats().wr_retries, 0u);
-  EXPECT_EQ(fabric_.stats().wr_retry_recoveries, 1u);
+  EXPECT_GT(metrics_.CounterValue("fabric.wr.wr_retries"), 0u);
+  EXPECT_EQ(metrics_.CounterValue("fabric.wr.wr_retry_recoveries"), 1u);
   auto buf = fabric_.RegionBuffer(peer_, *rkey);
   ASSERT_TRUE(buf.ok());
   EXPECT_EQ((*buf)->substr(0, 7), "retried");

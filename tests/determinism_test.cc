@@ -13,6 +13,7 @@
 
 #include "src/chaos/chaos_engine.h"
 #include "src/chaos/fault_plan.h"
+#include "src/common/crc32c.h"
 #include "src/common/rng.h"
 #include "src/harness/testbed.h"
 
@@ -187,6 +188,22 @@ TEST(DeterminismTest, BucketBoundaryRolloversAreByteForByteIdentical) {
   ASSERT_FALSE(a.metrics_json.empty());
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.trace, b.trace);
+}
+
+uint32_t Digest(const RunArtifacts& run) {
+  return Crc32c(run.metrics_json + run.trace);
+}
+
+// Cross-commit behaviour pin. The tests above only compare a run with
+// itself, so a refactor that changes protocol behaviour would still pass
+// them; these digests were recorded before such refactors and must stay
+// put across them. A deliberate protocol change (new WR shapes, recovery
+// rule, timing model, metric or span names) updates the values here and
+// says why in CHANGES.md.
+TEST(DeterminismTest, ExportsMatchPinnedDigests) {
+  EXPECT_EQ(Digest(RunSeededChaosScenario(1234)), 0xbd7c8487u);
+  EXPECT_EQ(Digest(RunSeededChaosScenario(1234, /*ec=*/true)), 0x6f1c6dd1u);
+  EXPECT_EQ(Digest(RunBucketBoundaryScenario(77)), 0x973b53c2u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for erasure-coded NCL regions (DESIGN.md §16): the GF(256) striping
-// kernel, geometry validation at client construction, the k+m append /
+// kernel, the NclGeometry replication and striping share (replication as
+// k=1), geometry validation at client construction, the k+m append /
 // late-binding watermark / recovery protocol end to end, degraded operation
 // and background repair, the append-only restriction, the ap-map geometry
 // fence, shard-aligned slab carving, the EC model-checker mode (including
@@ -15,6 +16,7 @@
 #include "src/controller/controller.h"
 #include "src/modelcheck/model.h"
 #include "src/ncl/ec.h"
+#include "src/ncl/geometry.h"
 #include "src/ncl/ncl_client.h"
 #include "src/ncl/peer.h"
 #include "src/ncl/peer_directory.h"
@@ -196,6 +198,75 @@ TEST(EcKernelTest, ShardHeaderRoundTrip) {
   EXPECT_EQ(d.m, 2u);
   EXPECT_EQ(d.shard_index, 5u);
   EXPECT_EQ(d.stripe_unit, 256u);
+}
+
+// ------------------------------------------------------------ Geometry --
+
+TEST(NclGeometryTest, ReplicationIsTheK1Geometry) {
+  NclGeometry geo = NclGeometry::Replicated(/*fault_budget=*/2);
+  EXPECT_EQ(geo.n(), 5);
+  EXPECT_EQ(geo.ack_quorum(), 3);
+  EXPECT_FALSE(geo.striped());
+  EXPECT_TRUE(geo.overwrite_allowed());
+  EXPECT_TRUE(geo.slot_serves_reads());
+  EXPECT_EQ(geo.header_bytes(), kNclRegionHeaderBytes);
+  EXPECT_EQ(geo.SlotRegionBytes(1000), NclRegionBytes(1000));
+  EXPECT_EQ(geo.CapacityOf(NclRegionBytes(1000)), 1000u);
+  // Every slot holds the whole image: identity ranges, and the bytes are a
+  // view of the logical buffer rather than a copy.
+  SlotRange range = geo.RangeFor(/*role=*/3, 100, 40);
+  EXPECT_EQ(range.begin, 100u);
+  EXPECT_EQ(range.end, 140u);
+  std::string logical(200, 'x');
+  std::string scratch;
+  EXPECT_EQ(geo.SlotBytes(3, logical, range, &scratch).data(),
+            logical.data() + 100);
+  EXPECT_TRUE(scratch.empty());
+  char header[kNclMaxHeaderBytes];
+  geo.EncodeHeader(7, 99, /*role=*/3, header);
+  uint64_t seq = 0;
+  uint64_t length = 0;
+  EXPECT_TRUE(geo.DecodeHeader(std::string_view(header, geo.header_bytes()),
+                               /*role=*/4, &seq, &length));
+  EXPECT_EQ(seq, 7u);
+  EXPECT_EQ(length, 99u);
+}
+
+TEST(NclGeometryTest, K1ClaimIsMaxSeqWithLowestSlotTieBreak) {
+  NclGeometry geo = NclGeometry::Replicated(/*fault_budget=*/1);
+  NclGeometry::Claim claim =
+      geo.ClaimFrom({{0, 5, 50}, {1, 7, 70}, {2, 7, 71}});
+  EXPECT_EQ(claim.seq, 7u);
+  EXPECT_EQ(claim.length, 70u);
+  EXPECT_EQ(claim.sources, std::vector<uint32_t>{1});
+}
+
+TEST(NclGeometryTest, StripedClaimTakesKthSeqFreshDataThenStaleParity) {
+  NclGeometry geo = NclGeometry::Striped(EcGeometry{2, 2, 64});
+  EXPECT_EQ(geo.n(), 4);
+  EXPECT_EQ(geo.ack_quorum(), 2);
+  EXPECT_TRUE(geo.striped());
+  EXPECT_FALSE(geo.overwrite_allowed());
+  EXPECT_FALSE(geo.slot_serves_reads());
+  // Data lane 1 lags below the claim (the 2nd-largest seq, 8), so the
+  // second source is a parity stream at or above it — the stalest one.
+  NclGeometry::Claim claim =
+      geo.ClaimFrom({{0, 9, 90}, {1, 3, 30}, {2, 8, 80}, {3, 6, 60}});
+  EXPECT_EQ(claim.seq, 8u);
+  EXPECT_EQ(claim.length, 80u);
+  EXPECT_EQ(claim.sources, (std::vector<uint32_t>{0, 2}));
+  // The shard header carries the role: a region holding another role's
+  // shard is foreign, a never-written one is the empty file.
+  char header[kNclMaxHeaderBytes];
+  geo.EncodeHeader(4, 40, /*role=*/2, header);
+  std::string_view raw(header, geo.header_bytes());
+  uint64_t seq = 0;
+  uint64_t length = 0;
+  EXPECT_TRUE(geo.DecodeHeader(raw, 2, &seq, &length));
+  EXPECT_FALSE(geo.DecodeHeader(raw, 3, &seq, &length));
+  EXPECT_TRUE(geo.DecodeHeader(std::string(kNclEcHeaderBytes, '\0'), 3,
+                               &seq, &length));
+  EXPECT_EQ(seq, 0u);
 }
 
 // -------------------------------------------------- cluster fixture --

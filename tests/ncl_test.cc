@@ -24,7 +24,9 @@ constexpr uint64_t kLend = 512ull << 20;
 
 class NclTest : public ::testing::Test {
  protected:
-  NclTest() : fabric_(&sim_, &params_), controller_(&sim_, &params_) {
+  NclTest()
+      : fabric_(&sim_, &params_, ObsContext{&metrics_, nullptr}),
+        controller_(&sim_, &params_) {
     app_node_ = fabric_.AddNode("app-server");
   }
 
@@ -911,15 +913,16 @@ TEST_F(NclTest, DiffCatchupShipsFewerBytesWhenPeersCurrent) {
   }
   sim_.RunUntilIdle();
 
-  uint64_t before_full = fabric_.stats().write_bytes;
+  uint64_t before_full = metrics_.CounterValue("fabric.wr.write_bytes");
   {
     auto client2 = MakeClient();
     ASSERT_TRUE(client2->Recover("/wal/1").ok());
   }
-  uint64_t full_bytes = fabric_.stats().write_bytes - before_full;
+  uint64_t full_bytes =
+      metrics_.CounterValue("fabric.wr.write_bytes") - before_full;
 
   sim_.RunUntilIdle();
-  uint64_t before_diff = fabric_.stats().write_bytes;
+  uint64_t before_diff = metrics_.CounterValue("fabric.wr.write_bytes");
   {
     NclConfig config;
     config.app_id = "test-app";
@@ -927,7 +930,8 @@ TEST_F(NclTest, DiffCatchupShipsFewerBytesWhenPeersCurrent) {
     auto client3 = MakeClient(config);
     ASSERT_TRUE(client3->Recover("/wal/1").ok());
   }
-  uint64_t diff_bytes = fabric_.stats().write_bytes - before_diff;
+  uint64_t diff_bytes =
+      metrics_.CounterValue("fabric.wr.write_bytes") - before_diff;
   // All peers were already up to date: the diff is (nearly) empty while the
   // full-copy catch-up re-ships the whole region to every peer.
   EXPECT_LT(diff_bytes * 10, full_bytes);

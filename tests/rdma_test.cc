@@ -3,6 +3,8 @@
 #include <memory>
 #include <string>
 
+#include "src/obs/metrics.h"
+#include "src/obs/obs.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/params.h"
 #include "src/sim/simulation.h"
@@ -12,7 +14,7 @@ namespace {
 
 class RdmaTest : public ::testing::Test {
  protected:
-  RdmaTest() : fabric_(&sim_, &params_) {
+  RdmaTest() : fabric_(&sim_, &params_, ObsContext{&metrics_, nullptr}) {
     app_ = fabric_.AddNode("app");
     peer_ = fabric_.AddNode("peer1");
   }
@@ -24,8 +26,14 @@ class RdmaTest : public ::testing::Test {
     return c;
   }
 
+  // Current value of the "fabric.wr.<counter>" registry counter.
+  uint64_t Wr(const std::string& counter) const {
+    return metrics_.CounterValue("fabric.wr." + counter);
+  }
+
   Simulation sim_;
   SimParams params_;
+  MetricsRegistry metrics_;
   Fabric fabric_;
   NodeId app_;
   NodeId peer_;
@@ -91,7 +99,7 @@ TEST_F(RdmaTest, BatchedWritesCompleteInOrderWithOneDoorbell) {
   auto rkey = fabric_.RegisterRegion(peer_, 16);
   ASSERT_TRUE(rkey.ok());
   QueuePair qp(&fabric_, app_, peer_);
-  uint64_t doorbells_before = fabric_.stats().doorbells;
+  uint64_t doorbells_before = Wr("doorbells");
   std::vector<std::string> payloads;
   for (int i = 0; i < 4; ++i) {
     payloads.push_back(std::string(1, 'a' + i));
@@ -103,7 +111,7 @@ TEST_F(RdmaTest, BatchedWritesCompleteInOrderWithOneDoorbell) {
   std::vector<uint64_t> ids = qp.PostWriteBatch(std::move(ops));
   ASSERT_EQ(ids.size(), 4u);
   // One doorbell rings for the whole chain.
-  EXPECT_EQ(fabric_.stats().doorbells - doorbells_before, 1u);
+  EXPECT_EQ(Wr("doorbells") - doorbells_before, 1u);
   for (int i = 0; i < 4; ++i) {
     Completion c = WaitCompletion(&qp);
     EXPECT_EQ(c.wr_id, ids[i]) << "completion out of post order";
@@ -142,13 +150,13 @@ TEST_F(RdmaTest, UnbatchedPostingRingsOneDoorbellPerWr) {
   ASSERT_TRUE(rkey.ok());
   params_.rdma.doorbell_batching = false;
   QueuePair qp(&fabric_, app_, peer_);
-  uint64_t doorbells_before = fabric_.stats().doorbells;
+  uint64_t doorbells_before = Wr("doorbells");
   std::vector<QueuePair::WriteOp> ops;
   for (int i = 0; i < 3; ++i) {
     ops.push_back({*rkey, 0, "x"});
   }
   qp.PostWriteBatch(std::move(ops));
-  EXPECT_EQ(fabric_.stats().doorbells - doorbells_before, 3u);
+  EXPECT_EQ(Wr("doorbells") - doorbells_before, 3u);
   sim_.RunUntilIdle();
   params_.rdma.doorbell_batching = true;
 }
@@ -254,10 +262,10 @@ TEST_F(RdmaTest, StatsAccumulate) {
   qp.PostWrite(*rkey, 0, std::string(100, 'x'));
   qp.PostRead(*rkey, 0, 50);
   sim_.RunUntilIdle();
-  EXPECT_EQ(fabric_.stats().writes_posted, 1u);
-  EXPECT_EQ(fabric_.stats().reads_posted, 1u);
-  EXPECT_EQ(fabric_.stats().write_bytes, 100u);
-  EXPECT_EQ(fabric_.stats().read_bytes, 50u);
+  EXPECT_EQ(Wr("writes_posted"), 1u);
+  EXPECT_EQ(Wr("reads_posted"), 1u);
+  EXPECT_EQ(Wr("write_bytes"), 100u);
+  EXPECT_EQ(Wr("read_bytes"), 50u);
 }
 
 TEST_F(RdmaTest, DeregisterFreesRegion) {
