@@ -9,13 +9,16 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/chaos/chaos_engine.h"
 #include "src/chaos/fault_plan.h"
 #include "src/common/crc32c.h"
 #include "src/common/rng.h"
 #include "src/harness/testbed.h"
+#include "src/ncl/ncl_client.h"
 
 namespace splitft {
 namespace {
@@ -190,6 +193,96 @@ TEST(DeterminismTest, BucketBoundaryRolloversAreByteForByteIdentical) {
   EXPECT_EQ(a.trace, b.trace);
 }
 
+// The pooled multi-tenant fabric (DESIGN.md §14): ten NclClient tenants,
+// alternately replicated and EC 2+2, share the testbed pool's lanes with
+// append windows > 1. A peer crashes while every tenant has appends in
+// flight toward it, so its shared lanes error, co-tenants' collateral
+// flushes are rewritten and every resident tenant replaces its slot. The
+// peer then restarts, and the second files placed on it repair its lanes.
+struct PooledRun {
+  RunArtifacts artifacts;
+  uint64_t flush_rewrites = 0;
+  uint64_t lane_repairs = 0;
+};
+
+PooledRun RunPooledTenantsScenario(uint64_t seed) {
+  constexpr int kTenants = 10;
+  TestbedOptions options;
+  options.tracing = true;
+  options.num_peers = 6;
+  Testbed testbed(options);
+  ObsContext obs{testbed.metrics(), testbed.tracer()};
+  // Declared after the testbed, so destroyed before its pool.
+  std::vector<std::unique_ptr<NclClient>> clients;
+  std::vector<std::unique_ptr<NclFile>> files;
+  auto create = [&](int i, const std::string& name) {
+    auto file = clients[static_cast<size_t>(i)]->Create(name);
+    CHECK_OK(file.status());
+    files.push_back(std::move(*file));
+  };
+  for (int i = 0; i < kTenants; ++i) {
+    NclConfig config;
+    config.app_id = "det-tenant-" + std::to_string(i);
+    config.default_capacity = 256 << 10;
+    config.pool = testbed.shared_pool();
+    if (i % 2 == 1) {
+      config.ec_enabled = true;
+      config.ec = EcGeometry{2, 2, 64};
+      config.fault_budget = 2;
+    }
+    clients.push_back(std::make_unique<NclClient>(
+        config, testbed.fabric(), testbed.controller(), testbed.directory(),
+        testbed.app_node(), obs));
+    create(i, "wal");
+  }
+
+  Rng rng(seed);
+  // Round-robin bursts of AppendAsync across every open file, then a drain
+  // of each: all files have WRs in flight on the shared lanes at once.
+  auto round = [&](int crash_at) {
+    for (size_t f = 0; f < files.size(); ++f) {
+      for (int k = 0; k < 3; ++k) {
+        std::string payload(rng.UniformRange(1, 200),
+                            static_cast<char>('a' + (f + k) % 26));
+        DiscardStatus(files[f]->AppendAsync(payload), "pooled append");
+      }
+      if (static_cast<int>(f) == crash_at) {
+        testbed.peer(0)->Crash();
+      }
+    }
+    for (const auto& file : files) {
+      DiscardStatus(file->Drain(), "pooled drain");
+    }
+  };
+  round(-1);
+  round(kTenants / 2);
+  round(-1);
+  CHECK_OK(testbed.peer(0)->Restart());
+  for (int i = 0; i < kTenants; i += 3) {
+    create(i, "wal2");
+  }
+  round(-1);
+  round(-1);
+
+  PooledRun out;
+  out.artifacts.metrics_json = testbed.metrics()->ToJson();
+  out.artifacts.trace = TraceDump(*testbed.tracer());
+  out.flush_rewrites = testbed.shared_pool()->flush_rewrites();
+  out.lane_repairs = testbed.metrics()->CounterValue("ncl.pool.lane_repairs");
+  return out;
+}
+
+TEST(DeterminismTest, PooledTenantsExportsAreByteForByteIdentical) {
+  PooledRun a = RunPooledTenantsScenario(99);
+  PooledRun b = RunPooledTenantsScenario(99);
+  ASSERT_FALSE(a.artifacts.metrics_json.empty());
+  EXPECT_EQ(a.artifacts.metrics_json, b.artifacts.metrics_json);
+  EXPECT_EQ(a.artifacts.trace, b.artifacts.trace);
+  // The scenario must reach the shared-lane failure paths it exists for.
+  EXPECT_GT(a.flush_rewrites, 0u);
+  EXPECT_GT(a.lane_repairs, 0u);
+}
+
 uint32_t Digest(const RunArtifacts& run) {
   return Crc32c(run.metrics_json + run.trace);
 }
@@ -204,6 +297,7 @@ TEST(DeterminismTest, ExportsMatchPinnedDigests) {
   EXPECT_EQ(Digest(RunSeededChaosScenario(1234)), 0xbd7c8487u);
   EXPECT_EQ(Digest(RunSeededChaosScenario(1234, /*ec=*/true)), 0x6f1c6dd1u);
   EXPECT_EQ(Digest(RunBucketBoundaryScenario(77)), 0x973b53c2u);
+  EXPECT_EQ(Digest(RunPooledTenantsScenario(99).artifacts), 0xa42cb439u);
 }
 
 }  // namespace
