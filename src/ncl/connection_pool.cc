@@ -47,31 +47,36 @@ int NclConnectionPool::per_client_window() const {
 size_t NclConnectionPool::open_qps() const {
   size_t open = 0;
   for (const auto& [node, remote] : remotes_) {
-    for (const Lane& lane : remote.lanes) {
-      if (lane.live.qp != nullptr) {
+    for (const auto& lane : remote.lanes) {
+      if (lane->live.qp != nullptr) {
         open++;
       }
-      open += lane.retired.size();
+      open += lane->retired.size();
     }
   }
   return open;
+}
+
+void NclConnectionPool::OpenLiveQp(Lane* lane, bool warm) {
+  lane->live.qp =
+      std::make_unique<QueuePair>(fabric_, local_, lane->remote, warm);
+  lane->live.qp->SetCompletionFlag(&lane->pushed);
 }
 
 std::unique_ptr<PooledQp> NclConnectionPool::Connect(NodeId remote_id) {
   Remote& remote = remotes_[remote_id];
   int lane_idx = remote.next_lane % options_.qps_per_peer;
   remote.next_lane = (remote.next_lane + 1) % options_.qps_per_peer;
-  if (static_cast<int>(remote.lanes.size()) <= lane_idx) {
-    remote.lanes.resize(lane_idx + 1);
+  while (static_cast<int>(remote.lanes.size()) <= lane_idx) {
+    remote.lanes.push_back(std::make_unique<Lane>(remote_id));
   }
-  Lane& lane = remote.lanes[lane_idx];
+  Lane& lane = *remote.lanes[lane_idx];
 
   if (lane.live.qp == nullptr) {
     // First QP on this lane. The first connection to the remote pays the
     // cold handshake; further lanes multiplex it.
     bool warm = remote.ever_connected;
-    lane.live.qp =
-        std::make_unique<QueuePair>(fabric_, local_, remote_id, warm);
+    OpenLiveQp(&lane, warm);
     remote.ever_connected = true;
     ObsAdd(warm ? c_warm_connects_ : c_cold_connects_);
   } else if (lane.live.qp->in_error_state()) {
@@ -82,30 +87,15 @@ std::unique_ptr<PooledQp> NclConnectionPool::Connect(NodeId remote_id) {
       lane.retired.push_back(std::move(lane.live));
     }
     lane.live = LaneQp{};
-    lane.live.qp =
-        std::make_unique<QueuePair>(fabric_, local_, remote_id, /*warm=*/true);
+    OpenLiveQp(&lane, /*warm=*/true);
     ObsAdd(c_lane_repairs_);
     ObsAdd(c_warm_connects_);
   } else {
     ObsAdd(c_warm_connects_);
   }
 
-  uint64_t owner = next_owner_++;
-  Owner& o = owners_[owner];
-  o.remote = remote_id;
-  o.lane = lane_idx;
   UpdateGauges();
-  return std::unique_ptr<PooledQp>(
-      new PooledQp(this, remote_id, lane_idx, owner));
-}
-
-NclConnectionPool::Lane* NclConnectionPool::LaneOf(NodeId remote, int lane_idx) {
-  auto it = remotes_.find(remote);
-  if (it == remotes_.end() ||
-      lane_idx >= static_cast<int>(it->second.lanes.size())) {
-    return nullptr;
-  }
-  return &it->second.lanes[lane_idx];
+  return std::unique_ptr<PooledQp>(new PooledQp(this, &lane, next_owner_++));
 }
 
 void NclConnectionPool::DrainLaneQp(LaneQp* lq) {
@@ -114,36 +104,35 @@ void NclConnectionPool::DrainLaneQp(LaneQp* lq) {
   }
   Completion c;
   while (lq->qp->PollCq(&c)) {
-    uint64_t owner = lq->route.Take(c.wr_id);
+    completions_routed_++;
+    PooledQp* owner = lq->route.Take(c.wr_id);
     // Error accounting: the first real (non-flush) error belongs to the
     // tenant that hit it; collateral flushes of *other* tenants queued
     // behind it are rewritten to the transient classification so they
     // resurrect the shared peer instead of demoting it (DESIGN.md §14).
-    // Recorded even when the hit tenant's handle is already gone (owner 0
-    // never matches a live owner, so every survivor gets the rewrite).
+    // Recorded even when the hit tenant's handle is already gone (id 0
+    // never matches a live handle, so every survivor gets the rewrite).
     if (c.status != WcStatus::kSuccess && c.status != WcStatus::kFlushError &&
         !lq->has_real_error) {
       lq->has_real_error = true;
-      lq->error_owner = owner;
+      lq->error_owner = owner == nullptr ? 0 : owner->id_;
     }
-    if (owner == 0) {
+    if (owner == nullptr) {
       continue;  // owner handle was destroyed; completion dies here
     }
-    auto oit = owners_.find(owner);
-    if (oit == owners_.end()) {
-      continue;
-    }
     if (c.status == WcStatus::kFlushError && lq->has_real_error &&
-        owner != lq->error_owner) {
+        owner->id_ != lq->error_owner) {
       c.status = WcStatus::kRetryExceeded;
       flush_rewrites_++;
       ObsAdd(c_flush_rewrites_);
     }
-    oit->second.ready.push_back(std::move(c));
+    owner->ready_.push_back(std::move(c));
   }
 }
 
 void NclConnectionPool::DrainLane(Lane* lane) {
+  lane->pushed = false;
+  lane_drains_++;
   // Retired QPs first: their WRs were posted before anything on the live
   // QP, so their completions surface to owners in post order.
   for (LaneQp& lq : lane->retired) {
@@ -163,61 +152,17 @@ void NclConnectionPool::DrainLane(Lane* lane) {
   }
 }
 
-bool NclConnectionPool::Poll(uint64_t owner, Completion* out) {
-  auto oit = owners_.find(owner);
-  if (oit == owners_.end()) {
-    return false;
+void NclConnectionPool::ReleaseOwner(PooledQp* owner) {
+  Lane* lane = owner->lane_;
+  lane->live.route.DropOwner(owner);
+  for (LaneQp& lq : lane->retired) {
+    lq.route.DropOwner(owner);
   }
-  Lane* lane = LaneOf(oit->second.remote, oit->second.lane);
-  if (lane != nullptr) {
-    DrainLane(lane);
-  }
-  std::deque<Completion>& ready = oit->second.ready;
-  if (ready.empty()) {
-    return false;
-  }
-  *out = std::move(ready.front());
-  ready.pop_front();
-  return true;
-}
-
-size_t NclConnectionPool::OwnerOutstanding(uint64_t owner) const {
-  auto oit = owners_.find(owner);
-  if (oit == owners_.end()) {
-    return 0;
-  }
-  size_t outstanding = oit->second.ready.size();
-  auto rit = remotes_.find(oit->second.remote);
-  if (rit == remotes_.end() ||
-      oit->second.lane >= static_cast<int>(rit->second.lanes.size())) {
-    return outstanding;
-  }
-  const Lane& lane = rit->second.lanes[oit->second.lane];
-  outstanding += lane.live.route.CountOwner(owner);
-  for (const LaneQp& lq : lane.retired) {
-    outstanding += lq.route.CountOwner(owner);
-  }
-  return outstanding;
-}
-
-void NclConnectionPool::ReleaseOwner(uint64_t owner) {
-  auto oit = owners_.find(owner);
-  if (oit == owners_.end()) {
-    return;
-  }
-  Lane* lane = LaneOf(oit->second.remote, oit->second.lane);
-  if (lane != nullptr) {
-    lane->live.route.DropOwner(owner);
-    for (LaneQp& lq : lane->retired) {
-      lq.route.DropOwner(owner);
-    }
-    for (size_t i = lane->retired.size(); i > 0; --i) {
-      if (lane->retired[i - 1].route.empty()) {
-        lane->retired.erase(lane->retired.begin() + (i - 1));
-      }
+  for (size_t i = lane->retired.size(); i > 0; --i) {
+    if (lane->retired[i - 1].route.empty()) {
+      lane->retired.erase(lane->retired.begin() + (i - 1));
     }
   }
-  owners_.erase(oit);
   UpdateGauges();
 }
 
@@ -227,31 +172,20 @@ void NclConnectionPool::UpdateGauges() {
 
 // ------------------------------------------------------------- PooledQp --
 
-PooledQp::PooledQp(NclConnectionPool* pool, NodeId remote, int lane,
-                   uint64_t owner)
-    : pool_(pool), remote_(remote), lane_(lane), owner_(owner) {}
-
-PooledQp::~PooledQp() { pool_->ReleaseOwner(owner_); }
-
-QueuePair* PooledQp::qp() const {
-  NclConnectionPool::Lane* lane = pool_->LaneOf(remote_, lane_);
-  return lane == nullptr ? nullptr : lane->live.qp.get();
-}
+PooledQp::~PooledQp() { pool_->ReleaseOwner(this); }
 
 uint64_t PooledQp::PostWrite(RKey rkey, uint64_t remote_offset,
                              std::string_view data) {
-  NclConnectionPool::Lane* lane = pool_->LaneOf(remote_, lane_);
-  uint64_t wr = lane->live.qp->PostWrite(rkey, remote_offset, data);
-  lane->live.route.Add(wr, owner_);
+  uint64_t wr = lane_->live.qp->PostWrite(rkey, remote_offset, data);
+  lane_->live.route.Add(wr, this);
   return wr;
 }
 
 void PooledQp::PostWriteChain(const QueuePair::WriteOp* ops, size_t count,
                               uint64_t* ids_out) {
-  NclConnectionPool::Lane* lane = pool_->LaneOf(remote_, lane_);
-  lane->live.qp->PostWriteChain(ops, count, ids_out);
+  lane_->live.qp->PostWriteChain(ops, count, ids_out);
   for (size_t i = 0; i < count; ++i) {
-    lane->live.route.Add(ids_out[i], owner_);
+    lane_->live.route.Add(ids_out[i], this);
   }
 }
 
@@ -263,21 +197,21 @@ std::vector<uint64_t> PooledQp::PostWriteBatch(
 }
 
 uint64_t PooledQp::PostRead(RKey rkey, uint64_t remote_offset, uint64_t len) {
-  NclConnectionPool::Lane* lane = pool_->LaneOf(remote_, lane_);
-  uint64_t wr = lane->live.qp->PostRead(rkey, remote_offset, len);
-  lane->live.route.Add(wr, owner_);
+  uint64_t wr = lane_->live.qp->PostRead(rkey, remote_offset, len);
+  lane_->live.route.Add(wr, this);
   return wr;
 }
 
-bool PooledQp::PollCq(Completion* out) { return pool_->Poll(owner_, out); }
-
 size_t PooledQp::Outstanding() const {
-  return pool_->OwnerOutstanding(owner_);
+  size_t outstanding = ready_.size() + lane_->live.route.CountOwner(this);
+  for (const NclConnectionPool::LaneQp& lq : lane_->retired) {
+    outstanding += lq.route.CountOwner(this);
+  }
+  return outstanding;
 }
 
 bool PooledQp::in_error_state() const {
-  QueuePair* q = qp();
-  return q != nullptr && q->in_error_state();
+  return lane_->live.qp->in_error_state();
 }
 
 }  // namespace splitft

@@ -11,6 +11,9 @@
 // ordering the replication protocol relies on (§4.4) is preserved: a
 // tenant's WRs complete on the peer in the tenant's post order. Completions
 // from a shared lane are demultiplexed by wr_id back to the owning handle.
+// Draining is completion-driven: a completion landing on a lane's QP sets
+// the lane's flag, and a poll drains the lane only while that flag is set,
+// so idle polls cost O(1) however many tenants share the lane.
 //
 // Failure semantics on a shared lane: an ibverbs QP that takes a WR error
 // flushes every queued WR, including innocent co-tenants'. The pool routes
@@ -89,69 +92,76 @@ class NclConnectionPool {
   // Collateral kFlushError completions rewritten to kRetryExceeded for
   // innocent co-tenants of an errored lane.
   uint64_t flush_rewrites() const { return flush_rewrites_; }
+  // Lane drains performed, and completions they (and lane repairs) routed
+  // to owners. A lane is drained only after a completion landed on one of
+  // its QPs, so lane_drains() <= completions_routed(): at most one poll of
+  // the fabric per completion, however many handles share the lane.
+  uint64_t lane_drains() const { return lane_drains_; }
+  uint64_t completions_routed() const { return completions_routed_; }
 
  private:
   friend class PooledQp;
 
   // One underlying QueuePair plus the demux table for its undrained WRs
-  // (wr_id -> owner handle id). Kept after retirement until drained. The
+  // (wr_id -> owner handle). Kept after retirement until drained. The
   // error fields live here, not on the lane: a retired QP still owes its
   // collateral flushes the rewrite even after the lane was repaired.
   struct LaneQp {
     std::unique_ptr<QueuePair> qp;
-    WrRouteMap route;
-    // First *real* (non-flush) WR error observed on this QP and the handle
-    // that owns it: that tenant sees the true status, every other tenant's
-    // flushes are rewritten to kRetryExceeded.
+    WrRouteMap<PooledQp> route;
+    // First *real* (non-flush) WR error observed on this QP and the id of
+    // the handle that owns it: that tenant sees the true status, every
+    // other tenant's flushes are rewritten to kRetryExceeded.
     bool has_real_error = false;
     uint64_t error_owner = 0;
   };
 
   // One send-queue lane of a remote. Handles pin to a lane; posts go to
   // `live`. An errored live QP moves to `retired` (completions still owed)
-  // when the lane is repaired on the next Connect.
+  // when the lane is repaired on the next Connect. Heap-allocated and never
+  // moved: handles hold a Lane* and every QP of the lane holds &pushed.
   struct Lane {
+    explicit Lane(NodeId r) : remote(r) {}
+    NodeId remote;
     LaneQp live;
     std::vector<LaneQp> retired;
+    // A completion landed on the live or a retired QP since the last
+    // DrainLane. Set by the fabric (QueuePair::SetCompletionFlag); while it
+    // is clear every CQ of the lane is empty and polls skip the drain.
+    bool pushed = false;
   };
 
   struct Remote {
-    std::vector<Lane> lanes;
+    std::vector<std::unique_ptr<Lane>> lanes;
     int next_lane = 0;
     // Any QP to this remote was ever established: later lanes multiplex the
     // connection state and skip the cold handshake.
     bool ever_connected = false;
   };
 
-  // Per-handle completion state. Keyed by a monotonically increasing owner
-  // id that is never reused, so a successor handle of the same tenant can
-  // never receive a stale predecessor completion.
-  struct Owner {
-    NodeId remote = kInvalidNode;
-    int lane = -1;
-    std::deque<Completion> ready;
-  };
-
-  Lane* LaneOf(NodeId remote, int lane_idx);
+  // Opens `lane`'s live QP and wires its completions to lane->pushed.
+  void OpenLiveQp(Lane* lane, bool warm);
   // Polls every QP of the lane (retired first: their completions are
-  // older), routing each completion to its owner's ready queue and applying
-  // the flush-rewrite rule. Fully drained retired QPs are destroyed.
+  // older), routing each completion straight to its owner's ready queue and
+  // applying the flush-rewrite rule. Fully drained retired QPs are
+  // destroyed. Clears lane->pushed.
   void DrainLane(Lane* lane);
   void DrainLaneQp(LaneQp* lq);
-  // PooledQp backends.
-  bool Poll(uint64_t owner, Completion* out);
-  size_t OwnerOutstanding(uint64_t owner) const;
-  void ReleaseOwner(uint64_t owner);
+  // Unroutes a dying handle's undrained WRs.
+  void ReleaseOwner(PooledQp* owner);
   void UpdateGauges();
 
   Fabric* fabric_;
   NodeId local_;
   NclPoolOptions options_;
   std::map<NodeId, Remote> remotes_;
-  std::map<uint64_t, Owner> owners_;
+  // Handle ids are never reused, so a flush-rewrite decision recorded for
+  // a dead handle can never match its successor.
   uint64_t next_owner_ = 1;
   int clients_ = 0;
   uint64_t flush_rewrites_ = 0;
+  uint64_t lane_drains_ = 0;
+  uint64_t completions_routed_ = 0;
 
   ObsContext obs_;
   Counter* c_cold_connects_;
@@ -164,9 +174,11 @@ class NclConnectionPool {
 
 // A tenant's pinned handle onto one pooled lane. Mirrors the QueuePair
 // posting/polling surface so NclFile's peer slots are agnostic to pooling.
-// Destroying the handle unregisters its completion routes: in-flight WRs
-// still execute on the peer (one-sided RDMA semantics are unchanged) but
-// their completions are dropped, exactly like destroying a private QP.
+// The handle is its own completion owner: drains append to its ready queue
+// directly. Destroying the handle unregisters its completion routes:
+// in-flight WRs still execute on the peer (one-sided RDMA semantics are
+// unchanged) but their completions are dropped, exactly like destroying a
+// private QP.
 class PooledQp {
  public:
   ~PooledQp();
@@ -174,7 +186,7 @@ class PooledQp {
   PooledQp(const PooledQp&) = delete;
   PooledQp& operator=(const PooledQp&) = delete;
 
-  NodeId remote() const { return remote_; }
+  NodeId remote() const { return lane_->remote; }
 
   uint64_t PostWrite(RKey rkey, uint64_t remote_offset, std::string_view data);
   // Allocation-free chain post (the NCL append hot path); `ids_out` must
@@ -183,7 +195,19 @@ class PooledQp {
                       uint64_t* ids_out);
   std::vector<uint64_t> PostWriteBatch(std::vector<QueuePair::WriteOp> ops);
   uint64_t PostRead(RKey rkey, uint64_t remote_offset, uint64_t len);
-  bool PollCq(Completion* out);
+  // The one completion poll. O(1) when nothing is ready: the lane is
+  // drained only if a completion landed on it since its last drain.
+  bool PollCq(Completion* out) {
+    if (lane_->pushed) {
+      pool_->DrainLane(lane_);
+    }
+    if (ready_.empty()) {
+      return false;
+    }
+    *out = std::move(ready_.front());
+    ready_.pop_front();
+    return true;
+  }
 
   // WRs this handle posted whose completions have not been polled yet.
   size_t Outstanding() const;
@@ -192,13 +216,15 @@ class PooledQp {
 
  private:
   friend class NclConnectionPool;
-  PooledQp(NclConnectionPool* pool, NodeId remote, int lane, uint64_t owner);
-  QueuePair* qp() const;
+  PooledQp(NclConnectionPool* pool, NclConnectionPool::Lane* lane,
+           uint64_t id)
+      : pool_(pool), lane_(lane), id_(id) {}
 
   NclConnectionPool* pool_;
-  NodeId remote_;
-  int lane_;
-  uint64_t owner_;
+  NclConnectionPool::Lane* lane_;
+  uint64_t id_;
+  // Routed completions not yet polled, in lane drain order.
+  std::deque<Completion> ready_;
 };
 
 }  // namespace splitft

@@ -425,7 +425,10 @@ Status NclClient::MigrateOffPeer(const std::string& peer_name) {
 // ------------------------------------------------------------------- File --
 
 NclFile::NclFile(NclClient* client, std::string name, uint64_t capacity)
-    : client_(client), name_(std::move(name)), capacity_(capacity) {
+    : client_(client),
+      name_(std::move(name)),
+      capacity_(capacity),
+      acked_scratch_(static_cast<size_t>(client->geometry_.n())) {
   client_->open_files_.push_back(this);
 }
 
@@ -530,20 +533,19 @@ Status NclFile::PostAndAwait(PeerSlot* slot,
   return AwaitWrs(&waits);
 }
 
-void NclFile::UpdateDegradedGauge() {
+void NclFile::UpdateDegradedLag() {
   if (!geo().striped()) {
     return;
   }
   // How far the most-degraded slot trails the commit watermark. A dead
-  // slot's acked_seq freezes where it died, so the gauge grows while the
+  // slot's acked_seq freezes where it died, so the lag grows while the
   // stripe set is degraded and snaps back once repair (ReplaceSlot)
   // re-encodes the shard onto a fresh peer.
   uint64_t min_acked = committed_seq_;
   for (const PeerSlot& slot : slots_) {
     min_acked = std::min(min_acked, std::min(slot.acked_seq, committed_seq_));
   }
-  ObsSet(client_->g_ec_degraded_,
-         static_cast<int64_t>(committed_seq_ - min_acked));
+  degraded_lag_ = committed_seq_ - min_acked;
 }
 
 Status NclFile::Append(std::string_view data) {
@@ -610,6 +612,7 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
   seq_++;
   window_.push_back(WindowEntry{seq_, offset, data.size(), truncate,
                                 record_start});
+  watermark_dirty_ = true;
   const uint64_t header_bytes = geo().header_bytes();
   char header[kNclMaxHeaderBytes];
   // Shard bytes of the slot being posted. The chain post copies them into
@@ -770,29 +773,49 @@ Status NclFile::WaitFor(uint64_t seq) {
   return OkStatus();
 }
 
-uint64_t NclFile::ComputeCommittedSeq() const {
+uint64_t NclFile::ComputeCommittedSeq() {
   // The quorum-th largest acked_seq among alive slots: that prefix has
   // landed, in order, on at least f+1 replicas — or, for a stripe, on the
   // first k of the k+m shard peers (late binding: the m slowest shards are
   // off the critical path). Monotonic — once durable on a quorum, a prefix
   // stays committed even if those slots die later (replacements only join
   // fully caught up).
-  std::vector<uint64_t> acked;
+  // acked_scratch_ holds one entry per slot (sized from geo().n() at
+  // construction), so this never allocates.
+  if (acked_scratch_.size() < slots_.size()) {
+    acked_scratch_.resize(slots_.size());
+  }
+  auto end = acked_scratch_.begin();
   for (const PeerSlot& slot : slots_) {
     if (slot.alive) {
-      acked.push_back(slot.acked_seq);
+      *end++ = slot.acked_seq;
     }
   }
-  int maj = geo().ack_quorum();
-  if (static_cast<int>(acked.size()) < maj) {
+  const int maj = geo().ack_quorum();
+  if (end - acked_scratch_.begin() < maj) {
     return committed_seq_;
   }
-  std::nth_element(acked.begin(), acked.begin() + (maj - 1), acked.end(),
-                   std::greater<uint64_t>());
-  return std::max(committed_seq_, acked[maj - 1]);
+  std::nth_element(acked_scratch_.begin(), acked_scratch_.begin() + (maj - 1),
+                   end, std::greater<uint64_t>());
+  return std::max(committed_seq_, acked_scratch_[maj - 1]);
 }
 
 void NclFile::AdvanceCommitWatermark() {
+  if (watermark_dirty_) {
+    watermark_dirty_ = false;
+    RaiseCommittedSeq();
+    UpdateDegradedLag();
+    PruneWindow();
+  }
+  // Re-asserted on every call, changed or not: the gauges are shared by
+  // every tenant of the registry, so another file may have set them since.
+  ObsSet(client_->g_inflight_, static_cast<int64_t>(seq_ - committed_seq_));
+  if (geo().striped()) {
+    ObsSet(client_->g_ec_degraded_, static_cast<int64_t>(degraded_lag_));
+  }
+}
+
+void NclFile::RaiseCommittedSeq() {
   uint64_t committed = ComputeCommittedSeq();
   if (committed > committed_seq_) {
     committed_seq_ = committed;
@@ -814,9 +837,6 @@ void NclFile::AdvanceCommitWatermark() {
       ObsRecord(client_->h_record_ns_, sim->Now() - entry.posted_at);
     }
   }
-  ObsSet(client_->g_inflight_, static_cast<int64_t>(seq_ - committed_seq_));
-  UpdateDegradedGauge();
-  PruneWindow();
 }
 
 void NclFile::PruneWindow() {
@@ -918,6 +938,7 @@ bool NclFile::PumpCompletions() {
         slot.inflight.pop_front();
         if (committed > 0) {
           slot.acked_seq = committed;
+          watermark_dirty_ = true;
         }
       }
     }
@@ -964,12 +985,14 @@ void NclFile::OnSlotError(PeerSlot* slot, WcStatus status) {
 void NclFile::MarkSuspect(PeerSlot* slot) {
   Simulation* sim = client_->fabric_->sim();
   slot->suspect = true;
+  maybe_suspect_ = true;
   slot->suspect_since = sim->Now();
   slot->retry.emplace(&client_->config_.retry, sim->Now());
 }
 
 void NclFile::DemoteSlot(PeerSlot* slot) {
   slot->alive = false;
+  watermark_dirty_ = true;
   slot->suspect = false;
   slot->retry.reset();
   slot->inflight.clear();
@@ -1017,10 +1040,15 @@ std::vector<QueuePair::WriteOp> NclFile::FullStateOps(const PeerSlot& slot,
 }
 
 bool NclFile::MaybeRetrySuspects() {
+  if (!maybe_suspect_) {
+    return false;
+  }
   Simulation* sim = client_->fabric_->sim();
   const RetryPolicy& policy = client_->config_.retry;
   bool posted = false;
+  maybe_suspect_ = false;
   for (PeerSlot& slot : slots_) {
+    maybe_suspect_ = maybe_suspect_ || slot.suspect;
     if (!slot.alive || !slot.suspect || slot.qp != nullptr) {
       continue;  // qp != nullptr: a resurrection attempt is in flight
     }
@@ -1052,6 +1080,9 @@ bool NclFile::MaybeRetrySuspects() {
 
 SimTime NclFile::NextSuspectRetryAt() const {
   SimTime earliest = -1;
+  if (!maybe_suspect_) {
+    return earliest;
+  }
   for (const PeerSlot& slot : slots_) {
     if (!slot.alive || !slot.suspect || slot.qp != nullptr) {
       continue;
@@ -1162,6 +1193,7 @@ Status NclFile::CatchUpViaStagedRegion(PeerSlot* slot) {
   RETURN_IF_ERROR(peer->SwitchRegion(app, name_, staged_rkey));
   slot->rkey = staged_rkey;
   slot->acked_seq = seq_;
+  watermark_dirty_ = true;
   slot->inflight.clear();
   return OkStatus();
 }
@@ -1215,6 +1247,7 @@ Status NclFile::ReplaceSlot(PeerSlot* slot) {
     // BUG (for §4.6 validation): recording the new peer before it is caught
     // up makes the Fig 7(iii) data loss possible.
     *slot = std::move(fresh);
+    watermark_dirty_ = true;
     ever_used_.insert(slot->peer_name);
     RefreshPeerNames();
     RETURN_IF_ERROR(WriteApMap());
@@ -1223,6 +1256,7 @@ Status NclFile::ReplaceSlot(PeerSlot* slot) {
     }
     RETURN_IF_ERROR(BulkCatchUp(slot, slot->rkey));
     slot->acked_seq = seq_;
+    watermark_dirty_ = true;
     client->peers_replaced_++;
     ObsAdd(client->c_peers_replaced_);
     return OkStatus();
@@ -1233,6 +1267,7 @@ Status NclFile::ReplaceSlot(PeerSlot* slot) {
   RETURN_IF_ERROR(BulkCatchUp(&fresh, fresh.rkey));
   fresh.acked_seq = seq_;
   *slot = std::move(fresh);
+  watermark_dirty_ = true;
   ever_used_.insert(slot->peer_name);
   RefreshPeerNames();
   RETURN_IF_ERROR(WriteApMap());
@@ -1253,6 +1288,7 @@ Status NclFile::AwaitSlotDrain(PeerSlot* slot) {
     }
   }
   slot->inflight.clear();
+  watermark_dirty_ = true;
   return OkStatus();
 }
 
@@ -1273,11 +1309,13 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
   const std::string source_name = slot->peer_name;
   migrating_ = true;
   migrate_acked_floor_ = 0;
+  watermark_dirty_ = true;
   struct MigrationGuard {
     NclFile* file;
     ~MigrationGuard() {
       file->migrating_ = false;
       file->migrate_acked_floor_ = 0;
+      file->watermark_dirty_ = true;
     }
   } guard{this};
 
@@ -1303,6 +1341,7 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
   }
   fresh.acked_seq = snapshot;
   migrate_acked_floor_ = fresh.acked_seq;
+  watermark_dirty_ = true;
 
   // Phase 2: suffix catch-up rounds. Each round ships only (acked, seq_]
   // from the window history (the PruneWindow floor keeps it coverable), so
@@ -1322,6 +1361,7 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
       fresh.acked_seq = snapshot;
     }
     migrate_acked_floor_ = fresh.acked_seq;
+    watermark_dirty_ = true;
   }
 
   // A crash-driven ReplaceSlot may have interleaved with the copy (it runs
@@ -1339,6 +1379,7 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
   // write to the old peer fails at the fabric.
   LogPeer* old_peer = slot->peer;
   *slot = std::move(fresh);
+  watermark_dirty_ = true;
   ever_used_.insert(slot->peer_name);
   RefreshPeerNames();
   RETURN_IF_ERROR(WriteApMap());
@@ -1371,6 +1412,7 @@ Result<std::string> NclFile::Read(uint64_t offset, uint64_t len) {
         return std::move(read[0].data);
       }
       slot.alive = false;
+      watermark_dirty_ = true;
     }
   }
   // Served from the prefetched local buffer (or, without prefetch, the

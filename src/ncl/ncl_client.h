@@ -439,9 +439,10 @@ class NclFile {
   // full.
   Status RecordAsync(uint64_t offset, std::string_view data);
 
-  // Polls every slot's CQ; returns true if anything progressed. Classifies
-  // WR failures: transient ones mark the slot suspect, permanent ones
-  // demote it to dead.
+  // Polls every slot's CQ; returns true if anything progressed. A handle
+  // with nothing ready answers in O(1), without draining its lane.
+  // Classifies WR failures: transient ones mark the slot suspect, permanent
+  // ones demote it to dead.
   bool PumpCompletions();
 
   // ---- Commit watermark & window history ---------------------------------
@@ -449,10 +450,15 @@ class NclFile {
   // alive slots, cached monotonically: once a prefix was quorum-durable
   // it stays committed even if the acking slots die later (their
   // replacements are caught up to the full tail before joining).
-  uint64_t ComputeCommittedSeq() const;
-  // Raises committed_seq_, emits the per-append pipelined spans/histogram,
-  // refreshes the inflight gauge, and prunes reported window history.
+  uint64_t ComputeCommittedSeq();
+  // Refreshes the inflight and degraded gauges and, only when an input
+  // changed since the last call (watermark_dirty_), raises committed_seq_,
+  // recomputes the degraded lag and prunes reported window history. A
+  // WaitFor turn without progress therefore does O(1) work here.
   void AdvanceCommitWatermark();
+  // Raises committed_seq_ and emits the per-append pipelined
+  // spans/histogram for the appends it newly commits.
+  void RaiseCommittedSeq();
   void PruneWindow();
   // Reposts only the unacked suffix (slot->acked_seq, seq_] from the window
   // history as one WR chain. Returns false when the history no longer
@@ -515,10 +521,10 @@ class NclFile {
   void EncodeHeader(uint32_t role, char* out) const {
     geo().EncodeHeader(seq_, length_, role, out);
   }
-  // Refreshes the ncl.ec.degraded_stripes gauge of a striped file: how far
-  // the most-degraded shard slot trails the commit watermark (0 when all
-  // slots are caught up; grows while a dead slot awaits repair).
-  void UpdateDegradedGauge();
+  // Recomputes degraded_lag_ of a striped file: how far the most-degraded
+  // shard slot trails the commit watermark (0 when all slots are caught
+  // up; grows while a dead slot awaits repair).
+  void UpdateDegradedLag();
 
   NclClient* client_;
   std::string name_;
@@ -546,6 +552,20 @@ class NclFile {
   // can ship suffixes instead of full-state reposts while appends race.
   bool migrating_ = false;
   uint64_t migrate_acked_floor_ = 0;
+
+  // Set by every change to an input of the commit watermark, the degraded
+  // lag or PruneWindow: a slot's acked_seq or alive flag, the membership,
+  // seq_/window_, or the migration floor. Starts set; cleared by
+  // AdvanceCommitWatermark once it recomputed them.
+  bool watermark_dirty_ = true;
+  // Scratch for ComputeCommittedSeq, one entry per slot.
+  std::vector<uint64_t> acked_scratch_;
+  // Last computed ncl.ec.degraded_stripes value (striped files).
+  uint64_t degraded_lag_ = 0;
+  // Some slot may be suspect: cleared only by a MaybeRetrySuspects pass
+  // that found none, so the suspect machinery is skipped while all slots
+  // are healthy.
+  bool maybe_suspect_ = false;
 };
 
 }  // namespace splitft

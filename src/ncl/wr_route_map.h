@@ -3,11 +3,12 @@
 // WR ids on a lane are strictly increasing, so the table is an append-only
 // ring ordered by wr id: O(log n) completion lookup by binary search, O(1)
 // amortized append, and tombstoned middle erases (DropOwner when a tenant
-// handle dies). The seed used a std::map here — one node allocation per
-// posted WR on the append hot path; this structure performs zero
-// steady-state allocations once its vector reaches its high-water capacity
-// (the prefix compaction erases in place and a full drain clear() keeps
-// capacity).
+// handle dies). Entries hold the owner itself, not an id to look up, so a
+// drained completion goes straight to its owner. The seed used a std::map
+// here — one node allocation per posted WR on the append hot path; this
+// structure performs zero steady-state allocations once its vector reaches
+// its high-water capacity (the prefix compaction erases in place and a
+// full drain clear() keeps capacity).
 #ifndef SRC_NCL_WR_ROUTE_MAP_H_
 #define SRC_NCL_WR_ROUTE_MAP_H_
 
@@ -18,29 +19,29 @@
 
 namespace splitft {
 
+template <typename Owner>
 class WrRouteMap {
  public:
   // Registers `wr` (strictly greater than every id added before) as owned
-  // by `owner` (nonzero).
-  void Add(uint64_t wr, uint64_t owner) {
+  // by `owner` (non-null).
+  void Add(uint64_t wr, Owner* owner) {
     slots_.emplace_back(wr, owner);
     live_++;
   }
 
-  // Looks up and removes `wr`, returning its owner — 0 if the id was never
-  // added or its owner was dropped.
-  uint64_t Take(uint64_t wr) {
+  // Looks up and removes `wr`, returning its owner — nullptr if the id was
+  // never added or its owner was dropped.
+  Owner* Take(uint64_t wr) {
     auto begin = slots_.begin() + static_cast<ptrdiff_t>(head_);
-    auto it = std::lower_bound(
-        begin, slots_.end(), wr,
-        [](const std::pair<uint64_t, uint64_t>& e, uint64_t id) {
-          return e.first < id;
-        });
-    if (it == slots_.end() || it->first != wr || it->second == 0) {
-      return 0;
+    auto it = std::lower_bound(begin, slots_.end(), wr,
+                               [](const Slot& e, uint64_t id) {
+                                 return e.first < id;
+                               });
+    if (it == slots_.end() || it->first != wr || it->second == nullptr) {
+      return nullptr;
     }
-    uint64_t owner = it->second;
-    it->second = 0;
+    Owner* owner = it->second;
+    it->second = nullptr;
     live_--;
     Trim();
     return owner;
@@ -48,17 +49,17 @@ class WrRouteMap {
 
   // Tombstones every WR routed to `owner` (its handle was destroyed; the
   // in-flight WRs still execute remotely but their completions die here).
-  void DropOwner(uint64_t owner) {
+  void DropOwner(const Owner* owner) {
     for (size_t i = head_; i < slots_.size(); ++i) {
       if (slots_[i].second == owner) {
-        slots_[i].second = 0;
+        slots_[i].second = nullptr;
         live_--;
       }
     }
     Trim();
   }
 
-  size_t CountOwner(uint64_t owner) const {
+  size_t CountOwner(const Owner* owner) const {
     size_t n = 0;
     for (size_t i = head_; i < slots_.size(); ++i) {
       if (slots_[i].second == owner) {
@@ -72,8 +73,10 @@ class WrRouteMap {
   size_t size() const { return live_; }
 
  private:
+  using Slot = std::pair<uint64_t, Owner*>;  // (wr id, owner)
+
   void Trim() {
-    while (head_ < slots_.size() && slots_[head_].second == 0) {
+    while (head_ < slots_.size() && slots_[head_].second == nullptr) {
       head_++;
     }
     if (head_ == slots_.size()) {
@@ -86,7 +89,7 @@ class WrRouteMap {
     }
   }
 
-  std::vector<std::pair<uint64_t, uint64_t>> slots_;  // (wr id, owner)
+  std::vector<Slot> slots_;
   size_t head_ = 0;  // first non-tombstoned slot
   size_t live_ = 0;  // non-tombstoned entries
 };

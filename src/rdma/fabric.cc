@@ -40,6 +40,9 @@ struct Fabric::QpState {
   // its data and break the SQ-ordering guarantee NCL depends on.
   bool retrying = false;
   std::deque<WorkRequest> stalled;
+  // Set whenever a completion lands in `cq` (QueuePair::SetCompletionFlag);
+  // the owner clears it once it drained the CQ.
+  bool* completion_flag = nullptr;
 };
 
 Fabric::Fabric(Simulation* sim, const SimParams* params, ObsContext obs)
@@ -266,6 +269,9 @@ void Fabric::PushCompletion(const std::shared_ptr<QpState>& qp, uint64_t wr_id,
   }
   qp->cq.push_back(Completion{wr_id, status, std::move(read_data)});
   qp->outstanding--;
+  if (qp->completion_flag != nullptr) {
+    *qp->completion_flag = true;
+  }
 }
 
 void Fabric::CompleteWr(const std::shared_ptr<QpState>& qp,
@@ -513,6 +519,10 @@ bool QueuePair::PollCq(Completion* out) {
   *out = std::move(state_->cq.front());
   state_->cq.pop_front();
   return true;
+}
+
+void QueuePair::SetCompletionFlag(bool* flag) {
+  state_->completion_flag = flag;
 }
 
 size_t QueuePair::Outstanding() const { return state_->outstanding; }

@@ -272,6 +272,13 @@ class QueuePair {
   // completion was available.
   bool PollCq(Completion* out);
 
+  // Completion notification: every completion that lands in this QP's CQ
+  // sets `*flag` (nullptr: none). Only the flag is touched inside the
+  // fabric's delivery event; the owner polls and clears it on its own
+  // schedule. `*flag` must outlive this QueuePair — a destroyed QP's late
+  // completions are dropped without touching it.
+  void SetCompletionFlag(bool* flag);
+
   // Number of WRs posted but not yet surfaced in the CQ.
   size_t Outstanding() const;
 

@@ -2,6 +2,9 @@
 
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/crc32c.h"
@@ -162,6 +165,77 @@ TEST(Crc32cTest, DetectsCorruption) {
   uint32_t crc = Crc32c(data);
   data[5] ^= 0x01;
   EXPECT_NE(Crc32c(data), crc);
+}
+
+// Bit-at-a-time CRC32C register update, independent of either kernel's
+// tables or instructions: the reference both are checked against.
+uint32_t ReferenceCrcStep(uint32_t crc, uint8_t byte) {
+  crc ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    crc = (crc & 1) ? (0x82f63b78u ^ (crc >> 1)) : (crc >> 1);
+  }
+  return crc;
+}
+
+// Every kernel the platform can run: the portable one always, the
+// hardware one when the CPU has it.
+std::vector<std::pair<const char*, crc32c_internal::Kernel>> Crc32cKernels() {
+  std::vector<std::pair<const char*, crc32c_internal::Kernel>> kernels = {
+      {"portable", crc32c_internal::Portable}};
+  if (crc32c_internal::Hardware() != nullptr) {
+    kernels.emplace_back("hardware", crc32c_internal::Hardware());
+  }
+  return kernels;
+}
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) {
+    c = static_cast<char>(rng.Uniform(256));
+  }
+  return out;
+}
+
+TEST(Crc32cTest, KernelsMatchBytewiseReferenceAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLen = 4096;
+  // 8 bytes of slack so every misalignment can read kMaxLen bytes.
+  const std::string buf = RandomBytes(kMaxLen + 8, 7);
+  const auto kernels = Crc32cKernels();
+  for (size_t misalign = 0; misalign < 8; ++misalign) {
+    const char* base = buf.data() + misalign;
+    // ref[len] is the reference register after the first len bytes.
+    std::vector<uint32_t> ref(kMaxLen + 1);
+    ref[0] = 0xffffffffu;
+    for (size_t i = 0; i < kMaxLen; ++i) {
+      ref[i + 1] = ReferenceCrcStep(ref[i], static_cast<uint8_t>(base[i]));
+    }
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      for (const auto& [name, kernel] : kernels) {
+        ASSERT_EQ(kernel(0xffffffffu, base, len), ref[len])
+            << name << " kernel, len " << len << ", misalignment " << misalign;
+      }
+      ASSERT_EQ(Crc32c(0, base, len), ref[len] ^ 0xffffffffu)
+          << "len " << len << ", misalignment " << misalign;
+    }
+  }
+}
+
+TEST(Crc32cTest, KernelsChainAcrossEverySplitPoint) {
+  const std::string buf = RandomBytes(1024 + 3, 11);
+  const std::string_view data(buf.data() + 3, 1024);  // odd alignment
+  const uint32_t whole = Crc32c(data);
+  const auto kernels = Crc32cKernels();
+  for (size_t split = 0; split <= data.size(); ++split) {
+    uint32_t part = Crc32c(0, data.data(), split);
+    ASSERT_EQ(Crc32c(part, data.data() + split, data.size() - split), whole)
+        << "split " << split;
+    for (const auto& [name, kernel] : kernels) {
+      uint32_t reg = kernel(0xffffffffu, data.data(), split);
+      reg = kernel(reg, data.data() + split, data.size() - split);
+      ASSERT_EQ(reg ^ 0xffffffffu, whole) << name << " kernel, split " << split;
+    }
+  }
 }
 
 TEST(Crc32cTest, MaskRoundTrip) {

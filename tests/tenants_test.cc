@@ -213,6 +213,131 @@ TEST_F(TenantsTest, CollateralFlushesRewrittenForCoTenants) {
   EXPECT_EQ(*cb, "b0b1");
 }
 
+// ------------------------------------------------- Completion-driven pool --
+
+// Posts one write on `h` into `rkey`, runs the fabric dry and expects the
+// write's completion to be the only one `h` sees.
+void ExpectWriteRoundTrip(Simulation* sim, PooledQp* h, RKey rkey,
+                          const std::string& what) {
+  uint64_t wr = h->PostWrite(rkey, 0, "x");
+  sim->RunUntilIdle();
+  Completion c;
+  ASSERT_TRUE(h->PollCq(&c)) << what;
+  EXPECT_EQ(c.wr_id, wr) << what;
+  EXPECT_EQ(c.status, WcStatus::kSuccess) << what;
+  EXPECT_FALSE(h->PollCq(&c)) << what;
+  EXPECT_EQ(h->Outstanding(), 0u) << what;
+}
+
+TEST_F(TenantsTest, HandlesSurviveLaneGrowthAndRepair) {
+  // Handles hold their lane directly, so growing a remote from one lane to
+  // qps_per_peer lanes, and repairing a lane, must never move one.
+  const NodeId remote = fabric_.AddNode("remote");
+  auto region = fabric_.RegisterRegion(remote, 1 << 20);
+  ASSERT_TRUE(region.ok());
+  const int lanes = pool_->options().qps_per_peer;
+  std::vector<std::unique_ptr<PooledQp>> handles;
+  for (int i = 0; i < 2 * lanes + 1; ++i) {
+    handles.push_back(pool_->Connect(remote));
+    for (size_t h = 0; h < handles.size(); ++h) {
+      ExpectWriteRoundTrip(&sim_, handles[h].get(), *region,
+                           "handle " + std::to_string(h) + " after connect " +
+                               std::to_string(i));
+    }
+  }
+  EXPECT_EQ(pool_->open_qps(), static_cast<size_t>(lanes));
+
+  // Break the lane the next Connect lands on (the round-robin is back at
+  // lane 1: handle 1 and every lanes-th one after it share it), then let
+  // that Connect repair it.
+  PooledQp* victim = handles[1].get();
+  victim->PostWrite(*region + 1000, 0, "bad rkey");
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(victim->in_error_state());
+  Completion c;
+  ASSERT_TRUE(victim->PollCq(&c));
+  EXPECT_EQ(c.status, WcStatus::kRemoteAccessError);
+  handles.push_back(pool_->Connect(remote));
+  EXPECT_EQ(metrics_.CounterValue("ncl.pool.lane_repairs"), 1u);
+  EXPECT_FALSE(victim->in_error_state());
+  for (size_t h = 0; h < handles.size(); ++h) {
+    ExpectWriteRoundTrip(&sim_, handles[h].get(), *region,
+                         "handle " + std::to_string(h) + " after repair");
+  }
+}
+
+TEST_F(TenantsTest, RetiredQpCompletionsSurfaceBeforeLiveOnes) {
+  // One lane, so every Connect lands on it. The owner's WRs straddle a
+  // repair: one is still in flight on the errored (retired) QP when the
+  // next WR goes to the fresh live QP and lands first. The owner must
+  // still see them in post order — retired QP before live QP.
+  NclPoolOptions one_lane;
+  one_lane.qps_per_peer = 1;
+  NclConnectionPool pool(&fabric_, app_node_, one_lane);
+  const NodeId remote = fabric_.AddNode("remote");
+  auto region = fabric_.RegisterRegion(remote, 1 << 20);
+  ASSERT_TRUE(region.ok());
+
+  auto owner = pool.Connect(remote);
+  uint64_t bad = owner->PostWrite(*region + 1000, 0, "bad rkey");
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(owner->in_error_state());
+  // Large, so it completes (as a flush) well after the small write below.
+  uint64_t straddler =
+      owner->PostWrite(*region, 0, std::string(256 << 10, 'r'));
+  auto repairer = pool.Connect(remote);  // retires the errored QP
+  ASSERT_FALSE(owner->in_error_state());
+  EXPECT_EQ(pool.open_qps(), 2u);  // live + retired
+  uint64_t live = owner->PostWrite(*region, 0, "l");
+  sim_.RunUntilIdle();
+
+  std::vector<std::pair<uint64_t, WcStatus>> seen;
+  Completion c;
+  while (owner->PollCq(&c)) {
+    seen.emplace_back(c.wr_id, c.status);
+  }
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0], std::make_pair(bad, WcStatus::kRemoteAccessError));
+  // The owner hit the real error itself, so its flush is not rewritten.
+  EXPECT_EQ(seen[1], std::make_pair(straddler, WcStatus::kFlushError));
+  EXPECT_EQ(seen[2], std::make_pair(live, WcStatus::kSuccess));
+  EXPECT_EQ(pool.open_qps(), 1u);  // the drained retired QP is gone
+}
+
+TEST_F(TenantsTest, BurstDrainsLanesAtMostOncePerCompletion) {
+  // A lane is drained only after a completion landed on it, so 32 tenants
+  // sharing lanes cost at most one drain per completion — not one per
+  // tenant poll.
+  StartPeers(3);
+  const int tenants_n = 32;
+  std::vector<std::unique_ptr<NclClient>> tenants;
+  std::vector<std::unique_ptr<NclFile>> files;
+  for (int i = 0; i < tenants_n; ++i) {
+    tenants.push_back(MakeTenant("tenant-" + std::to_string(i)));
+    auto file = tenants.back()->Create("wal");
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    files.push_back(std::move(*file));
+  }
+  const uint64_t drains0 = pool_->lane_drains();
+  const uint64_t routed0 = pool_->completions_routed();
+  for (int round = 0; round < 4; ++round) {
+    for (auto& file : files) {
+      ASSERT_TRUE(file->AppendAsync("burst-record").ok());
+    }
+  }
+  for (auto& file : files) {
+    ASSERT_TRUE(file->Drain().ok());
+  }
+  const uint64_t drains = pool_->lane_drains() - drains0;
+  const uint64_t routed = pool_->completions_routed() - routed0;
+  // 32 tenants x 4 appends x (data + header) WRs, to at least the ack
+  // quorum of 2 peers and at most all 3 (Drain returns on the quorum).
+  EXPECT_GE(routed, 32u * 4 * 2 * 2);
+  EXPECT_LE(routed, 32u * 4 * 3 * 2);
+  EXPECT_GT(drains, 0u);
+  EXPECT_LE(drains, routed);
+}
+
 // --------------------------------------------------- Testbed integration --
 
 TEST(TenantsTestbedTest, ServersShareTheTestbedPool) {
