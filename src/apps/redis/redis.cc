@@ -31,6 +31,26 @@ std::string Frame(char op, std::initializer_list<std::string_view> args) {
   return frame;
 }
 
+// The value under `key`, default-constructed first if absent. Builds the
+// key string only on insert.
+template <typename Map>
+typename Map::mapped_type& FindOrInsert(Map* map, std::string_view key) {
+  auto it = map->lower_bound(key);
+  if (it == map->end() || it->first != key) {
+    it = map->emplace_hint(it, key, typename Map::mapped_type());
+  }
+  return it->second;
+}
+
+// Erases `key` from `map` without building a key string.
+template <typename Map>
+void EraseKey(Map* map, std::string_view key) {
+  auto it = map->find(key);
+  if (it != map->end()) {
+    map->erase(it);
+  }
+}
+
 }  // namespace
 
 Redis::Redis(SplitFs* fs, Simulation* sim, const SimParams* params,
@@ -106,7 +126,8 @@ Status Redis::LoadRdb(std::string_view raw) {
         !GetLengthPrefixed(raw, &pos, &v)) {
       return DataLossError("rdb truncated (strings)");
     }
-    strings_[std::string(k)] = std::string(v);
+    // The RDB is in key order, so every insert lands at the end.
+    strings_.emplace_hint(strings_.end(), k, v);
   }
   if (!read_u32(&n)) {
     return DataLossError("rdb truncated");
@@ -117,14 +138,15 @@ Status Redis::LoadRdb(std::string_view raw) {
     if (!GetLengthPrefixed(raw, &pos, &k) || !read_u32(&fields)) {
       return DataLossError("rdb truncated (hashes)");
     }
-    auto& hash = hashes_[std::string(k)];
+    auto& hash = hashes_.emplace_hint(hashes_.end(), k, KeyMap<std::string>())
+                     ->second;
     for (uint32_t j = 0; j < fields; ++j) {
       std::string_view f, v;
       if (!GetLengthPrefixed(raw, &pos, &f) ||
           !GetLengthPrefixed(raw, &pos, &v)) {
         return DataLossError("rdb truncated (hash fields)");
       }
-      hash[std::string(f)] = std::string(v);
+      hash.emplace_hint(hash.end(), f, v);
     }
   }
   if (!read_u32(&n)) {
@@ -136,13 +158,15 @@ Status Redis::LoadRdb(std::string_view raw) {
     if (!GetLengthPrefixed(raw, &pos, &k) || !read_u32(&items)) {
       return DataLossError("rdb truncated (lists)");
     }
-    auto& list = lists_[std::string(k)];
+    auto& list =
+        lists_.emplace_hint(lists_.end(), k, std::deque<std::string>())
+            ->second;
     for (uint32_t j = 0; j < items; ++j) {
       std::string_view item;
       if (!GetLengthPrefixed(raw, &pos, &item)) {
         return DataLossError("rdb truncated (list items)");
       }
-      list.push_back(std::string(item));
+      list.emplace_back(item);
     }
   }
   return OkStatus();
@@ -161,15 +185,15 @@ Status Redis::ApplyCommand(std::string_view frame) {
           !GetLengthPrefixed(frame, &pos, &b)) {
         return DataLossError("bad SET frame");
       }
-      strings_[std::string(a)] = std::string(b);
+      FindOrInsert(&strings_, a).assign(b);
       return OkStatus();
     case kOpDel:
       if (!GetLengthPrefixed(frame, &pos, &a)) {
         return DataLossError("bad DEL frame");
       }
-      strings_.erase(std::string(a));
-      hashes_.erase(std::string(a));
-      lists_.erase(std::string(a));
+      EraseKey(&strings_, a);
+      EraseKey(&hashes_, a);
+      EraseKey(&lists_, a);
       return OkStatus();
     case kOpHSet:
       if (!GetLengthPrefixed(frame, &pos, &a) ||
@@ -177,14 +201,14 @@ Status Redis::ApplyCommand(std::string_view frame) {
           !GetLengthPrefixed(frame, &pos, &c)) {
         return DataLossError("bad HSET frame");
       }
-      hashes_[std::string(a)][std::string(b)] = std::string(c);
+      FindOrInsert(&FindOrInsert(&hashes_, a), b).assign(c);
       return OkStatus();
     case kOpLPush:
       if (!GetLengthPrefixed(frame, &pos, &a) ||
           !GetLengthPrefixed(frame, &pos, &b)) {
         return DataLossError("bad LPUSH frame");
       }
-      lists_[std::string(a)].push_front(std::string(b));
+      FindOrInsert(&lists_, a).emplace_front(b);
       return OkStatus();
     default:
       return DataLossError("unknown aof opcode");
@@ -347,7 +371,7 @@ Status Redis::Put(std::string_view key, std::string_view value) {
 
 Result<std::string> Redis::Get(std::string_view key) {
   sim_->Advance(params_->cpu.redis_op);
-  auto it = strings_.find(std::string(key));
+  auto it = strings_.find(key);
   if (it == strings_.end()) {
     return NotFoundError("no such key");
   }
@@ -362,7 +386,7 @@ Status Redis::Del(std::string_view key) {
 Result<int64_t> Redis::Incr(std::string_view key) {
   sim_->Advance(params_->cpu.redis_op);
   int64_t value = 0;
-  auto it = strings_.find(std::string(key));
+  auto it = strings_.find(key);
   if (it != strings_.end()) {
     value = std::strtoll(it->second.c_str(), nullptr, 10);
   }
@@ -380,11 +404,11 @@ Status Redis::HSet(std::string_view key, std::string_view field,
 
 Result<std::string> Redis::HGet(std::string_view key, std::string_view field) {
   sim_->Advance(params_->cpu.redis_op);
-  auto it = hashes_.find(std::string(key));
+  auto it = hashes_.find(key);
   if (it == hashes_.end()) {
     return NotFoundError("no such hash");
   }
-  auto fit = it->second.find(std::string(field));
+  auto fit = it->second.find(field);
   if (fit == it->second.end()) {
     return NotFoundError("no such field");
   }
@@ -398,7 +422,7 @@ Status Redis::LPush(std::string_view key, std::string_view value) {
 
 Result<std::string> Redis::LIndex(std::string_view key, int64_t index) {
   sim_->Advance(params_->cpu.redis_op);
-  auto it = lists_.find(std::string(key));
+  auto it = lists_.find(key);
   if (it == lists_.end()) {
     return NotFoundError("no such list");
   }

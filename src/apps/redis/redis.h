@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -85,9 +86,13 @@ class Redis : public StorageApp {
   Simulation* sim_;
   const SimParams* params_;
   RedisOptions options_;
-  std::map<std::string, std::string> strings_;
-  std::map<std::string, std::map<std::string, std::string>> hashes_;
-  std::map<std::string, std::deque<std::string>> lists_;
+  // Ordered keyspaces (the RDB serializes them in key order) with a
+  // transparent comparator, so lookups by string_view allocate nothing.
+  template <typename V>
+  using KeyMap = std::map<std::string, V, std::less<>>;
+  KeyMap<std::string> strings_;
+  KeyMap<KeyMap<std::string>> hashes_;
+  KeyMap<std::deque<std::string>> lists_;
   std::unique_ptr<SplitFile> aof_;
   uint64_t aof_generation_ = 1;
   int rdb_snapshots_ = 0;

@@ -255,11 +255,7 @@ Result<AllocationGrant> LogPeer::AllocateInternal(
     if (clone_existing) {
       // Local memcpy of the current contents into the staging region; the
       // application then ships only the bytewise diff.
-      auto src = fabric_->RegionBuffer(node_, entry.rkey);
-      auto dst = fabric_->RegionBuffer(node_, carve->rkey);
-      if (src.ok() && dst.ok()) {
-        **dst = **src;
-      }
+      RETURN_IF_ERROR(fabric_->CopyRegion(node_, entry.rkey, carve->rkey));
     }
     UpdateGauges();
     return AllocationGrant{carve->rkey, region_bytes};

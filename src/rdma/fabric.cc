@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -44,6 +46,76 @@ struct Fabric::QpState {
   // the owner clears it once it drained the CQ.
   bool* completion_flag = nullptr;
 };
+
+Fabric::Region::Region(uint64_t bytes)
+    : size(bytes),
+      chunks((bytes + kRegionChunkBytes - 1) / kRegionChunkBytes) {}
+
+uint64_t Fabric::Region::ChunkLen(size_t index) const {
+  return std::min(kRegionChunkBytes, size - index * kRegionChunkBytes);
+}
+
+std::string Fabric::Region::Read(uint64_t offset, uint64_t len) const {
+  std::string out;
+  out.reserve(len);
+  while (len > 0) {
+    size_t index = offset / kRegionChunkBytes;
+    uint64_t within = offset % kRegionChunkBytes;
+    uint64_t n = std::min(len, ChunkLen(index) - within);
+    if (chunks[index] != nullptr) {
+      out.append(chunks[index].get() + within, n);
+    } else {
+      out.append(n, '\0');
+    }
+    offset += n;
+    len -= n;
+  }
+  return out;
+}
+
+void Fabric::Region::Write(uint64_t offset, std::string_view data) {
+  while (!data.empty()) {
+    size_t index = offset / kRegionChunkBytes;
+    uint64_t within = offset % kRegionChunkBytes;
+    uint64_t n = std::min<uint64_t>(data.size(), ChunkLen(index) - within);
+    std::unique_ptr<char[]>& chunk = chunks[index];
+    if (chunk == nullptr) {
+      // Fresh memory reads as zeros; zero only what this write leaves.
+      const uint64_t chunk_len = ChunkLen(index);
+      chunk = std::make_unique_for_overwrite<char[]>(chunk_len);
+      std::memset(chunk.get(), 0, within);
+      std::memset(chunk.get() + within + n, 0, chunk_len - within - n);
+    }
+    std::memcpy(chunk.get() + within, data.data(), n);
+    offset += n;
+    data.remove_prefix(n);
+  }
+}
+
+void Fabric::Region::Zero() {
+  for (std::unique_ptr<char[]>& chunk : chunks) {
+    chunk.reset();
+  }
+}
+
+uint64_t Fabric::Region::ResidentBytes() const {
+  uint64_t bytes = 0;
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    if (chunks[i] != nullptr) {
+      bytes += ChunkLen(i);
+    }
+  }
+  return bytes;
+}
+
+namespace {
+
+// True iff [offset, offset + len) lies within a region of `size` bytes.
+bool InBounds(uint64_t offset, uint64_t len, uint64_t size) {
+  return offset <= size && len <= size - offset;
+}
+
+}  // namespace
 
 Fabric::Fabric(Simulation* sim, const SimParams* params, ObsContext obs)
     : sim_(sim),
@@ -145,7 +217,7 @@ Result<RKey> Fabric::RegisterRegion(NodeId node_id, uint64_t size) {
   // (the peer's lightweight setup process performs it synchronously).
   sim_->Advance(params_->MrRegisterLatency(size));
   RKey rkey = next_rkey_++;
-  node.regions[rkey] = Region{std::string(size, '\0'), /*valid=*/true};
+  node.regions.emplace(rkey, Region(size));
   return rkey;
 }
 
@@ -158,7 +230,7 @@ Result<RKey> Fabric::BindWindowRegion(NodeId node_id, uint64_t size) {
   // send-queue operation granting a fresh rkey over a sub-range.
   sim_->Advance(params_->rdma.mw_bind_latency);
   RKey rkey = next_rkey_++;
-  node.regions[rkey] = Region{std::string(size, '\0'), /*valid=*/true};
+  node.regions.emplace(rkey, Region(size));
   return rkey;
 }
 
@@ -183,13 +255,14 @@ Result<RKey> Fabric::RecycleRegion(NodeId node_id, RKey rkey) {
   }
   Region region = std::move(it->second);
   node.regions.erase(it);
-  // Zero the reused memory (local peer-side memset).
-  std::fill(region.buffer.begin(), region.buffer.end(), '\0');
+  // Zero the reused memory (local peer-side memset), priced by the full
+  // registered size however little of it was materialized.
+  region.Zero();
   sim_->Advance(static_cast<SimTime>(
-      static_cast<double>(region.buffer.size()) / 12.0));  // ~12 GB/s memset
+      static_cast<double>(region.size) / 12.0));  // ~12 GB/s memset
   region.valid = true;
   RKey fresh = next_rkey_++;
-  node.regions[fresh] = std::move(region);
+  node.regions.emplace(fresh, std::move(region));
   return fresh;
 }
 
@@ -201,8 +274,9 @@ Status Fabric::DeregisterRegion(NodeId node_id, RKey rkey) {
   return OkStatus();
 }
 
-Result<std::string*> Fabric::RegionBuffer(NodeId node_id, RKey rkey) {
-  Node& node = nodes_.at(node_id);
+Result<const Fabric::Region*> Fabric::LocalRegion(NodeId node_id,
+                                                 RKey rkey) const {
+  const Node& node = nodes_.at(node_id);
   if (!node.alive) {
     return UnavailableError("node " + node.name + " is down");
   }
@@ -210,16 +284,76 @@ Result<std::string*> Fabric::RegionBuffer(NodeId node_id, RKey rkey) {
   if (it == node.regions.end() || !it->second.valid) {
     return PermissionDeniedError("invalid rkey");
   }
-  return &it->second.buffer;
+  return &it->second;
+}
+
+Result<Fabric::Region*> Fabric::LocalRegion(NodeId node_id, RKey rkey) {
+  ASSIGN_OR_RETURN(const Region* region,
+                   std::as_const(*this).LocalRegion(node_id, rkey));
+  return const_cast<Region*>(region);
+}
+
+Result<std::string> Fabric::ReadRegion(NodeId node_id, RKey rkey,
+                                       uint64_t offset, uint64_t len) const {
+  ASSIGN_OR_RETURN(const Region* region, LocalRegion(node_id, rkey));
+  if (!InBounds(offset, len, region->size)) {
+    return InvalidArgumentError("read past the end of the region");
+  }
+  return region->Read(offset, len);
+}
+
+Status Fabric::WriteRegion(NodeId node_id, RKey rkey, uint64_t offset,
+                           std::string_view data) {
+  ASSIGN_OR_RETURN(Region* region, LocalRegion(node_id, rkey));
+  if (!InBounds(offset, data.size(), region->size)) {
+    return InvalidArgumentError("write past the end of the region");
+  }
+  region->Write(offset, data);
+  return OkStatus();
+}
+
+Status Fabric::CopyRegion(NodeId node_id, RKey src, RKey dst) {
+  ASSIGN_OR_RETURN(const Region* from,
+                   std::as_const(*this).LocalRegion(node_id, src));
+  ASSIGN_OR_RETURN(Region* to, LocalRegion(node_id, dst));
+  if (from->size != to->size) {
+    return InvalidArgumentError("region sizes differ");
+  }
+  // Only materialized chunks carry bytes; the rest stay zero on both sides.
+  for (size_t i = 0; i < from->chunks.size(); ++i) {
+    if (from->chunks[i] == nullptr) {
+      to->chunks[i].reset();
+      continue;
+    }
+    if (to->chunks[i] == nullptr) {
+      to->chunks[i] = std::make_unique_for_overwrite<char[]>(to->ChunkLen(i));
+    }
+    std::memcpy(to->chunks[i].get(), from->chunks[i].get(), from->ChunkLen(i));
+  }
+  return OkStatus();
 }
 
 Result<uint64_t> Fabric::RegionSize(NodeId node_id, RKey rkey) const {
-  const Node& node = nodes_.at(node_id);
-  auto it = node.regions.find(rkey);
-  if (it == node.regions.end() || !it->second.valid) {
-    return PermissionDeniedError("invalid rkey");
+  ASSIGN_OR_RETURN(const Region* region, LocalRegion(node_id, rkey));
+  return region->size;
+}
+
+uint64_t Fabric::ResidentRegionBytes(NodeId node_id) const {
+  uint64_t bytes = 0;
+  for (const auto& [rkey, region] : nodes_.at(node_id).regions) {
+    bytes += region.ResidentBytes();
   }
-  return static_cast<uint64_t>(it->second.buffer.size());
+  return bytes;
+}
+
+uint64_t Fabric::PooledPayloadBytes() const {
+  uint64_t bytes = 0;
+  for (const std::vector<std::string>& pool : payload_pool_) {
+    for (const std::string& payload : pool) {
+      bytes += payload.capacity();
+    }
+  }
+  return bytes;
 }
 
 std::string Fabric::AcquirePayload(std::string_view data) {
@@ -247,6 +381,9 @@ void Fabric::RecyclePayload(std::string* payload) {
   // smallest class (SSO, READ WRs' empty payloads) and oversized one-offs
   // are dropped.
   size_t cap = payload->capacity();
+  if (cap > kPayloadClassBytes[3]) {
+    return;
+  }
   for (size_t cls = 4; cls-- > 0;) {
     if (cap < kPayloadClassBytes[cls]) {
       continue;
@@ -338,21 +475,18 @@ bool Fabric::TryDeliverOnce(const std::shared_ptr<QpState>& qp,
     CompleteWr(qp, *wr, WcStatus::kRemoteAccessError, {});
     return true;
   }
-  std::string& buf = region_it->second.buffer;
+  Region& region = region_it->second;
+  uint64_t len = wr->is_read ? wr->read_len : wr->data.size();
+  if (!InBounds(wr->remote_offset, len, region.size)) {
+    CompleteWr(qp, *wr, WcStatus::kRemoteAccessError, {});
+    return true;
+  }
   if (wr->is_read) {
-    if (wr->remote_offset + wr->read_len > buf.size()) {
-      CompleteWr(qp, *wr, WcStatus::kRemoteAccessError, {});
-      return true;
-    }
     CompleteWr(qp, *wr, WcStatus::kSuccess,
-               buf.substr(wr->remote_offset, wr->read_len));
+               region.Read(wr->remote_offset, len));
   } else {
-    if (wr->remote_offset + wr->data.size() > buf.size()) {
-      CompleteWr(qp, *wr, WcStatus::kRemoteAccessError, {});
-      return true;
-    }
     // One-sided write: lands in remote memory with no remote CPU.
-    buf.replace(wr->remote_offset, wr->data.size(), wr->data);
+    region.Write(wr->remote_offset, wr->data);
     CompleteWr(qp, *wr, WcStatus::kSuccess, {});
   }
   return true;

@@ -136,10 +136,30 @@ class Fabric {
   // zeroed buffer. Vastly cheaper than DeregisterRegion + RegisterRegion.
   Result<RKey> RecycleRegion(NodeId node, RKey rkey);
 
-  // Local (same-node, CPU) access to a region's bytes; used by peer-side
-  // logic (mr-map bookkeeping, tests). Fails if the rkey is invalid.
-  Result<std::string*> RegionBuffer(NodeId node, RKey rkey);
+  // Local (same-node, CPU) access to a region's bytes, for peer-side logic
+  // (catch-up cloning) and tests. Each fails if the node is down, the rkey
+  // is invalid, or the range falls outside the region.
+  Result<std::string> ReadRegion(NodeId node, RKey rkey, uint64_t offset,
+                                 uint64_t len) const;
+  Status WriteRegion(NodeId node, RKey rkey, uint64_t offset,
+                     std::string_view data);
+  // Copies the contents of region `src` onto the same-sized region `dst`.
+  Status CopyRegion(NodeId node, RKey src, RKey dst);
   Result<uint64_t> RegionSize(NodeId node, RKey rkey) const;
+
+  // Host-side diagnostics (no simulated meaning): bytes of region memory
+  // materialized on `node`, and bytes held by the WR payload pool.
+  uint64_t ResidentRegionBytes(NodeId node) const;
+  uint64_t PooledPayloadBytes() const;
+
+  // Region memory materializes in chunks of at most this many bytes.
+  static constexpr uint64_t kRegionChunkBytes = 1 << 20;
+  // WR payload pool size classes (capacity, in bytes) and per-class
+  // freelist cap. Class 0 covers the 16B region header + small records;
+  // class 1 the common 128B–1KiB appends; the upper classes catch-up
+  // suffixes.
+  static constexpr size_t kPayloadClassBytes[4] = {64, 1024, 16384, 262144};
+  static constexpr size_t kPayloadPoolCap = 256;
 
   Simulation* sim() const { return sim_; }
   const SimParams& params() const { return *params_; }
@@ -147,8 +167,24 @@ class Fabric {
  private:
   friend class QueuePair;
 
+  // A registered region's bytes, materialized on demand. `size` is the
+  // registered length, which every cost is priced by. The bytes live in
+  // chunks of kRegionChunkBytes (the last one holds only the remainder),
+  // each allocated by the first write that touches it; a missing chunk
+  // reads as zeros.
   struct Region {
-    std::string buffer;
+    explicit Region(uint64_t bytes);
+
+    uint64_t ChunkLen(size_t index) const;
+    // Both require [offset, offset + len) to lie within `size`.
+    std::string Read(uint64_t offset, uint64_t len) const;
+    void Write(uint64_t offset, std::string_view data);
+    // Drops every chunk: the region reads as zeros again.
+    void Zero();
+    uint64_t ResidentBytes() const;
+
+    uint64_t size;
+    std::vector<std::unique_ptr<char[]>> chunks;
     bool valid = true;
   };
 
@@ -175,6 +211,10 @@ class Fabric {
   };
 
   uint64_t PartitionKey(NodeId a, NodeId b) const;
+  // The valid region `rkey` on a live `node`, or the error local access
+  // reports.
+  Result<Region*> LocalRegion(NodeId node, RKey rkey);
+  Result<const Region*> LocalRegion(NodeId node, RKey rkey) const;
   void DeliverWr(std::shared_ptr<QpState> qp, WorkRequest wr);
   // Delivers `wr` and then drains any WRs that queued up behind it while it
   // was retrying (send-queue order is preserved across retries).
@@ -191,7 +231,7 @@ class Fabric {
   // buffer into a WorkRequest-owned std::string; pooling those strings by
   // capacity class makes the steady-state post→deliver cycle allocation
   // free. Oversized payloads (> the largest class; recovery full-state
-  // posts) bypass the pool.
+  // posts) bypass the pool in both directions.
   std::string AcquirePayload(std::string_view data);
   void RecyclePayload(std::string* payload);
 
@@ -203,11 +243,6 @@ class Fabric {
   std::unordered_map<uint64_t, SimTime> completion_delays_;
   RKey next_rkey_ = 1;
 
-  // Payload pool size classes (capacity, in bytes) and per-class freelist
-  // cap. Class 0 covers the 16B region header + small records; class 1 the
-  // common 128B–1KiB appends; the upper classes catch-up suffixes.
-  static constexpr size_t kPayloadClassBytes[4] = {64, 1024, 16384, 262144};
-  static constexpr size_t kPayloadPoolCap = 256;
   std::vector<std::string> payload_pool_[4];
 
   ObsContext obs_;

@@ -4,6 +4,8 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/apps/kvstore/kv_store.h"
@@ -422,6 +424,135 @@ TEST_F(AppsTest, RedisWeakLosesRecentSplitFtDoesNot) {
       EXPECT_EQ(*(*redis)->Get("acked"), "data");
     }
   }
+}
+
+// Recovery in SplitFT mode: load the RDB, replay the AOF, serialize again.
+class RedisRecoveryTest : public AppsTest {
+ protected:
+  static RedisOptions Options() {
+    RedisOptions options;
+    options.aof_rewrite_bytes = 64 << 10;
+    options.aof_capacity = 256 << 10;
+    return options;
+  }
+
+  std::unique_ptr<Redis> Open(SplitFs* fs) {
+    auto redis = Redis::Open(fs, &sim_, &params_, Options());
+    EXPECT_TRUE(redis.ok()) << redis.status().ToString();
+    return redis.ok() ? std::move(*redis) : nullptr;
+  }
+
+  // Crashes the server running `live` on `fs`, then recovers redis on a
+  // fresh SplitFs.
+  std::unique_ptr<Redis> CrashAndRecover(std::unique_ptr<SplitFs>* fs,
+                                         std::unique_ptr<Redis> live) {
+    (*fs)->SimulateCrash();
+    live.reset();
+    sim_.RunUntilIdle();
+    *fs = MakeFs("redis-app");
+    return Open(fs->get());
+  }
+
+  // Path and bytes of the newest RDB snapshot on the dfs.
+  std::pair<std::string, std::string> NewestRdb(SplitFs* fs) {
+    std::vector<std::string> rdbs = fs->dfs()->List("/redis/rdb-");
+    if (rdbs.empty()) {
+      ADD_FAILURE() << "no rdb snapshot";
+      return {};
+    }
+    SplitOpenOptions opts;
+    opts.create = false;
+    auto file = fs->Open(rdbs.back(), opts);
+    EXPECT_TRUE(file.ok());
+    auto raw = (*file)->Read(0, (*file)->Size());
+    EXPECT_TRUE(raw.ok());
+    return {rdbs.back(), *raw};
+  }
+};
+
+TEST_F(RedisRecoveryTest, RdbRewrittenAfterRecoveryIsByteIdentical) {
+  auto fs = MakeFs("redis-app");
+  std::unique_ptr<Redis> redis = Open(fs.get());
+  ASSERT_NE(redis, nullptr);
+  ASSERT_TRUE(redis->HSet("h:b", "f2", "v2").ok());
+  ASSERT_TRUE(redis->HSet("h:a", "f1", "v1").ok());
+  ASSERT_TRUE(redis->LPush("l", "x").ok());
+  ASSERT_TRUE(redis->LPush("l", "y").ok());
+  // Keys inserted out of order; stop right after the put whose AOF rewrite
+  // wrote the snapshot, so the dataset equals the RDB.
+  for (int i = 0; redis->rdb_snapshots() == 0; ++i) {
+    ASSERT_LT(i, 10000);
+    ASSERT_TRUE(redis
+                    ->Put("key-" + std::to_string((i * 7919) % 1000),
+                          std::string(64 + i % 37, static_cast<char>('a' + i % 26)))
+                    .ok());
+  }
+  auto [before_path, before] = NewestRdb(fs.get());
+
+  redis = CrashAndRecover(&fs, std::move(redis));
+  ASSERT_NE(redis, nullptr);
+  // Rewrite again without changing the dataset: re-SET one key to the
+  // value it already holds until the AOF crosses the threshold.
+  auto same = redis->Get("key-0");
+  ASSERT_TRUE(same.ok());
+  while (redis->rdb_snapshots() == 0) {
+    ASSERT_TRUE(redis->Put("key-0", *same).ok());
+  }
+  auto [after_path, after] = NewestRdb(fs.get());
+  EXPECT_NE(after_path, before_path);
+  EXPECT_EQ(after.size(), before.size());
+  EXPECT_TRUE(after == before) << "RDB bytes changed across recovery";
+}
+
+TEST_F(RedisRecoveryTest, ReplayedSetOverwritesShorterThenLonger) {
+  auto fs = MakeFs("redis-app");
+  std::unique_ptr<Redis> redis = Open(fs.get());
+  ASSERT_NE(redis, nullptr);
+  ASSERT_TRUE(redis->Put("k", std::string(50, 'm')).ok());
+  ASSERT_TRUE(redis->Put("k", "short").ok());
+  redis = CrashAndRecover(&fs, std::move(redis));
+  ASSERT_NE(redis, nullptr);
+  EXPECT_EQ(redis->replayed_commands(), 2u);
+  EXPECT_EQ(*redis->Get("k"), "short");
+  ASSERT_TRUE(redis->Put("k", std::string(200, 'L')).ok());
+  redis = CrashAndRecover(&fs, std::move(redis));
+  ASSERT_NE(redis, nullptr);
+  EXPECT_EQ(redis->replayed_commands(), 3u);
+  EXPECT_EQ(*redis->Get("k"), std::string(200, 'L'));
+}
+
+TEST_F(RedisRecoveryTest, ReplayedDelOfAbsentKeySucceeds) {
+  auto fs = MakeFs("redis-app");
+  std::unique_ptr<Redis> redis = Open(fs.get());
+  ASSERT_NE(redis, nullptr);
+  ASSERT_TRUE(redis->Del("ghost").ok());
+  ASSERT_TRUE(redis->Put("x", "1").ok());
+  ASSERT_TRUE(redis->Del("x").ok());
+  ASSERT_TRUE(redis->Del("x").ok());
+  ASSERT_TRUE(redis->Put("y", "2").ok());
+  redis = CrashAndRecover(&fs, std::move(redis));
+  ASSERT_NE(redis, nullptr);
+  EXPECT_EQ(redis->replayed_commands(), 5u);
+  EXPECT_FALSE(redis->Get("ghost").ok());
+  EXPECT_FALSE(redis->Get("x").ok());
+  EXPECT_EQ(*redis->Get("y"), "2");
+}
+
+TEST_F(RedisRecoveryTest, LooksUpThroughNonOwningView) {
+  auto fs = MakeFs("redis-app");
+  std::unique_ptr<Redis> redis = Open(fs.get());
+  ASSERT_NE(redis, nullptr);
+  ASSERT_TRUE(redis->Put("key-1", "one").ok());
+  ASSERT_TRUE(redis->HSet("key-1h", "field", "v").ok());
+  // Views into a larger buffer: not NUL-terminated where the key ends.
+  const std::string buffer = "key-1hits-and-more";
+  const std::string_view view = buffer;
+  EXPECT_EQ(*redis->Get(view.substr(0, 5)), "one");
+  EXPECT_EQ(*redis->HGet(view.substr(0, 6), "field"), "v");
+  EXPECT_EQ(*redis->Incr(view.substr(5, 4)), 1);
+  EXPECT_EQ(*redis->Incr(view.substr(5, 4)), 2);
+  EXPECT_EQ(*redis->Get("hits"), "2");
+  EXPECT_FALSE(redis->Get(view.substr(0, 4)).ok());
 }
 
 // ------------------------------------------------------------- SqliteLite --

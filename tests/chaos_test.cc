@@ -96,9 +96,9 @@ TEST_F(ChaosFabricTest, CompletionDelayDefersCqNotData) {
   qp.PostWrite(*rkey, 0, "durable");
   // The data lands at the normal time even though the completion is held.
   sim_.RunUntil(sim_.Now() + Micros(100));
-  auto buf = fabric_.RegionBuffer(peer_, *rkey);
-  ASSERT_TRUE(buf.ok());
-  EXPECT_EQ((*buf)->substr(0, 7), "durable");
+  auto bytes = fabric_.ReadRegion(peer_, *rkey, 0, 7);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, "durable");
   Completion dummy;
   EXPECT_FALSE(qp.PollCq(&dummy));
   Completion c = WaitCompletion(&qp);
@@ -118,9 +118,9 @@ TEST_F(ChaosFabricTest, NicRetryWindowSurvivesHealedPartition) {
   EXPECT_EQ(c.status, WcStatus::kSuccess);
   EXPECT_GT(metrics_.CounterValue("fabric.wr.wr_retries"), 0u);
   EXPECT_EQ(metrics_.CounterValue("fabric.wr.wr_retry_recoveries"), 1u);
-  auto buf = fabric_.RegionBuffer(peer_, *rkey);
-  ASSERT_TRUE(buf.ok());
-  EXPECT_EQ((*buf)->substr(0, 7), "retried");
+  auto bytes = fabric_.ReadRegion(peer_, *rkey, 0, 7);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, "retried");
 }
 
 TEST_F(ChaosFabricTest, NicRetryWindowPreservesSqOrdering) {
@@ -141,9 +141,10 @@ TEST_F(ChaosFabricTest, NicRetryWindowPreservesSqOrdering) {
     order.push_back(c.wr_id);
   }
   EXPECT_LT(order[0], order[1]);
-  auto buf = fabric_.RegionBuffer(peer_, *rkey);
-  EXPECT_EQ((*buf)->substr(8, 4), "data");
-  EXPECT_EQ((*buf)->substr(0, 3), "hdr");
+  auto bytes = fabric_.ReadRegion(peer_, *rkey, 0, 12);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes->substr(8, 4), "data");
+  EXPECT_EQ(bytes->substr(0, 3), "hdr");
 }
 
 TEST_F(ChaosFabricTest, NicRetryWindowExhaustsToRetryExceeded) {

@@ -121,12 +121,13 @@ TEST_F(NclTest, StagedSwitchIsAtomic) {
   StartPeers(1);
   auto grant = peers_[0]->Allocate("app", "f", 1024, 1);
   ASSERT_TRUE(grant.ok());
-  (*fabric_.RegionBuffer(peers_[0]->node(), grant->rkey))->replace(0, 3, "old");
+  ASSERT_TRUE(
+      fabric_.WriteRegion(peers_[0]->node(), grant->rkey, 0, "old").ok());
 
   auto staged = peers_[0]->AllocateCatchupRegion("app", "f", 1024, 2);
   ASSERT_TRUE(staged.ok());
-  (*fabric_.RegionBuffer(peers_[0]->node(), staged->rkey))
-      ->replace(0, 3, "new");
+  ASSERT_TRUE(
+      fabric_.WriteRegion(peers_[0]->node(), staged->rkey, 0, "new").ok());
 
   // Before the switch, recovery still sees the old region.
   auto lookup = peers_[0]->LookupForRecovery("app", "f");
@@ -138,7 +139,8 @@ TEST_F(NclTest, StagedSwitchIsAtomic) {
   ASSERT_TRUE(lookup.ok());
   EXPECT_EQ(lookup->rkey, staged->rkey);
   // The old region was freed.
-  EXPECT_FALSE(fabric_.RegionBuffer(peers_[0]->node(), grant->rkey).ok());
+  EXPECT_FALSE(
+      fabric_.ReadRegion(peers_[0]->node(), grant->rkey, 0, 3).ok());
   EXPECT_EQ(peers_[0]->available_bytes(), kLend - 1024);
 }
 
@@ -197,9 +199,10 @@ TEST_F(NclTest, AppendReplicatesToMajorityAndLocally) {
     if (!grant.ok()) {
       continue;
     }
-    auto buf = fabric_.RegionBuffer(peer->node(), grant->rkey);
-    ASSERT_TRUE(buf.ok());
-    if ((*buf)->substr(kNclRegionHeaderBytes, 11) == "hello world") {
+    auto bytes =
+        fabric_.ReadRegion(peer->node(), grant->rkey, kNclRegionHeaderBytes, 11);
+    ASSERT_TRUE(bytes.ok());
+    if (*bytes == "hello world") {
       holding++;
     }
   }

@@ -42,9 +42,12 @@ class RdmaTest : public ::testing::Test {
 TEST_F(RdmaTest, RegisterAndAccessRegion) {
   auto rkey = fabric_.RegisterRegion(peer_, 1024);
   ASSERT_TRUE(rkey.ok());
-  auto buf = fabric_.RegionBuffer(peer_, *rkey);
-  ASSERT_TRUE(buf.ok());
-  EXPECT_EQ((*buf)->size(), 1024u);
+  auto size = fabric_.RegionSize(peer_, *rkey);
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(*size, 1024u);
+  auto bytes = fabric_.ReadRegion(peer_, *rkey, 0, 1024);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, std::string(1024, '\0'));
 }
 
 TEST_F(RdmaTest, RegistrationChargesVirtualTime) {
@@ -61,15 +64,15 @@ TEST_F(RdmaTest, OneSidedWriteLandsInRemoteMemory) {
   Completion c = WaitCompletion(&qp);
   EXPECT_EQ(c.wr_id, id);
   EXPECT_EQ(c.status, WcStatus::kSuccess);
-  auto buf = fabric_.RegionBuffer(peer_, *rkey);
-  ASSERT_TRUE(buf.ok());
-  EXPECT_EQ((*buf)->substr(8, 5), "hello");
+  auto bytes = fabric_.ReadRegion(peer_, *rkey, 8, 5);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, "hello");
 }
 
 TEST_F(RdmaTest, OneSidedReadReturnsData) {
   auto rkey = fabric_.RegisterRegion(peer_, 64);
   ASSERT_TRUE(rkey.ok());
-  (*fabric_.RegionBuffer(peer_, *rkey))->replace(0, 4, "data");
+  ASSERT_TRUE(fabric_.WriteRegion(peer_, *rkey, 0, "data").ok());
   QueuePair qp(&fabric_, app_, peer_);
   qp.PostRead(*rkey, 0, 4);
   Completion c = WaitCompletion(&qp);
@@ -92,7 +95,7 @@ TEST_F(RdmaTest, SendQueueOrderingPreserved) {
     EXPECT_EQ(c.wr_id, ids[i]) << "completion out of post order";
     EXPECT_EQ(c.status, WcStatus::kSuccess);
   }
-  EXPECT_EQ((*fabric_.RegionBuffer(peer_, *rkey))->substr(0, 1), "e");
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *rkey, 0, 1), "e");
 }
 
 TEST_F(RdmaTest, BatchedWritesCompleteInOrderWithOneDoorbell) {
@@ -118,7 +121,7 @@ TEST_F(RdmaTest, BatchedWritesCompleteInOrderWithOneDoorbell) {
     EXPECT_EQ(c.status, WcStatus::kSuccess);
   }
   // SQ ordering: the last WR in the chain wrote last.
-  EXPECT_EQ((*fabric_.RegionBuffer(peer_, *rkey))->substr(0, 1), "d");
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *rkey, 0, 1), "d");
 }
 
 TEST_F(RdmaTest, DoorbellBatchingReducesPostCost) {
@@ -179,7 +182,7 @@ TEST_F(RdmaTest, InvalidatedRegionRejectsWrites) {
   Completion c = WaitCompletion(&qp);
   EXPECT_EQ(c.status, WcStatus::kRemoteAccessError);
   // Local access also fails after revocation.
-  EXPECT_FALSE(fabric_.RegionBuffer(peer_, *rkey).ok());
+  EXPECT_FALSE(fabric_.ReadRegion(peer_, *rkey, 0, 1).ok());
 }
 
 TEST_F(RdmaTest, CrashWipesMemoryAndInvalidatesRkeys) {
@@ -194,7 +197,7 @@ TEST_F(RdmaTest, CrashWipesMemoryAndInvalidatesRkeys) {
   fabric_.RestartNode(peer_);
   EXPECT_TRUE(fabric_.IsAlive(peer_));
   // Old rkey is gone even after restart: DRAM is volatile.
-  EXPECT_FALSE(fabric_.RegionBuffer(peer_, *rkey).ok());
+  EXPECT_FALSE(fabric_.ReadRegion(peer_, *rkey, 0, 1).ok());
 }
 
 TEST_F(RdmaTest, WriteToCrashedNodeFailsAndQpEntersErrorState) {
@@ -222,7 +225,7 @@ TEST_F(RdmaTest, PartitionMakesWritesFail) {
   EXPECT_EQ(c.status, WcStatus::kRetryExceeded);
   // Unlike a crash, a partition does not wipe memory.
   fabric_.SetPartitioned(app_, peer_, false);
-  EXPECT_TRUE(fabric_.RegionBuffer(peer_, *rkey).ok());
+  EXPECT_TRUE(fabric_.ReadRegion(peer_, *rkey, 0, 1).ok());
 }
 
 TEST_F(RdmaTest, InFlightWriteSurvivesInitiatorCrash) {
@@ -237,9 +240,9 @@ TEST_F(RdmaTest, InFlightWriteSurvivesInitiatorCrash) {
     // Destroy the QP without polling: app crash.
   }
   sim_.RunUntilIdle();
-  auto buf = fabric_.RegionBuffer(peer_, *rkey);
-  ASSERT_TRUE(buf.ok());
-  EXPECT_EQ((*buf)->substr(0, 6), "landed");
+  auto bytes = fabric_.ReadRegion(peer_, *rkey, 0, 6);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(*bytes, "landed");
 }
 
 TEST_F(RdmaTest, WriteLatencyMatchesModel) {
@@ -272,9 +275,140 @@ TEST_F(RdmaTest, DeregisterFreesRegion) {
   auto rkey = fabric_.RegisterRegion(peer_, 64);
   ASSERT_TRUE(rkey.ok());
   ASSERT_TRUE(fabric_.DeregisterRegion(peer_, *rkey).ok());
-  EXPECT_FALSE(fabric_.RegionBuffer(peer_, *rkey).ok());
+  EXPECT_FALSE(fabric_.ReadRegion(peer_, *rkey, 0, 1).ok());
   EXPECT_EQ(fabric_.DeregisterRegion(peer_, *rkey).code(),
             StatusCode::kNotFound);
+}
+
+// ------------------------------------------------- On-demand region memory --
+
+constexpr uint64_t kChunk = Fabric::kRegionChunkBytes;
+
+TEST_F(RdmaTest, NeverWrittenRangeReadsZeros) {
+  auto rkey = fabric_.RegisterRegion(peer_, 3 * kChunk);
+  ASSERT_TRUE(rkey.ok());
+  ASSERT_TRUE(fabric_.WriteRegion(peer_, *rkey, kChunk, "x").ok());
+  // Locally: untouched chunks on both sides of the written one.
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *rkey, 0, 64), std::string(64, '\0'));
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *rkey, 2 * kChunk + 8, 64),
+            std::string(64, '\0'));
+  // Remotely: a READ WR spanning a missing and a materialized chunk.
+  QueuePair qp(&fabric_, app_, peer_);
+  qp.PostRead(*rkey, kChunk - 4, 6);
+  Completion c = WaitCompletion(&qp);
+  ASSERT_EQ(c.status, WcStatus::kSuccess);
+  EXPECT_EQ(c.read_data, std::string("\0\0\0\0x\0", 6));
+}
+
+TEST_F(RdmaTest, WriteSpanningChunkBoundaryReadsBackIntact) {
+  auto rkey = fabric_.RegisterRegion(peer_, 2 * kChunk);
+  ASSERT_TRUE(rkey.ok());
+  std::string payload(5000, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>('a' + i % 26);
+  }
+  QueuePair qp(&fabric_, app_, peer_);
+  qp.PostWrite(*rkey, kChunk - 1000, payload);
+  ASSERT_EQ(WaitCompletion(&qp).status, WcStatus::kSuccess);
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *rkey, kChunk - 1000, payload.size()),
+            payload);
+  qp.PostRead(*rkey, kChunk - 1000, payload.size());
+  Completion c = WaitCompletion(&qp);
+  ASSERT_EQ(c.status, WcStatus::kSuccess);
+  EXPECT_EQ(c.read_data, payload);
+  EXPECT_EQ(fabric_.ResidentRegionBytes(peer_), 2 * kChunk);
+}
+
+TEST_F(RdmaTest, TailChunkIsTruncatedToRegionEnd) {
+  const uint64_t size = kChunk + 100;
+  auto rkey = fabric_.RegisterRegion(peer_, size);
+  ASSERT_TRUE(rkey.ok());
+  QueuePair qp(&fabric_, app_, peer_);
+  qp.PostWrite(*rkey, size - 10, "0123456789");  // ends exactly at `size`
+  ASSERT_EQ(WaitCompletion(&qp).status, WcStatus::kSuccess);
+  // Only the 100-byte tail chunk materialized.
+  EXPECT_EQ(fabric_.ResidentRegionBytes(peer_), 100u);
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *rkey, size - 10, 10), "0123456789");
+  // One byte past the end fails, remotely and locally.
+  qp.PostWrite(*rkey, size - 10, "0123456789A");
+  EXPECT_EQ(WaitCompletion(&qp).status, WcStatus::kRemoteAccessError);
+  QueuePair qp2(&fabric_, app_, peer_);
+  qp2.PostRead(*rkey, size - 10, 11);
+  EXPECT_EQ(WaitCompletion(&qp2).status, WcStatus::kRemoteAccessError);
+  EXPECT_FALSE(fabric_.WriteRegion(peer_, *rkey, size, "x").ok());
+  EXPECT_FALSE(fabric_.ReadRegion(peer_, *rkey, size - 10, 11).ok());
+  EXPECT_FALSE(fabric_.ReadRegion(peer_, *rkey, ~uint64_t{0}, 2).ok());
+}
+
+TEST_F(RdmaTest, RecycledRegionReadsZerosAndChargesFullMemset) {
+  const uint64_t size = 4 * kChunk;
+  auto rkey = fabric_.RegisterRegion(peer_, size);
+  ASSERT_TRUE(rkey.ok());
+  ASSERT_TRUE(fabric_.WriteRegion(peer_, *rkey, 10, "stale").ok());
+  SimTime before = sim_.Now();
+  auto fresh = fabric_.RecycleRegion(peer_, *rkey);
+  ASSERT_TRUE(fresh.ok());
+  // The memset is priced by the registered size, not by what was touched.
+  EXPECT_EQ(sim_.Now() - before,
+            static_cast<SimTime>(static_cast<double>(size) / 12.0));
+  EXPECT_FALSE(fabric_.ReadRegion(peer_, *rkey, 0, 1).ok());
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *fresh, 0, 64), std::string(64, '\0'));
+  EXPECT_EQ(*fabric_.RegionSize(peer_, *fresh), size);
+  EXPECT_EQ(fabric_.ResidentRegionBytes(peer_), 0u);
+}
+
+TEST_F(RdmaTest, CrashWipesRegionMemory) {
+  auto rkey = fabric_.RegisterRegion(peer_, 2 * kChunk);
+  ASSERT_TRUE(rkey.ok());
+  ASSERT_TRUE(fabric_.WriteRegion(peer_, *rkey, kChunk - 2, "span").ok());
+  EXPECT_EQ(fabric_.ResidentRegionBytes(peer_), 2 * kChunk);
+  fabric_.CrashNode(peer_);
+  fabric_.RestartNode(peer_);
+  EXPECT_EQ(fabric_.ResidentRegionBytes(peer_), 0u);
+  EXPECT_FALSE(fabric_.ReadRegion(peer_, *rkey, 0, 1).ok());
+}
+
+TEST_F(RdmaTest, HugeRegionMaterializesOnlyTouchedChunk) {
+  auto rkey = fabric_.RegisterRegion(peer_, uint64_t{1} << 30);
+  ASSERT_TRUE(rkey.ok());
+  QueuePair qp(&fabric_, app_, peer_);
+  qp.PostWrite(*rkey, (uint64_t{1} << 29) + 7, std::string(100, 'z'));
+  ASSERT_EQ(WaitCompletion(&qp).status, WcStatus::kSuccess);
+  EXPECT_LE(fabric_.ResidentRegionBytes(peer_), kChunk);
+  EXPECT_GT(fabric_.ResidentRegionBytes(peer_), 0u);
+}
+
+TEST_F(RdmaTest, CopyRegionClonesContents) {
+  auto src = fabric_.RegisterRegion(peer_, 3 * kChunk);
+  auto dst = fabric_.RegisterRegion(peer_, 3 * kChunk);
+  auto other = fabric_.RegisterRegion(peer_, kChunk);
+  ASSERT_TRUE(src.ok() && dst.ok() && other.ok());
+  ASSERT_TRUE(fabric_.WriteRegion(peer_, *src, 2 * kChunk + 5, "tail").ok());
+  ASSERT_TRUE(fabric_.WriteRegion(peer_, *dst, 3, "junk").ok());
+  ASSERT_TRUE(fabric_.CopyRegion(peer_, *src, *dst).ok());
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *dst, 2 * kChunk + 5, 4), "tail");
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *dst, 0, 16), std::string(16, '\0'));
+  EXPECT_FALSE(fabric_.CopyRegion(peer_, *src, *other).ok());
+}
+
+// ------------------------------------------------------- WR payload pool --
+
+TEST_F(RdmaTest, PayloadPoolDropsOversizedBuffers) {
+  // Bulk catch-up posts are larger than the largest pool class; pooling
+  // them would keep hundreds of megabytes alive after a recovery.
+  const size_t largest = Fabric::kPayloadClassBytes[3];
+  auto rkey = fabric_.RegisterRegion(peer_, 2 * kChunk);
+  ASSERT_TRUE(rkey.ok());
+  QueuePair qp(&fabric_, app_, peer_);
+  std::string bulk(2 * largest, 'b');
+  for (size_t i = 0; i < Fabric::kPayloadPoolCap + 44; ++i) {
+    qp.PostWrite(*rkey, 0, bulk);
+    ASSERT_EQ(WaitCompletion(&qp).status, WcStatus::kSuccess);
+    qp.PostWrite(*rkey, 0, std::string(i % 2 == 0 ? 200 : largest, 's'));
+    ASSERT_EQ(WaitCompletion(&qp).status, WcStatus::kSuccess);
+  }
+  EXPECT_LE(fabric_.PooledPayloadBytes(), Fabric::kPayloadPoolCap * largest);
+  EXPECT_GT(fabric_.PooledPayloadBytes(), 0u);  // small buffers still pool
 }
 
 // Parameterized sweep: payload size vs modeled latency monotonicity.
