@@ -344,7 +344,10 @@ void SectionB(bench::Reporter* reporter) {
                               /*traced=*/false, row.open_app, row.load,
                               /*dfs_servers=*/3);
     current.reset();
-    SimTime parse = phase(splitft, "app.recover.replay");
+    // Parse is replay's self time: its total also covers the NCL recovery
+    // phases nested inside it (sync-peer), which print on their own.
+    auto replay = splitft.window.find("app.recover.replay");
+    SimTime parse = replay == splitft.window.end() ? 0 : replay->second.self;
     std::printf("  %-10s %10.2fs %10.2fs %10.2fs %10.2fs   get-peer=%s "
                 "connect=%s rdma-read=%s sync-peer=%s parse=%s "
                 "attributed=%.0f%%\n",

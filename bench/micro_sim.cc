@@ -25,7 +25,7 @@
 // counts, heap-callable spills) are byte-stable across runs and gate at
 // the tight default.
 //
-// simlint: allow-file(wall-clock) this bench measures *host* execution
+// deeplint: allow-file(wall-clock) this bench measures *host* execution
 // speed of the simulator itself; virtual time cannot observe that. All
 // wall-clock reads stay inside this file and never feed simulation state.
 #include <chrono>

@@ -39,7 +39,7 @@ class NullStream {
 
 }  // namespace log_internal
 
-// simlint: allow-file(status-discard) the (void) below casts the ternary's
+// deeplint: allow-file(status-discard) the (void) below casts the ternary's
 // LogMessage temporary, not a Status-returning call, and a same-line
 // suppression cannot live inside a line-continued macro.
 #define SPLITFT_LOG(level)                                             \

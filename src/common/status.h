@@ -124,7 +124,7 @@ class [[nodiscard]] Result {
 // ---- Deliberate discards ---------------------------------------------------
 //
 // `[[nodiscard]]` bans *silent* drops; these are the two sanctioned loud
-// ones. Bare `(void)` casts are rejected by tools/simlint.py (rule
+// ones. Bare `(void)` casts are rejected by tools/deeplint (rule
 // status-discard) because they are invisible to grep, to the logs, and to
 // the metrics.
 //

@@ -18,7 +18,7 @@
 // rejected by ValidateEcGeometry.
 //
 // Everything here is pure byte arithmetic: deterministic, no clocks, no
-// randomness, no I/O (simlint-clean by construction).
+// randomness, no I/O (deeplint-clean by construction).
 #ifndef SRC_NCL_EC_H_
 #define SRC_NCL_EC_H_
 

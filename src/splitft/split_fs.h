@@ -43,8 +43,7 @@ struct SplitOpenOptions {
   bool direct_io = false;     // dfs reads bypass the page cache
 };
 
-// Durability-barrier variants, unified into one entry point (previously
-// three virtuals: Sync / SyncBackground / SyncDeferred).
+// Durability-barrier variants of SplitFile::Sync.
 struct SyncOptions {
   // Bulk background flush (compaction/checkpoint writes): occupies the
   // storage backend but does not block the caller's clock.
@@ -68,19 +67,9 @@ class SplitFile {
   // call returns).
   virtual Result<SimTime> Sync(const SyncOptions& options) = 0;
 
-  // Compatibility wrappers over Sync(SyncOptions). Prefer the unified
-  // entry point in new code.
+  // The blocking durability barrier, Sync(SyncOptions{}): returns once the
+  // data is durable. Background and deferred syncs pass SyncOptions.
   Status Sync() { return Sync(SyncOptions{}).status(); }
-  Status SyncBackground() {
-    SyncOptions options;
-    options.background = true;
-    return Sync(options).status();
-  }
-  Result<SimTime> SyncDeferred() {
-    SyncOptions options;
-    options.deferred = true;
-    return Sync(options);
-  }
 
   virtual Result<std::string> Read(uint64_t offset, uint64_t len) = 0;
   // Background-IO read (compaction inputs): remote fetches occupy the

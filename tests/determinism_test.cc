@@ -2,7 +2,7 @@
 // identically-seeded runs of the same chaos-laced workload must produce
 // identical metrics JSON and identical trace buffers. The 200-seed chaos
 // campaign and the checked-in bench baselines are only meaningful because
-// this property holds; tools/simlint.py is the static half of the same
+// this property holds; tools/deeplint is the static half of the same
 // contract (no wall clocks, no raw randomness, no unordered iteration
 // feeding output).
 #include <gtest/gtest.h>

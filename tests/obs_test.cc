@@ -3,7 +3,7 @@
 // end-to-end guarantee the benches rely on — NCL recovery phase spans sum
 // exactly to the observed end-to-end recovery latency.
 //
-// simlint: allow-file(metric-name) these tests exercise the registry and
+// deeplint: allow-file(metric-name) these tests exercise the registry and
 // tracer APIs directly with deliberately minimal synthetic names ("x",
 // "root"); the naming convention applies to instrumentation, not to the
 // instruments' own unit tests.

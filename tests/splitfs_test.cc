@@ -211,7 +211,7 @@ TEST_F(SplitFsTest, WalRotationPattern) {
   auto sst = fs->Open("/db/sst-1", SplitOpenOptions{});
   ASSERT_TRUE(sst.ok());
   ASSERT_TRUE((*sst)->Append("compacted").ok());
-  ASSERT_TRUE((*sst)->SyncBackground().ok());
+  ASSERT_TRUE((*sst)->Sync(SyncOptions{.background = true}).ok());
 
   wal1->reset();
   ASSERT_TRUE(fs->Unlink("/db/wal-1").ok());

@@ -90,7 +90,9 @@ def lower_file(index, db, path, text):
     if fatal:
         return None
 
-    functions = []
+    # The rules index tokens for scope math; FileIR reuses the lite
+    # tokenizer so token spans are comparable across backends.
+    ir = model.FileIR(path, text)
     for cur in tu.cursor.walk_preorder():
         if cur.kind in (ci.CursorKind.FUNCTION_DECL, ci.CursorKind.CXX_METHOD,
                         ci.CursorKind.CONSTRUCTOR, ci.CursorKind.DESTRUCTOR):
@@ -100,11 +102,7 @@ def lower_file(index, db, path, text):
             if loc.file is None or os.path.abspath(loc.file.name) != \
                     os.path.abspath(path):
                 continue
-            functions.append(_lower_function(cur))
-    # The rules index tokens for scope math; reuse the lite tokenizer so
-    # token spans are comparable across backends.
-    code = model.strip_comments_and_strings(text)
-    ir = model.FileIR(path, model.tokenize(code), functions)
+            ir.functions.append(_lower_function(cur))
     return ir
 
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""deeplint: AST-level lifetime & deferred-execution contract checker.
+"""deeplint: the repo's one C++ lint driver.
 
-Where tools/simlint.py is a line-regex lint, deeplint resolves scopes and
-(with the libclang backend) types for every translation unit listed in
-compile_commands.json and enforces four contracts the regex lint cannot
-(rule semantics: DESIGN.md §17, tools/deeplint/rules.py):
+deeplint resolves scopes and (with the libclang backend) types for every
+translation unit listed in compile_commands.json, and enforces the repo's
+lifetime, deferred-execution and determinism contracts (rule semantics:
+DESIGN.md §17, tools/deeplint/rules.py, tools/deeplint/textrules.py):
 
   view-lifetime     no string_view/span into a temporary or into a
                     container that reallocates while the view is live
@@ -13,8 +13,16 @@ compile_commands.json and enforces four contracts the regex lint cannot
   inline-budget     scheduled callables must fit the 192 B inline arena
                     slab (pairs with sim::assert_inline<F>() at the site)
   epoch-fence       SetApMap/WriteApMap only via bump-then-write helpers
+  wall-clock        no wall-clock time source; use the simulated clock
+  raw-random        no randomness outside splitft::Rng (src/common/rng.*)
+  unordered-iter    no range-for over an unordered container
+  metric-name       metric/span name literals follow layer.component.metric
+  status-discard    no bare (void) cast of a call; use DiscardStatus
   stale-allow       a suppression whose rule no longer fires on that line
-                    is itself a finding (shared with simlint)
+                    is itself a finding
+
+The first four rules read the IR; the five determinism rules read only
+the comment/literal-stripped text, so both backends report them alike.
 
 Backends:
 
@@ -150,51 +158,34 @@ def lint_file(path, ctx, backend, text=None):
             "unknown rule '%s' in deeplint suppression (known: %s)"
             % (rule, ", ".join(rules.RULES)), backend_name))
 
-    def line_suppressed(rule, lineno):
-        for at in (lineno, lineno - 1):
-            if rule in line_allows.get(at, ()):
-                return True
-        return False
+    def suppressed(rule, lineno):
+        return rule in file_allows or any(
+            rule in line_allows.get(at, ()) for at in (lineno, lineno - 1))
 
-    fired_by_rule = {}
+    fired = {}
     for f in raw:
-        fired_by_rule.setdefault(f.rule, set()).add(f.line)
-        if f.rule in file_allows or line_suppressed(f.rule, f.line):
-            continue
-        findings.append(Finding(path, f.line, f.rule, f.message, backend_name))
+        fired.setdefault(f.rule, set()).add(f.line)
+        if not suppressed(f.rule, f.line):
+            findings.append(Finding(path, f.line, f.rule, f.message,
+                                    backend_name))
 
     # stale-allow: a suppression comment for a rule that no longer fires
     # where the comment applies. allow(r) at line A covers findings at A
     # and A+1; allow-file(r) covers the whole file. allow(stale-allow)
     # entries are themselves exempt (no recursion).
-    for lineno, ruleset in sorted(line_allows.items()):
-        for rule in sorted(ruleset):
-            if rule == "stale-allow":
-                continue
-            fired = fired_by_rule.get(rule, ())
-            if lineno in fired or (lineno + 1) in fired:
-                continue
-            if line_suppressed("stale-allow", lineno) or \
-                    "stale-allow" in file_allows:
-                continue
-            findings.append(Finding(
-                path, lineno, "stale-allow",
-                "deeplint suppression allow(%s) no longer matches a [%s] "
-                "finding on this line — delete the stale allow" % (rule,
-                                                                   rule),
-                backend_name))
-    for rule, lineno in sorted(file_allows.items()):
-        if rule == "stale-allow":
+    dead = [(lineno, rule, "allow(%s) no longer matches a [%s] finding on "
+             "this line") for lineno, ruleset in line_allows.items()
+            for rule in ruleset
+            if not fired.get(rule, set()) & {lineno, lineno + 1}]
+    dead += [(lineno, rule, "allow-file(%s) no longer matches any [%s] "
+              "finding in this file") for rule, lineno in file_allows.items()
+             if rule not in fired]
+    for lineno, rule, what in sorted(dead):
+        if rule == "stale-allow" or suppressed("stale-allow", lineno):
             continue
-        if not fired_by_rule.get(rule):
-            if line_suppressed("stale-allow", lineno) or \
-                    "stale-allow" in file_allows:
-                continue
-            findings.append(Finding(
-                path, lineno, "stale-allow",
-                "deeplint suppression allow-file(%s) no longer matches any "
-                "[%s] finding in this file — delete the stale allow"
-                % (rule, rule), backend_name))
+        findings.append(Finding(
+            path, lineno, "stale-allow", "deeplint suppression " +
+            what % (rule, rule) + " — delete the stale allow", backend_name))
     findings.sort(key=lambda f: (f.line, f.rule))
     return findings
 
@@ -283,7 +274,7 @@ class Backend:
 def self_test():
     """Lints every fixture (lite backend — the one guaranteed everywhere)
     against `// deeplint-expect: rule` markers, and requires a positive
-    AND a suppressed case per rule, mirroring simlint's self-test."""
+    AND a suppressed case per rule."""
     if not os.path.isdir(FIXTURE_DIR):
         print("deeplint --self-test: missing fixture dir %s" % FIXTURE_DIR)
         return 2

@@ -1,7 +1,7 @@
 """deeplint semantic model: a micro-frontend for the repo's C++ subset.
 
-deeplint's rules need facts a line-regex lint (tools/simlint.py) cannot
-produce: which *function* a call site lives in, which *local variable* a
+deeplint's IR rules need facts a line regex (tools/deeplint/textrules.py)
+cannot produce: which *function* a call site lives in, which *local variable* a
 string_view was bound to, which container a capture refers to, whether a
 mutation happens after a binding in the same scope. This module lowers a
 C++ source file into a small intermediate representation (IR) carrying
@@ -20,8 +20,8 @@ exactly those facts:
 Both backends produce this IR: the lite backend (this module) lowers a
 token stream with a heuristic scope parser, and tools/deeplint/
 clang_backend.py lowers a libclang AST when clang.cindex is importable.
-The rules in tools/deeplint/rules.py consume only the IR, so they are
-written (and self-tested) once.
+The rules in tools/deeplint/rules.py consume only the IR and the text
+views (strip_views), so they are written (and self-tested) once.
 
 The lite parser is deliberately a *recognizer*, not a compiler: constructs
 it cannot classify simply produce no IR (and therefore no findings) rather
@@ -80,80 +80,56 @@ class Token:
         return "Token(%r, line=%d)" % (self.text, self.line)
 
 
-def strip_comments_and_strings(text):
-    """Blanks comments and string/char literal *contents*, preserving line
-    structure and quote characters. Identical policy to simlint's
-    strip_views code view, so both linters see the same token stream."""
-    out = []
-    i = 0
-    n = len(text)
-    state = "normal"
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "normal":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                # Raw strings: R"delim( ... )delim" — skip wholesale.
-                if out and out[-1:] == ["R"]:
-                    m = re.match(r'R"([^(]*)\(', text[i - 1 :])
-                    if m:
-                        close = ")" + m.group(1) + '"'
-                        end = text.find(close, i)
-                        if end >= 0:
-                            seg = text[i - 1 : end + len(close)]
-                            out[-1] = '"'
-                            out.append(
-                                "".join("\n" if ch == "\n" else " " for ch in seg[2:-1])
-                            )
-                            out.append('"')
-                            i = end + len(close)
-                            continue
-                state = "string"
-                out.append('"')
-                i += 1
-                continue
-            if c == "'" and not (out and out[-1][-1:].isdigit()):
-                state = "char"
-                out.append("'")
-                i += 1
-                continue
-            out.append(c)
-        elif state == "line_comment":
-            if c == "\n":
-                state = "normal"
-                out.append("\n")
-            else:
-                out.append(" ")
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "normal"
-                out.append("  ")
-                i += 2
-                continue
-            out.append("\n" if c == "\n" else " ")
-        else:  # string / char
-            quote = '"' if state == "string" else "'"
-            if c == "\\":
-                out.append("  ")
-                i += 2
-                continue
-            if c == quote or c == "\n":
-                state = "normal"
-                out.append(quote if c == quote else "\n")
-            else:
-                out.append(" ")
-        i += 1
-    return "".join(out)
+# One lexeme scan finds every comment and literal, so "//" inside a string or
+# a quote inside a comment cannot desynchronize the views. A quote right
+# after a digit is a C++14 digit separator (1'000), not a char literal.
+_LEXEMES = re.compile(
+    r"(?P<comment>//[^\n]*|/\*.*?(?:\*/|\Z))"
+    r'|(?P<raw>R"(?P<delim>[^(\s"]*)\(.*?\)(?P=delim)")'
+    r'|(?P<closed>"(?:\\.|[^"\\\n])*"|(?<!\d)\'(?:\\.|[^\'\\\n])*\')'
+    r'|(?P<open>"(?:\\.|[^"\\\n])*|(?<!\d)\'(?:\\.|[^\'\\\n])*)',
+    re.S,
+)
+
+
+def _blank(s):
+    if "\n" not in s:
+        return " " * len(s)
+    return "\n".join(" " * len(part) for part in s.split("\n"))
+
+
+def strip_views(text):
+    """Returns (code, literals), two views of `text` that keep its line
+    structure so findings carry real line numbers.
+
+    code: comments and string/char/raw-string literal contents blanked,
+    quote characters kept. Token rules read this view, so prose and log
+    strings never fire.
+    literals: comments blanked, literal contents kept. Rules that inspect
+    literal contents (metric-name) read this view.
+    """
+    code = []
+    literals = []
+    pos = 0
+    for m in _LEXEMES.finditer(text):
+        start, end = m.span()
+        lex = m.group(0)
+        code.append(text[pos:start])
+        literals.append(text[pos:start])
+        pos = end
+        kind = m.lastgroup
+        if kind == "comment":
+            code.append(_blank(lex))
+            literals.append(_blank(lex))
+            continue
+        literals.append(lex)
+        if kind == "open":  # unterminated: the literal ends at the newline
+            code.append(lex[0] + _blank(lex[1:]))
+        else:  # a raw string's R prefix becomes its opening quote
+            code.append(lex[-1] + _blank(lex[1:-1]) + lex[-1])
+    code.append(text[pos:])
+    literals.append(text[pos:])
+    return "".join(code), "".join(literals)
 
 
 def tokenize(code_text):
@@ -258,13 +234,28 @@ class FunctionIR:
 
 
 class FileIR:
-    __slots__ = ("path", "tokens", "functions", "string_returners")
+    """One file's text views (strip_views), its token stream and the
+    functions a backend lowered. The text rules read only the views, so
+    every backend gives them the same input."""
 
-    def __init__(self, path, tokens, functions):
+    __slots__ = ("path", "code", "literals", "tokens", "functions")
+
+    def __init__(self, path, text):
         self.path = path
-        self.tokens = tokens
-        self.functions = functions
-        self.string_returners = frozenset()
+        self.code, self.literals = strip_views(text)
+        self.tokens = tokenize(self.code)
+        self.functions = []
+
+
+class RawFinding:
+    """A rule hit before suppression; the driver applies allow() on top."""
+
+    __slots__ = ("line", "rule", "message")
+
+    def __init__(self, line, rule, message):
+        self.line = line
+        self.rule = rule
+        self.message = message
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +517,10 @@ def _normalize_type(type_str):
 _STMT_STARTERS = frozenset((";", "{", "}", ",", "(", ":"))
 
 
-def lower_file(path, text=None):
+def lower_file(path, text):
     """Lowers one file to a FileIR (lite backend)."""
-    if text is None:
-        with open(path, "r", encoding="utf-8", errors="replace") as f:
-            text = f.read()
-    code = strip_comments_and_strings(text)
-    tokens = tokenize(code)
-    functions = []
+    ir = FileIR(path, text)
+    tokens = ir.tokens
 
     # Pass 1: find function bodies. We walk the token stream tracking brace
     # context; '{' that _function_name_before recognizes opens a FunctionIR
@@ -547,14 +534,14 @@ def lower_file(path, text=None):
             if fn is not None:
                 qual, param_span, line = fn
                 close = _match_forward(tokens, i, "{", "}")
-                ir = FunctionIR(qual, (i, close), line)
-                _parse_params(tokens, param_span, ir)
-                _lower_body(tokens, ir)
-                functions.append(ir)
+                fn_ir = FunctionIR(qual, (i, close), line)
+                _parse_params(tokens, param_span, fn_ir)
+                _lower_body(tokens, fn_ir)
+                ir.functions.append(fn_ir)
                 i = close + 1
                 continue
         i += 1
-    return FileIR(path, tokens, functions)
+    return ir
 
 
 def _parse_params(tokens, span, ir):
@@ -839,7 +826,7 @@ def index_string_returners(paths):
                 text = f.read()
         except OSError:
             continue
-        code = strip_comments_and_strings(text)
+        code, _ = strip_views(text)
         for m in _STRING_RETURNER.finditer(code):
             name = m.group(1)
             # The regex also matches variable declarations with ctor args

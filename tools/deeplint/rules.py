@@ -1,4 +1,5 @@
-"""deeplint rules: four repo contracts enforced over the model IR.
+"""deeplint rules: four repo contracts enforced over the model IR, plus
+the five determinism text rules of tools/deeplint/textrules.py.
 
 Each rule is a function (FileIR, RuleContext) -> [RawFinding]. Raw
 findings are pre-suppression; the driver applies the shared
@@ -29,11 +30,19 @@ findings are pre-suppression; the driver applies the shared
 
 import re
 
+from deeplint import textrules
+from deeplint.model import RawFinding
+
 RULES = (
     "view-lifetime",
     "dangling-capture",
     "inline-budget",
     "epoch-fence",
+    "wall-clock",
+    "raw-random",
+    "unordered-iter",
+    "metric-name",
+    "status-discard",
     "stale-allow",
 )
 
@@ -143,15 +152,6 @@ def sizeof_type(type_str):
         if pat.search(t):
             return size
     return 8
-
-
-class RawFinding:
-    __slots__ = ("line", "rule", "message")
-
-    def __init__(self, line, rule, message):
-        self.line = line
-        self.rule = rule
-        self.message = message
 
 
 class RuleContext:
@@ -533,7 +533,7 @@ ALL_CHECKS = (
     check_dangling_capture,
     check_inline_budget,
     check_epoch_fence,
-)
+) + textrules.TEXT_CHECKS
 
 
 def run_rules(file_ir, ctx):

@@ -31,7 +31,7 @@ struct Op {
 
 void ViewIntoTemporary(const Header& h) {
   std::string_view v = h.Encode();  // deeplint-expect: view-lifetime
-  (void)v.size();
+  (void)v;
 }
 
 // ---- view-lifetime (b): container mutated while a view is live -------------
