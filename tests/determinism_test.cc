@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
+#include <cstdarg>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -17,6 +18,7 @@
 #include "src/chaos/fault_plan.h"
 #include "src/common/crc32c.h"
 #include "src/common/rng.h"
+#include "src/harness/closed_loop.h"
 #include "src/harness/testbed.h"
 #include "src/ncl/ncl_client.h"
 
@@ -283,8 +285,156 @@ TEST(DeterminismTest, PooledTenantsExportsAreByteForByteIdentical) {
   EXPECT_GT(a.lane_repairs, 0u);
 }
 
+// rocksdb-mini end to end: a small store is loaded, has a
+// few keys deleted and flushed (tombstones reach L0), then serves YCSB-A
+// through the closed-loop harness across several memtable flushes and
+// compactions, and finally crashes and recovers from its NCL WAL. The
+// summary covers what the app decides on the virtual clock: the harness
+// result, the block cache's hit/miss/eviction counts, a sample of
+// recovered reads and the bytes of every sstable left on the dfs; the
+// exports cover every layer below.
+struct KvStoreRun {
+  RunArtifacts artifacts;
+  std::string summary;
+  uint64_t sstable_writes = 0;
+  uint64_t l1_tables = 0;
+  uint64_t recovered_batches = 0;
+};
+
+__attribute__((format(printf, 2, 3))) void Appendf(std::string* out,
+                                                   const char* fmt, ...) {
+  char buf[256];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  *out += buf;
+}
+
+KvStoreRun RunKvStoreScenario(uint64_t seed) {
+  constexpr uint64_t kRecords = 2000;
+  TestbedOptions options;
+  options.tracing = true;
+  Testbed testbed(options);
+  KvStoreOptions kv_options;
+  kv_options.memtable_bytes = 48 << 10;
+  kv_options.block_cache_bytes = 64 << 10;  // ~25% of the dataset
+  kv_options.l0_compaction_trigger = 3;
+  kv_options.wal_capacity = 1 << 20;
+  const ServerOptions server_options{.ncl_capacity = 1 << 20};
+  KvStoreRun out;
+  std::string* summary = &out.summary;
+
+  auto server = testbed.MakeServer("det-kv", server_options);
+  CHECK_OK(server->start_status);
+  auto store = testbed.StartKvStore(server.get(), kv_options);
+  CHECK_OK(store.status());
+  KvStore* kv = store->get();
+  server->app = std::move(*store);
+  CHECK_OK(Testbed::LoadRecords(kv, kRecords, seed));
+  // Tombstones for a spread of loaded keys, flushed into their own L0
+  // table so a later compaction has to drop them.
+  for (uint64_t id = 7; id < kRecords; id += 97) {
+    CHECK_OK(kv->Delete(YcsbWorkload::KeyFor(id)));
+  }
+  CHECK_OK(kv->FlushMemtable());
+  Appendf(summary, "after-deletes l0=%zu l1=%zu\n", kv->l0_tables(),
+          kv->l1_tables());
+
+  YcsbWorkload workload(YcsbWorkloadKind::kA, kRecords, seed);
+  HarnessOptions harness_options;
+  harness_options.num_clients = 6;
+  harness_options.target_ops = 6000;
+  harness_options.max_duration = Seconds(60);
+  ClosedLoopHarness harness(testbed.sim(), kv, &workload, harness_options);
+  HarnessResult result = harness.Run();
+  Appendf(summary, "harness ops=%" PRIu64 " duration=%" PRId64 " kops=%.6f\n",
+          result.ops, result.duration, result.throughput_kops);
+  Appendf(summary,
+          "latency count=%" PRIu64 " min=%" PRId64 " max=%" PRId64
+          " mean=%.3f p50=%.3f p99=%.3f\n",
+          result.latency.count(), result.latency.min(), result.latency.max(),
+          result.latency.Mean(), result.latency.P50(), result.latency.P99());
+  const LruCache& cache = kv->block_cache();
+  Appendf(summary,
+          "cache hits=%" PRIu64 " misses=%" PRIu64 " evictions=%" PRIu64
+          " used=%" PRIu64 " entries=%zu\n",
+          cache.hits(), cache.misses(), cache.evictions(), cache.used_bytes(),
+          cache.size());
+  Appendf(summary, "tables l0=%zu l1=%zu memtable=%zu\n", kv->l0_tables(),
+          kv->l1_tables(), kv->memtable_entries());
+  // More tombstones: half flushed into the last L0 table, half left in the
+  // WAL for recovery to replay.
+  for (uint64_t id = 37; id <= 10 * 37; id += 37) {
+    CHECK_OK(kv->Delete(YcsbWorkload::KeyFor(id)));
+    if (id == 5 * 37) {
+      CHECK_OK(kv->FlushMemtable());
+    }
+  }
+
+  testbed.CrashServer(server.get());
+  server.reset();
+  testbed.sim()->RunUntilIdle();
+  server = testbed.MakeServer("det-kv", server_options);
+  CHECK_OK(server->start_status);
+  store = testbed.StartKvStore(server.get(), kv_options);
+  CHECK_OK(store.status());
+  kv = store->get();
+  server->app = std::move(*store);
+  out.recovered_batches = kv->recovered_batches();
+  Appendf(summary,
+          "recovered batches=%" PRIu64 " memtable=%zu l0=%zu l1=%zu\n",
+          kv->recovered_batches(), kv->memtable_entries(), kv->l0_tables(),
+          kv->l1_tables());
+  for (uint64_t id = 0; id < kRecords; id += 37) {
+    auto v = kv->Get(YcsbWorkload::KeyFor(id));
+    Appendf(summary, "get %" PRIu64 " %d %08x\n", id,
+            static_cast<int>(v.status().code()), v.ok() ? Crc32c(*v) : 0u);
+  }
+  out.artifacts.metrics_json = testbed.metrics()->ToJson();
+  out.artifacts.trace = TraceDump(*testbed.tracer());
+  // Every flush and compaction is one background sstable write.
+  out.sstable_writes =
+      testbed.metrics()->CounterValue("dfs.client.background_syncs");
+
+  // Every sstable's bytes, read through a separate mount after the
+  // exports above were taken.
+  DfsClient reader(testbed.dfs_cluster(), "det-kv-digest");
+  for (const std::string& path : reader.List("/kv/sst-")) {
+    auto file = reader.Open(path, {.create = false});
+    CHECK_OK(file.status());
+    auto bytes = (*file)->Read(0, (*file)->Size());
+    CHECK_OK(bytes.status());
+    Appendf(summary, "%s %zu %08x\n", path.c_str(), bytes->size(),
+            Crc32c(*bytes));
+    if (path.rfind("/kv/sst-L1-", 0) == 0) {
+      out.l1_tables++;
+    }
+  }
+  return out;
+}
+
+TEST(DeterminismTest, KvStoreExportsAreByteForByteIdentical) {
+  KvStoreRun a = RunKvStoreScenario(5);
+  KvStoreRun b = RunKvStoreScenario(5);
+  ASSERT_FALSE(a.artifacts.metrics_json.empty());
+  EXPECT_EQ(a.summary, b.summary);
+  EXPECT_EQ(a.artifacts.metrics_json, b.artifacts.metrics_json);
+  EXPECT_EQ(a.artifacts.trace, b.artifacts.trace);
+  // The scenario must reach the flush, compaction and recovery paths: at
+  // least two flushes and a compaction, and a WAL tail to replay.
+  EXPECT_GE(a.sstable_writes, 3u);
+  EXPECT_EQ(a.l1_tables, 1u);
+  EXPECT_GT(a.recovered_batches, 0u);
+}
+
 uint32_t Digest(const RunArtifacts& run) {
   return Crc32c(run.metrics_json + run.trace);
+}
+
+uint32_t Digest(const KvStoreRun& run) {
+  return Crc32c(run.artifacts.metrics_json + run.artifacts.trace +
+                run.summary);
 }
 
 // Cross-commit behaviour pin. The tests above only compare a run with
@@ -298,6 +448,7 @@ TEST(DeterminismTest, ExportsMatchPinnedDigests) {
   EXPECT_EQ(Digest(RunSeededChaosScenario(1234, /*ec=*/true)), 0x6f1c6dd1u);
   EXPECT_EQ(Digest(RunBucketBoundaryScenario(77)), 0x973b53c2u);
   EXPECT_EQ(Digest(RunPooledTenantsScenario(99).artifacts), 0xa42cb439u);
+  EXPECT_EQ(Digest(RunKvStoreScenario(5)), 0x4a8ede9cu);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "src/common/crc32c.h"
 #include "src/common/rng.h"
 #include "src/workload/ycsb.h"
 
@@ -91,6 +92,35 @@ TEST(YcsbTest, KeyFormat) {
 TEST(YcsbTest, ValueSize) {
   YcsbWorkload w(YcsbWorkloadKind::kA, 100, 7);
   EXPECT_EQ(w.ValueFor(5).size(), YcsbWorkload::kValueBytes);
+}
+
+// The exact byte stream, pinned: every load phase and every bench series
+// that writes YCSB values depends on it, so a faster generator must
+// reproduce it byte for byte, not just keep the sizes.
+TEST(YcsbTest, KeysAndValuesMatchGolden) {
+  EXPECT_EQ(YcsbWorkload::KeyFor(0), "user00000000000000000000");
+  EXPECT_EQ(YcsbWorkload::KeyFor(42), "user00000000000000000042");
+  EXPECT_EQ(YcsbWorkload::KeyFor(UINT64_MAX), "user18446744073709551615");
+
+  YcsbWorkload w(YcsbWorkloadKind::kA, 1000, 7);
+  EXPECT_EQ(w.ValueFor(0),
+            "ohgdsjmdcnunmdydyvadmfoxmjylyzwhwdaxgfkbuxcfghovip"
+            "kxuxshstmnwpodklobijwtibgjwnwlununcrujwpktqfyvutqp");
+  EXPECT_EQ(w.ValueFor(5),
+            "rapoxkvankfmfaxmdcxinmdcnujgfajozuzkjgfuxgtyduvebe"
+            "nobkzsvkrgbcjkhybmdipmngpghspyjutmdypmvgfijurwjyng");
+  EXPECT_EQ(w.ValueFor(UINT64_MAX),
+            "yrqponwpgrwvwrmnupwdmdspwtufstoxypivmbmhspafujqbmj"
+            "qbwrebqrevqnonuhafybihqvanufynujsdkdmrebgnwdmzmbmb");
+  // The operation stream interleaves the same RNG with key choice.
+  std::string stream;
+  for (int i = 0; i < 1000; ++i) {
+    YcsbOp op = w.Next();
+    stream += static_cast<char>(op.type);
+    stream += op.key;
+    stream += op.value;
+  }
+  EXPECT_EQ(Crc32c(stream), 0x33eaa052u);
 }
 
 // gtest prints this parameter as raw bytes, and ctest names each case by
