@@ -50,7 +50,11 @@ KvStore::KvStore(SplitFs* fs, Simulation* sim, const SimParams* params,
       sim_(sim),
       params_(params),
       options_(std::move(options)),
-      block_cache_(std::make_unique<LruCache>(options_.block_cache_bytes)) {}
+      block_cache_(std::make_unique<LruCache>(options_.block_cache_bytes)) {
+  // Buckets for a full memtable of YCSB-sized entries (24 B key + 100 B
+  // value, ~128 B), reserved once: a flush clears the map but keeps them.
+  memtable_.reserve(options_.memtable_bytes / 128);
+}
 
 KvStore::~KvStore() = default;
 
@@ -150,11 +154,13 @@ Status KvStore::RecoverExistingState() {
     recovered_batches_ += static_cast<uint64_t>(
         WriteAheadLog::Replay(*raw, [this](std::string_view k,
                                            std::string_view v) {
-          auto [it, inserted] = memtable_.try_emplace(std::string(k));
-          if (!inserted) {
+          auto it = memtable_.find(k);
+          if (it == memtable_.end()) {
+            it = memtable_.emplace(k, v).first;
+          } else {
             memtable_bytes_ -= it->second.size() + it->first.size();
+            it->second.assign(v);
           }
-          it->second = std::string(v);
           memtable_bytes_ += k.size() + v.size();
         }));
     if (i + 1 == wals.size()) {
@@ -210,7 +216,7 @@ Status KvStore::Delete(std::string_view key) {
   return done.ok() ? OkStatus() : done.status();
 }
 
-Result<SimTime> KvStore::ApplyBatchInternal(const std::vector<KvWrite>& batch,
+Result<SimTime> KvStore::ApplyBatchInternal(std::vector<KvWrite> batch,
                                             bool deferred) {
   if (batch.empty()) {
     return SimTime{0};
@@ -238,13 +244,13 @@ Result<SimTime> KvStore::ApplyBatchInternal(const std::vector<KvWrite>& batch,
     }
     durable_at = *done;
   }
-  for (const KvWrite& w : batch) {
-    auto [it, inserted] = memtable_.try_emplace(w.key);
+  for (KvWrite& w : batch) {
+    memtable_bytes_ += w.key.size() + w.value.size();
+    auto [it, inserted] = memtable_.try_emplace(std::move(w.key));
     if (!inserted) {
       memtable_bytes_ -= it->first.size() + it->second.size();
     }
-    it->second = w.value;
-    memtable_bytes_ += w.key.size() + w.value.size();
+    it->second = std::move(w.value);
   }
   RETURN_IF_ERROR(MaybeFlushAndCompact());
   return durable_at;
@@ -257,14 +263,15 @@ Status KvStore::Put(std::string_view key, std::string_view value) {
 namespace {
 
 // Decodes a tagged value: tombstone -> kNotFound, value -> the user bytes.
-Result<std::string> DecodeTagged(std::string_view encoded) {
+Result<std::string> DecodeTagged(std::string encoded) {
   if (encoded.empty()) {
     return DataLossError("empty tagged value");
   }
   if (encoded[0] == 0) {
     return NotFoundError("key deleted");
   }
-  return std::string(encoded.substr(1));
+  encoded.erase(0, 1);
+  return encoded;
 }
 
 }  // namespace
@@ -284,25 +291,37 @@ Status KvStore::MaybeFlushAndCompact() {
   return OkStatus();
 }
 
-Status KvStore::FlushMemtable() {
-  if (memtable_.empty()) {
-    return OkStatus();
-  }
-  std::string path = SstPath(0, next_file_id_++);
+Result<std::unique_ptr<SstableReader>> KvStore::WriteTable(
+    const std::string& path, const std::vector<SstEntry>& entries) {
   SplitOpenOptions opts;
   auto file = fs_->Open(path, opts);
   if (!file.ok()) {
     return file.status();
   }
-  RETURN_IF_ERROR(SstableBuilder::Write(file->get(), memtable_));
+  RETURN_IF_ERROR(SstableBuilder::Write(file->get(), entries));
   SplitOpenOptions ropts;
   ropts.create = false;
   auto rfile = fs_->Open(path, ropts);
   if (!rfile.ok()) {
     return rfile.status();
   }
+  return SstableReader::Open(std::move(*rfile), block_cache_.get());
+}
+
+Status KvStore::FlushMemtable() {
+  if (memtable_.empty()) {
+    return OkStatus();
+  }
+  std::vector<SstEntry> sorted;
+  sorted.reserve(memtable_.size());
+  // deeplint: allow(unordered-iter) sorted into key order before any use
+  for (const auto& [key, value] : memtable_) {
+    sorted.push_back(SstEntry{key, value});
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const SstEntry& a, const SstEntry& b) { return a.key < b.key; });
   ASSIGN_OR_RETURN(auto reader,
-                   SstableReader::Open(std::move(*rfile), block_cache_.get()));
+                   WriteTable(SstPath(0, next_file_id_++), sorted));
   level0_.insert(level0_.begin(), std::move(reader));
   memtable_.clear();
   memtable_bytes_ = 0;
@@ -315,48 +334,32 @@ Status KvStore::FlushMemtable() {
 }
 
 Status KvStore::Compact() {
-  // Merge newest-to-oldest so newer values win, then rewrite L1.
-  std::map<std::string, std::string> merged;
-  for (auto& table : level0_) {
-    RETURN_IF_ERROR(table->MergeInto(&merged));
-  }
-  for (auto& table : level1_) {
-    RETURN_IF_ERROR(table->MergeInto(&merged));
-  }
-  // The merge reaches the bottom of the tree: tombstones have shadowed
-  // every older value and can be dropped.
-  for (auto it = merged.begin(); it != merged.end();) {
-    if (!it->second.empty() && it->second[0] == kTombstoneTag) {
-      it = merged.erase(it);
-    } else {
-      ++it;
+  // Read every input in full, newest table first, then merge the sorted
+  // runs in one pass: newer values win.
+  std::vector<std::vector<std::string>> runs;
+  for (const auto* level : {&level0_, &level1_}) {
+    for (const auto& table : *level) {
+      ASSIGN_OR_RETURN(auto blocks, table->ReadAllBlocks());
+      runs.push_back(std::move(blocks));
     }
   }
+  std::vector<SstEntry> merged = MergeRuns(runs);
+  // The merge reaches the bottom of the tree: tombstones have shadowed
+  // every older value and can be dropped.
+  std::erase_if(merged, [](const SstEntry& e) {
+    return !e.value.empty() && e.value[0] == kTombstoneTag;
+  });
+  ASSIGN_OR_RETURN(auto reader,
+                   WriteTable(SstPath(1, next_file_id_++), merged));
+
   std::vector<std::string> obsolete;
-  for (auto& table : level0_) {
-    obsolete.push_back(table->path());
-  }
-  for (auto& table : level1_) {
-    obsolete.push_back(table->path());
+  for (const auto* level : {&level0_, &level1_}) {
+    for (const auto& table : *level) {
+      obsolete.push_back(table->path());
+    }
   }
   level0_.clear();
   level1_.clear();
-
-  std::string path = SstPath(1, next_file_id_++);
-  SplitOpenOptions opts;
-  auto file = fs_->Open(path, opts);
-  if (!file.ok()) {
-    return file.status();
-  }
-  RETURN_IF_ERROR(SstableBuilder::Write(file->get(), merged));
-  SplitOpenOptions ropts;
-  ropts.create = false;
-  auto rfile = fs_->Open(path, ropts);
-  if (!rfile.ok()) {
-    return rfile.status();
-  }
-  ASSIGN_OR_RETURN(auto reader,
-                   SstableReader::Open(std::move(*rfile), block_cache_.get()));
   level1_.push_back(std::move(reader));
   for (const std::string& old : obsolete) {
     DiscardStatus(fs_->Unlink(old), "KvStore obsolete sstable cleanup");
@@ -366,14 +369,14 @@ Status KvStore::Compact() {
 
 Result<std::string> KvStore::Get(std::string_view key) {
   sim_->Advance(params_->cpu.kv_op);
-  auto it = memtable_.find(std::string(key));
+  auto it = memtable_.find(key);
   if (it != memtable_.end()) {
     return DecodeTagged(it->second);
   }
   for (auto& table : level0_) {
     auto v = table->Get(key);
     if (v.ok()) {
-      return DecodeTagged(*v);
+      return DecodeTagged(std::move(*v));
     }
     if (v.status().code() != StatusCode::kNotFound) {
       return v.status();
@@ -382,7 +385,7 @@ Result<std::string> KvStore::Get(std::string_view key) {
   for (auto& table : level1_) {
     auto v = table->Get(key);
     if (v.ok()) {
-      return DecodeTagged(*v);
+      return DecodeTagged(std::move(*v));
     }
     if (v.status().code() != StatusCode::kNotFound) {
       return v.status();

@@ -1,11 +1,12 @@
 // Mini-RocksDB: an LSM key-value store over SplitFs.
 //
-// Write path: batch -> WAL append (+fsync in strong mode) -> memtable.
-// When the memtable fills, it is flushed as an L0 sstable (a large
-// background dfs write) and the WAL is deleted and rotated (Table 2's
-// delete-reclaim policy). When L0 accumulates, all tables are compacted
-// into L1. Reads go memtable -> L0 (newest first) -> L1, through a block
-// cache sized at a fraction of the dataset (§5: 30%).
+// Write path: batch -> WAL append (+fsync in strong mode) -> memtable (a
+// hash map). When the memtable fills, it is sorted once and flushed as an
+// L0 sstable (a large background dfs write) and the WAL is deleted and
+// rotated (Table 2's delete-reclaim policy). When L0 accumulates, all
+// tables are merged in one streaming k-way pass into a single L1 table.
+// Reads go memtable -> L0 (newest first) -> L1, through a block cache
+// sized at a fraction of the dataset (§5: 30%).
 //
 // Write stalls: when L0 grows past the stall threshold while earlier
 // flush/compaction writes still occupy the dfs backend, the writer waits
@@ -15,9 +16,11 @@
 #define SRC_APPS_KVSTORE_KV_STORE_H_
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/apps/kvstore/sstable.h"
@@ -84,7 +87,7 @@ class KvStore : public StorageApp {
 
   Status RecoverExistingState();
   // `batch` values must already carry the type tag.
-  Result<SimTime> ApplyBatchInternal(const std::vector<KvWrite>& batch,
+  Result<SimTime> ApplyBatchInternal(std::vector<KvWrite> batch,
                                      bool deferred);
   Status RotateWal();
   Status MaybeFlushAndCompact();
@@ -98,12 +101,27 @@ class KvStore : public StorageApp {
   // drains the in-flight append window (free when nothing is outstanding).
   bool sync_wal() const { return options_.mode != DurabilityMode::kWeak; }
 
+  // Writes `entries` (sorted) as a new sstable at `path` and opens it.
+  Result<std::unique_ptr<SstableReader>> WriteTable(
+      const std::string& path, const std::vector<SstEntry>& entries);
+
+  // Hashes std::string and std::string_view alike, so memtable lookups by
+  // view allocate nothing.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
   SplitFs* fs_;
   Simulation* sim_;
   const SimParams* params_;
   KvStoreOptions options_;
   std::unique_ptr<LruCache> block_cache_;
-  std::map<std::string, std::string> memtable_;
+  // Unordered; FlushMemtable sorts it once into the sstable's key order.
+  std::unordered_map<std::string, std::string, KeyHash, std::equal_to<>>
+      memtable_;
   uint64_t memtable_bytes_ = 0;
   std::unique_ptr<WriteAheadLog> wal_;
   uint64_t next_file_id_ = 1;

@@ -1,19 +1,26 @@
 #include "src/apps/kvstore/sstable.h"
 
+#include <algorithm>
+
 #include "src/common/bytes.h"
 #include "src/common/crc32c.h"
 
 namespace splitft {
 
-Status SstableBuilder::Write(
-    SplitFile* file, const std::map<std::string, std::string>& entries) {
+Status SstableBuilder::Write(SplitFile* file,
+                             const std::vector<SstEntry>& entries) {
+  size_t data_bytes = 0;
+  for (const auto& [key, value] : entries) {
+    data_bytes += 8 + key.size() + value.size();
+  }
   std::string data;
+  data.reserve(data_bytes);
   std::string index;
   uint32_t block_count = 0;
   std::string index_body;
 
   uint64_t block_start = 0;
-  std::string first_key;
+  std::string_view first_key;
   bool block_open = false;
   auto close_block = [&](uint64_t end) {
     PutLengthPrefixed(&index_body, first_key);
@@ -84,32 +91,34 @@ Result<std::unique_ptr<SstableReader>> SstableReader::Open(
 
   std::unique_ptr<SstableReader> reader(
       new SstableReader(std::move(file), block_cache));
-  std::string_view raw = *index_raw;
+  reader->index_raw_ = std::move(*index_raw);
+  std::string_view raw = reader->index_raw_;
   if (raw.size() < 4) {
     return DataLossError("sstable index truncated");
   }
   uint32_t count = DecodeFixed32(raw.data());
+  // Each entry takes at least 16 bytes, whatever `count` claims.
+  reader->index_.reserve(std::min<size_t>(count, (raw.size() - 4) / 16));
   size_t off = 4;
+  const std::string cache_prefix = reader->path() + "@";
   for (uint32_t i = 0; i < count; ++i) {
     std::string_view first_key;
     if (!GetLengthPrefixed(raw, &off, &first_key) || off + 12 > raw.size()) {
       return DataLossError("sstable index truncated");
     }
-    IndexEntry entry;
-    entry.first_key = std::string(first_key);
-    entry.offset = DecodeFixed64(raw.data() + off);
-    entry.length = DecodeFixed32(raw.data() + off + 8);
+    uint64_t offset = DecodeFixed64(raw.data() + off);
+    uint32_t length = DecodeFixed32(raw.data() + off + 8);
     off += 12;
-    reader->index_.push_back(std::move(entry));
+    reader->index_.push_back(IndexEntry{first_key, offset, length,
+                                        cache_prefix + std::to_string(offset)});
   }
   if (!reader->index_.empty()) {
-    reader->smallest_ = reader->index_.front().first_key;
     // The largest key requires scanning the last block.
     auto block = reader->ReadBlock(reader->index_.back());
     if (!block.ok()) {
       return block.status();
     }
-    std::string_view b = *block;
+    std::string_view b = **block;
     size_t pos = 0;
     std::string_view key, value;
     while (GetLengthPrefixed(b, &pos, &key) &&
@@ -120,43 +129,37 @@ Result<std::unique_ptr<SstableReader>> SstableReader::Open(
   return reader;
 }
 
-Result<std::string> SstableReader::ReadBlock(const IndexEntry& entry) {
-  std::string cache_key = file_->path() + "@" + std::to_string(entry.offset);
+Result<LruCache::Value> SstableReader::ReadBlock(const IndexEntry& entry) {
   if (cache_ != nullptr) {
-    auto cached = cache_->Get(cache_key);
-    if (cached.has_value()) {
-      return *cached;
+    LruCache::Value cached = cache_->Get(entry.cache_key);
+    if (cached != nullptr) {
+      return cached;
     }
   }
   auto block = file_->Read(entry.offset, entry.length);
   if (!block.ok()) {
     return block.status();
   }
+  auto shared = std::make_shared<const std::string>(std::move(*block));
   if (cache_ != nullptr) {
-    cache_->Put(cache_key, *block);
+    cache_->Put(entry.cache_key, shared);
   }
-  return *block;
+  return shared;
 }
 
 Result<std::string> SstableReader::Get(std::string_view key) {
-  if (index_.empty() || key < smallest_ || key > largest_) {
+  if (index_.empty() || key < smallest_key() || key > largest_) {
     return NotFoundError("not in table range");
   }
-  // Binary search for the last block whose first key <= key.
-  size_t lo = 0, hi = index_.size();
-  while (lo + 1 < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (index_[mid].first_key <= key) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  auto block = ReadBlock(index_[lo]);
+  // The last block whose first key <= key (key >= the first block's).
+  auto after = std::upper_bound(
+      index_.begin() + 1, index_.end(), key,
+      [](std::string_view k, const IndexEntry& e) { return k < e.first_key; });
+  auto block = ReadBlock(*(after - 1));
   if (!block.ok()) {
     return block.status();
   }
-  std::string_view b = *block;
+  std::string_view b = **block;
   size_t pos = 0;
   std::string_view k, v;
   while (GetLengthPrefixed(b, &pos, &k) && GetLengthPrefixed(b, &pos, &v)) {
@@ -167,22 +170,88 @@ Result<std::string> SstableReader::Get(std::string_view key) {
   return NotFoundError("key absent from block");
 }
 
-Status SstableReader::MergeInto(std::map<std::string, std::string>* out) {
+Result<std::vector<std::string>> SstableReader::ReadAllBlocks() {
   // Compaction inputs are background IO: they use the backend's bandwidth
   // but run on background threads, so they do not stall the write path.
+  std::vector<std::string> blocks;
+  blocks.reserve(index_.size());
   for (const IndexEntry& entry : index_) {
     auto block = file_->ReadBackground(entry.offset, entry.length);
     if (!block.ok()) {
       return block.status();
     }
-    std::string_view b = *block;
-    size_t pos = 0;
-    std::string_view k, v;
-    while (GetLengthPrefixed(b, &pos, &k) && GetLengthPrefixed(b, &pos, &v)) {
-      out->emplace(std::string(k), std::string(v));  // existing (newer) wins
+    blocks.push_back(std::move(*block));
+  }
+  return blocks;
+}
+
+namespace {
+
+// Walks one run's entries in key order.
+class RunCursor {
+ public:
+  explicit RunCursor(const std::vector<std::string>* blocks)
+      : blocks_(blocks) {
+    Advance();
+  }
+
+  bool valid() const { return block_ < blocks_->size(); }
+  const SstEntry& entry() const { return entry_; }
+
+  void Advance() {
+    for (; block_ < blocks_->size(); ++block_, pos_ = 0) {
+      std::string_view b = (*blocks_)[block_];
+      if (GetLengthPrefixed(b, &pos_, &entry_.key) &&
+          GetLengthPrefixed(b, &pos_, &entry_.value)) {
+        return;
+      }
     }
   }
-  return OkStatus();
+
+ private:
+  const std::vector<std::string>* blocks_;
+  size_t block_ = 0;
+  size_t pos_ = 0;
+  SstEntry entry_;
+};
+
+}  // namespace
+
+std::vector<SstEntry> MergeRuns(
+    const std::vector<std::vector<std::string>>& runs) {
+  std::vector<RunCursor> cursors;
+  cursors.reserve(runs.size());
+  for (const auto& run : runs) {
+    cursors.emplace_back(&run);
+  }
+  // Min-heap of live cursors by (key, run): for equal keys the newest run
+  // pops first, and the older duplicates that follow it are skipped.
+  auto pops_later = [&cursors](size_t a, size_t b) {
+    int c = cursors[a].entry().key.compare(cursors[b].entry().key);
+    return c != 0 ? c > 0 : a > b;
+  };
+  std::vector<size_t> heap;
+  for (size_t i = 0; i < cursors.size(); ++i) {
+    if (cursors[i].valid()) {
+      heap.push_back(i);
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), pops_later);
+  std::vector<SstEntry> merged;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), pops_later);
+    RunCursor& cursor = cursors[heap.back()];
+    if (merged.empty() || merged.back().key != cursor.entry().key) {
+      merged.push_back(cursor.entry());
+    }
+    cursor.Advance();
+    if (cursor.valid()) {
+      std::push_heap(heap.begin(), heap.end(), pops_later);
+    } else {
+      heap.pop_back();
+    }
+  }
+  return merged;
 }
 
 }  // namespace splitft

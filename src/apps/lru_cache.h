@@ -1,70 +1,74 @@
 // Byte-budgeted LRU cache used as the applications' block/page cache
 // (the paper sizes it at 30% of the dataset, §5).
+//
+// Values are shared immutable strings: a hit hands out the cached value
+// itself instead of a copy, and a value handed out stays valid after the
+// cache evicts it. The index is keyed by views of the keys the entries
+// own, so lookups by string_view allocate nothing.
 #ifndef SRC_APPS_LRU_CACHE_H_
 #define SRC_APPS_LRU_CACHE_H_
 
 #include <cstdint>
 #include <list>
-#include <optional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace splitft {
 
 class LruCache {
  public:
+  using Value = std::shared_ptr<const std::string>;
+
   explicit LruCache(uint64_t capacity_bytes)
       : capacity_bytes_(capacity_bytes) {}
 
   // Inserts or refreshes an entry, evicting LRU entries over budget.
-  void Put(const std::string& key, std::string value) {
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      used_bytes_ -= EntryBytes(it->second->first, it->second->second);
-      entries_.erase(it->second);
-      index_.erase(it);
-    }
-    uint64_t bytes = EntryBytes(key, value);
+  void Put(std::string_view key, Value value) {
+    Erase(key);
+    uint64_t bytes = key.size() + value->size();
     if (bytes > capacity_bytes_) {
       return;  // would never fit
     }
-    entries_.emplace_front(key, std::move(value));
-    index_[key] = entries_.begin();
+    entries_.push_front(Entry{std::string(key), std::move(value)});
+    index_.emplace(entries_.front().key, entries_.begin());
     used_bytes_ += bytes;
     while (used_bytes_ > capacity_bytes_ && !entries_.empty()) {
-      auto& back = entries_.back();
-      used_bytes_ -= EntryBytes(back.first, back.second);
-      index_.erase(back.first);
+      const Entry& back = entries_.back();
+      used_bytes_ -= EntryBytes(back);
+      index_.erase(back.key);
       entries_.pop_back();
       evictions_++;
     }
   }
 
-  // Returns the value and refreshes recency, or nullopt on miss.
-  std::optional<std::string> Get(const std::string& key) {
+  // Returns the value and refreshes recency, or nullptr on miss.
+  Value Get(std::string_view key) {
     auto it = index_.find(key);
     if (it == index_.end()) {
       misses_++;
-      return std::nullopt;
+      return nullptr;
     }
     hits_++;
     entries_.splice(entries_.begin(), entries_, it->second);
-    return it->second->second;
+    return it->second->value;
   }
 
-  void Erase(const std::string& key) {
+  void Erase(std::string_view key) {
     auto it = index_.find(key);
     if (it == index_.end()) {
       return;
     }
-    used_bytes_ -= EntryBytes(it->second->first, it->second->second);
-    entries_.erase(it->second);
-    index_.erase(it);
+    auto entry = it->second;
+    used_bytes_ -= EntryBytes(*entry);
+    index_.erase(it);  // before the key its view points into
+    entries_.erase(entry);
   }
 
   void Clear() {
-    entries_.clear();
     index_.clear();
+    entries_.clear();
     used_bytes_ = 0;
   }
 
@@ -76,16 +80,20 @@ class LruCache {
   uint64_t evictions() const { return evictions_; }
 
  private:
-  static uint64_t EntryBytes(const std::string& key, const std::string& value) {
-    return key.size() + value.size();
+  struct Entry {
+    std::string key;
+    Value value;
+  };
+
+  static uint64_t EntryBytes(const Entry& entry) {
+    return entry.key.size() + entry.value->size();
   }
 
   uint64_t capacity_bytes_;
   uint64_t used_bytes_ = 0;
-  std::list<std::pair<std::string, std::string>> entries_;  // MRU first
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string, std::string>>::iterator>
-      index_;
+  std::list<Entry> entries_;  // MRU first
+  // Keys view entries_' own key strings, which list nodes never move.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

@@ -202,7 +202,7 @@ Status SqliteLite::ExecTransaction(const std::vector<KvWrite>& writes) {
   RETURN_IF_ERROR(CommitFrame(writes));
   for (const KvWrite& w : writes) {
     table_[w.key] = w.value;
-    page_cache_->Put(w.key, w.value);
+    page_cache_->Put(w.key, std::make_shared<const std::string>(w.value));
   }
   return OkStatus();
 }
@@ -218,7 +218,7 @@ Result<std::string> SqliteLite::Get(std::string_view key) {
     return NotFoundError("no such row");
   }
   // Page-cache model: a miss reads a 4 KiB page of the db file.
-  if (!page_cache_->Get(std::string(key)).has_value()) {
+  if (page_cache_->Get(key) == nullptr) {
     uint64_t db_size = db_->Size();
     if (db_size > 4096) {
       uint64_t page = Crc32c(std::string_view(key)) %
@@ -228,7 +228,7 @@ Result<std::string> SqliteLite::Get(std::string_view key) {
       DiscardStatus(db_->Read(page * 4096, 4096),
                     "SqliteLite page-cache fill");
     }
-    page_cache_->Put(std::string(key), it->second);
+    page_cache_->Put(key, std::make_shared<const std::string>(it->second));
   }
   return it->second;
 }

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/apps/kvstore/kv_store.h"
 #include "src/apps/kvstore/sstable.h"
@@ -142,6 +143,16 @@ TEST_F(EdgeTest, EmptyValueIsNotATombstone) {
 
 // ------------------------------------------------------- sstable format --
 
+// The builder's input for `entries`, which a std::map keeps sorted.
+std::vector<SstEntry> SortedEntries(
+    const std::map<std::string, std::string>& entries) {
+  std::vector<SstEntry> sorted;
+  for (const auto& [key, value] : entries) {
+    sorted.push_back(SstEntry{key, value});
+  }
+  return sorted;
+}
+
 class SstableFormatTest : public EdgeTest {
  protected:
   // Builds a table from `entries` and reopens it.
@@ -152,7 +163,8 @@ class SstableFormatTest : public EdgeTest {
       return file.status();
     }
     auto split = std::make_unique<FileAdapter>(std::move(*file));
-    RETURN_IF_ERROR(SstableBuilder::Write(split.get(), entries));
+    RETURN_IF_ERROR(
+        SstableBuilder::Write(split.get(), SortedEntries(entries)));
     auto rfile = dfs_.Open("/sst-test");
     if (!rfile.ok()) {
       return rfile.status();
@@ -261,7 +273,7 @@ TEST_F(SstableFormatTest, CorruptIndexDetected) {
   for (int i = 0; i < 20; ++i) {
     entries["key-" + std::to_string(i)] = "value";
   }
-  ASSERT_TRUE(SstableBuilder::Write(&adapter, entries).ok());
+  ASSERT_TRUE(SstableBuilder::Write(&adapter, SortedEntries(entries)).ok());
   // Corrupt a byte inside the index area (just before the 20-byte footer).
   ASSERT_TRUE(adapter.WriteAt(adapter.Size() - 25, "X").ok());
   ASSERT_TRUE(adapter.Sync().ok());
@@ -283,6 +295,160 @@ TEST_F(SstableFormatTest, TruncatedFileDetected) {
       std::make_unique<SstableFormatTest::FileAdapter>(std::move(*rfile)),
       nullptr);
   EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+}
+
+// ------------------------------------------ compaction vs a reference --
+
+// rocksdb-mini's internal value encoding (kv_store.h): a type byte, then
+// the user bytes; a tombstone is the type byte alone.
+std::string Tagged(std::string_view value) {
+  return "\x01" + std::string(value);
+}
+const std::string kTombstone(1, '\0');
+
+class CompactionDiffTest : public SstableFormatTest {
+ protected:
+  std::string FileBytes(const std::string& path) {
+    auto file = dfs_.Open(path, {.create = false});
+    EXPECT_TRUE(file.ok()) << path;
+    if (!file.ok()) {
+      return "";
+    }
+    auto bytes = (*file)->Read(0, (*file)->Size());
+    EXPECT_TRUE(bytes.ok()) << path;
+    return bytes.ok() ? *bytes : "";
+  }
+
+  // The bytes of the one sstable under `prefix`.
+  std::string OnlyTable(const std::string& prefix) {
+    std::vector<std::string> paths = dfs_.List(prefix);
+    EXPECT_EQ(paths.size(), 1u) << prefix;
+    return paths.empty() ? "" : FileBytes(paths.front());
+  }
+
+  // What the builder writes for `entries`: the reference's bytes.
+  std::string ReferenceTable(const std::map<std::string, std::string>& entries,
+                             const std::string& path) {
+    auto file = dfs_.Open(path);
+    EXPECT_TRUE(file.ok());
+    if (!file.ok()) {
+      return "";
+    }
+    FileAdapter adapter(std::move(*file));
+    EXPECT_TRUE(SstableBuilder::Write(&adapter, SortedEntries(entries)).ok());
+    return FileBytes(path);
+  }
+};
+
+TEST_F(CompactionDiffTest, CompactedL1EqualsReferenceMerge) {
+  auto fs = MakeFs("kv-diff");
+  KvStoreOptions options;
+  options.mode = DurabilityMode::kSplitFt;
+  options.memtable_bytes = 1 << 20;  // flushes only when asked
+  options.l0_compaction_trigger = 4;
+  auto store = KvStore::Open(fs.get(), &sim_, &params_, options);
+  ASSERT_TRUE(store.ok());
+  KvStore* kv = store->get();
+
+  // Every flushed write in order, newest last: the reference merge.
+  std::map<std::string, std::string> reference;
+  std::map<std::string, std::string> memtable;
+  auto put = [&](int i, const std::string& value) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key-%04d", i);
+    ASSERT_TRUE(kv->Put(key, value).ok());
+    memtable[key] = Tagged(value);
+  };
+  auto del = [&](int i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key-%04d", i);
+    ASSERT_TRUE(kv->Delete(key).ok());
+    memtable[key] = kTombstone;
+  };
+  auto flush = [&] {
+    ASSERT_TRUE(kv->FlushMemtable().ok());
+    for (auto& [key, value] : memtable) {
+      reference[key] = value;
+    }
+    memtable.clear();
+  };
+  // Four overlapping L0 tables per compaction; the fifth write after them
+  // (it stays in the memtable) triggers the compaction.
+  auto round = [&](int r) {
+    for (int i = r * 40; i < r * 40 + 120; ++i) {
+      put(i, "r" + std::to_string(r) + "-" + std::string(40 + i % 50, 'v'));
+    }
+    for (int i = r * 40 + 10; i < r * 40 + 200; i += 17) {
+      del(i);  // some deleted keys were never written
+    }
+    put(r * 40 + 3, "");            // empty value, not a tombstone
+    put(r * 40 + 10, "resurrect");  // written again after a delete
+    flush();
+  };
+  for (int r = 0; r < 4; ++r) {
+    round(r);
+  }
+  ASSERT_EQ(kv->l0_tables(), 4u);
+  put(9999, "trigger");
+  ASSERT_EQ(kv->l0_tables(), 0u);
+  ASSERT_EQ(kv->l1_tables(), 1u);
+  auto live = [](std::map<std::string, std::string> entries) {
+    std::erase_if(entries,
+                  [](const auto& e) { return e.second == kTombstone; });
+    return entries;
+  };
+  EXPECT_EQ(OnlyTable("/kv/sst-L1-"),
+            ReferenceTable(live(reference), "/ref-first"));
+
+  // Four more L0 tables over the L1 (deletes now reach keys in it), then
+  // a compaction of all five.
+  for (int r = 2; r < 6; ++r) {
+    round(r);
+  }
+  ASSERT_EQ(kv->l0_tables(), 4u);
+  put(9998, "trigger");
+  ASSERT_EQ(kv->l0_tables(), 0u);
+  EXPECT_EQ(OnlyTable("/kv/sst-L1-"),
+            ReferenceTable(live(reference), "/ref-second"));
+  EXPECT_EQ(*kv->Get("key-0083"), "");
+  EXPECT_EQ(*kv->Get("key-0090"), "resurrect");
+}
+
+TEST_F(CompactionDiffTest, InsertOrderDoesNotChangeFlushedBytes) {
+  std::vector<int> ids;
+  for (int i = 0; i < 600; ++i) {
+    ids.push_back(i);
+  }
+  std::vector<int> shuffled = ids;
+  Rng rng(11);
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.Uniform(i + 1)]);
+  }
+  auto flushed = [&](const std::string& name, const std::vector<int>& order) {
+    auto fs = MakeFs(name);
+    KvStoreOptions options;
+    options.mode = DurabilityMode::kSplitFt;
+    options.dir = "/" + name;
+    options.memtable_bytes = 1 << 20;
+    auto store = KvStore::Open(fs.get(), &sim_, &params_, options);
+    EXPECT_TRUE(store.ok());
+    for (int id : order) {
+      std::string key = "user" + std::to_string(id * 7919 % 1000);
+      // Every key is overwritten once, and every 9th one is deleted.
+      EXPECT_TRUE((*store)->Put(key, "stale").ok());
+      std::string value(static_cast<size_t>(id % 130),
+                        static_cast<char>('a' + id % 26));
+      EXPECT_TRUE((*store)->Put(key, value).ok());
+      if (id % 9 == 0) {
+        EXPECT_TRUE((*store)->Delete(key).ok());
+      }
+    }
+    EXPECT_TRUE((*store)->FlushMemtable().ok());
+    return OnlyTable("/" + name + "/sst-L0-");
+  };
+  std::string sorted_bytes = flushed("kv-sorted", ids);
+  EXPECT_GT(sorted_bytes.size(), 8 * kSstableBlockBytes);
+  EXPECT_EQ(flushed("kv-shuffled", shuffled), sorted_bytes);
 }
 
 // --------------------------------------------- dfs crash-consistency fuzz --

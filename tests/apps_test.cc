@@ -60,30 +60,55 @@ class AppsTest : public ::testing::Test {
 
 // --------------------------------------------------------------- LruCache --
 
+LruCache::Value Shared(std::string value) {
+  return std::make_shared<const std::string>(std::move(value));
+}
+
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
   LruCache cache(30);
-  cache.Put("a", "0123456789");  // 11 bytes
-  cache.Put("b", "0123456789");
-  ASSERT_TRUE(cache.Get("a").has_value());  // refresh a
-  cache.Put("c", "0123456789");             // evicts b
-  EXPECT_TRUE(cache.Get("a").has_value());
-  EXPECT_FALSE(cache.Get("b").has_value());
-  EXPECT_TRUE(cache.Get("c").has_value());
+  cache.Put("a", Shared("0123456789"));  // 11 bytes
+  cache.Put("b", Shared("0123456789"));
+  ASSERT_NE(cache.Get("a"), nullptr);     // refresh a
+  cache.Put("c", Shared("0123456789"));  // evicts b
+  EXPECT_NE(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.Get("b"), nullptr);
+  EXPECT_NE(cache.Get("c"), nullptr);
   EXPECT_GT(cache.evictions(), 0u);
 }
 
 TEST(LruCacheTest, OversizedEntryRejected) {
   LruCache cache(8);
-  cache.Put("key", std::string(100, 'x'));
+  cache.Put("key", Shared(std::string(100, 'x')));
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(LruCacheTest, UpdateReplacesValueAndAccounting) {
   LruCache cache(100);
-  cache.Put("k", "aaaa");
-  cache.Put("k", "bb");
+  cache.Put("k", Shared("aaaa"));
+  cache.Put("k", Shared("bb"));
   EXPECT_EQ(cache.used_bytes(), 3u);
   EXPECT_EQ(*cache.Get("k"), "bb");
+}
+
+TEST(LruCacheTest, HandedOutValueSurvivesItsEviction) {
+  LruCache cache(24);
+  cache.Put("a", Shared("first-value"));  // 12 bytes
+  LruCache::Value held = cache.Get("a");
+  ASSERT_NE(held, nullptr);
+  // A hit shares the cached string rather than copying it.
+  EXPECT_EQ(cache.Get("a").get(), held.get());
+  cache.Put("b", Shared("second-value"));  // 13 bytes: evicts a
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.used_bytes(), 13u);
+  EXPECT_EQ(*held, "first-value");
+  // Replacing and erasing entries leave earlier holders intact too.
+  LruCache::Value second = cache.Get("b");
+  cache.Put("b", Shared("x"));
+  cache.Erase("b");
+  EXPECT_EQ(*second, "second-value");
+  EXPECT_EQ(cache.used_bytes(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 // -------------------------------------------------------------------- WAL --
