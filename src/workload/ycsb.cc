@@ -1,8 +1,6 @@
 #include "src/workload/ycsb.h"
 
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 
 namespace splitft {
 namespace {
@@ -131,22 +129,41 @@ YcsbWorkload::YcsbWorkload(YcsbWorkloadKind kind, uint64_t record_count,
       latest_(record_count) {}
 
 std::string YcsbWorkload::KeyFor(uint64_t id) {
-  // 24-byte keys: "user" + zero-padded 20-digit id.
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "user%020" PRIu64, id);
+  // 24-byte keys: "user" + zero-padded 20-digit id (UINT64_MAX has 20).
+  char buf[kKeyBytes] = {'u', 's', 'e', 'r'};
+  for (size_t i = kKeyBytes; i > 4; --i, id /= 10) {
+    buf[i - 1] = static_cast<char>('0' + id % 10);
+  }
   return std::string(buf, kKeyBytes);
 }
 
 std::string YcsbWorkload::ValueFor(uint64_t id) {
-  // 100-byte deterministic-but-varied payload.
-  std::string value;
-  value.reserve(kValueBytes);
-  uint64_t x = FnvHash64(id ^ rng_.Next());
-  while (value.size() < kValueBytes) {
-    value.push_back(static_cast<char>('a' + (x % 26)));
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
+  // 100-byte deterministic-but-varied payload: byte i is 'a' + x_i % 26,
+  // where x_0 = FnvHash64(id ^ rng) and x_{i+1} = a * x_i + c. Four
+  // interleaved lanes walk the same sequence (lane j holds x_j, x_{j+4},
+  // ...; each steps by the recurrence applied four times), so the lanes'
+  // multiplies do not wait on each other.
+  constexpr uint64_t kA = 6364136223846793005ull;
+  constexpr uint64_t kC = 1442695040888963407ull;
+  constexpr uint64_t kA4 = kA * kA * kA * kA;
+  constexpr uint64_t kC4 = kC * (kA * kA * kA + kA * kA + kA + 1);
+  static_assert(kValueBytes % 4 == 0);
+  uint64_t x0 = FnvHash64(id ^ rng_.Next());
+  uint64_t x1 = x0 * kA + kC;
+  uint64_t x2 = x1 * kA + kC;
+  uint64_t x3 = x2 * kA + kC;
+  char buf[kValueBytes];
+  for (size_t i = 0; i < kValueBytes; i += 4) {
+    buf[i] = static_cast<char>('a' + x0 % 26);
+    buf[i + 1] = static_cast<char>('a' + x1 % 26);
+    buf[i + 2] = static_cast<char>('a' + x2 % 26);
+    buf[i + 3] = static_cast<char>('a' + x3 % 26);
+    x0 = x0 * kA4 + kC4;
+    x1 = x1 * kA4 + kC4;
+    x2 = x2 * kA4 + kC4;
+    x3 = x3 * kA4 + kC4;
   }
-  return value;
+  return std::string(buf, kValueBytes);
 }
 
 YcsbOp YcsbWorkload::Next() {
