@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/dfs/dfs.h"
 #include "src/sim/params.h"
@@ -386,18 +388,100 @@ class StripedDfsTest : public ::testing::Test {
 };
 
 TEST_F(StripedDfsTest, SinglePipeReductionMatchesSeedArithmetic) {
-  // num_servers == 1 must reproduce the seed's calibrated latency exactly.
-  SimParams seed = StripedParams(1);
-  Simulation sim;
-  DfsCluster cluster(&sim, &seed);
-  DfsClient client(&cluster, "app");
-  auto file = client.Open("/f");
-  ASSERT_TRUE(file.ok());
-  std::string payload(1 << 20, 'x');
-  ASSERT_TRUE((*file)->Append(payload).ok());
-  SimTime before = sim.Now();
-  ASSERT_TRUE((*file)->Sync().ok());
-  EXPECT_EQ(sim.Now() - before, seed.DfsSyncWriteLatency(payload.size()));
+  // Every charge a one-server cluster makes is the seed's calibrated
+  // arithmetic, max(now, busy) + base + bytes/bw, with each missing
+  // readahead window its own request; the replay leg of a rolling restart
+  // is stripe_server_base + backlog/bw on the returning server's pipe.
+  // Each case states its exact expected time from the raw parameters.
+  const SimParams p;
+  const uint64_t kMiB = 1ull << 20;
+  const uint64_t kWindow = p.dfs.readahead_bytes;
+  auto bw = [](uint64_t bytes, double bytes_per_ns) {
+    return static_cast<SimTime>(static_cast<double>(bytes) / bytes_per_ns);
+  };
+  // Writes and fsyncs `bytes` to `path` (no page-cache windows result).
+  auto put = [](DfsClient& client, const std::string& path, uint64_t bytes) {
+    auto file = client.Open(path);
+    EXPECT_TRUE(file.ok());
+    EXPECT_TRUE((*file)->Append(std::string(bytes, 'x')).ok());
+    EXPECT_TRUE((*file)->Sync().ok());
+  };
+  struct Case {
+    const char* name;
+    int servers;
+    // Drives the cluster; returns the measured time.
+    std::function<SimTime(Simulation&, DfsCluster&, DfsClient&)> measure;
+    SimTime expected;
+  };
+  const std::vector<Case> cases = {
+      {"foreground fsync", 1,
+       [](Simulation& sim, DfsCluster&, DfsClient& client) {
+         auto file = client.Open("/f");
+         EXPECT_TRUE(file.ok());
+         EXPECT_TRUE((*file)->Append(std::string(1 << 20, 'x')).ok());
+         SimTime before = sim.Now();
+         EXPECT_TRUE((*file)->Sync().ok());
+         return sim.Now() - before;
+       },
+       p.dfs.sync_base_latency + bw(kMiB, p.dfs.write_bytes_per_ns)},
+      {"background flush horizon", 1,
+       [](Simulation& sim, DfsCluster& cluster, DfsClient& client) {
+         auto file = client.Open("/f");
+         EXPECT_TRUE(file.ok());
+         EXPECT_TRUE((*file)->Append(std::string(1 << 20, 'x')).ok());
+         SimTime before = sim.Now();
+         EXPECT_EQ(client.BackgroundFlushAll(), 1u << 20);
+         EXPECT_EQ(sim.Now(), before);  // the caller does not block
+         return cluster.server_busy_until(0) - before;
+       },
+       p.dfs.sync_base_latency + bw(kMiB, p.dfs.write_bytes_per_ns)},
+      {"direct-IO read", 1,
+       [&put](Simulation& sim, DfsCluster&, DfsClient& client) {
+         put(client, "/f", 3 << 20);
+         DfsOpenOptions direct;
+         direct.direct_io = true;
+         auto file = client.Open("/f", direct);
+         EXPECT_TRUE(file.ok());
+         SimTime before = sim.Now();
+         EXPECT_EQ((*file)->Read(0, 3 << 20)->size(), 3u << 20);
+         return sim.Now() - before;
+       },
+       p.dfs.remote_read_base + bw(3 * kMiB, p.dfs.read_bytes_per_ns)},
+      {"two-window cold page-cache read", 1,
+       [&put, kWindow](Simulation& sim, DfsCluster&, DfsClient& client) {
+         put(client, "/f", 2 * kWindow);
+         client.SimulateCrash();  // cold page cache
+         auto file = client.Open("/f");
+         EXPECT_TRUE(file.ok());
+         SimTime before = sim.Now();
+         EXPECT_EQ((*file)->Read(0, 2 * kWindow)->size(), 2 * kWindow);
+         return sim.Now() - before;
+       },
+       // Two serial requests, one per missing window.
+       2 * (p.dfs.remote_read_base + bw(kWindow, p.dfs.read_bytes_per_ns))},
+      {"rolling-restart replay horizon", 3,
+       [&put](Simulation& sim, DfsCluster& cluster, DfsClient& client) {
+         EXPECT_TRUE(cluster.TakeServerOffline(1).ok());
+         // 3 MiB at 64 KiB stripes: server 1 misses 16 stripes.
+         put(client, "/f", 3 << 20);
+         EXPECT_EQ(cluster.replay_backlog(1), 16u * 64 * 1024);
+         sim.AdvanceTo(cluster.pipe_busy_until() + Millis(1));
+         SimTime before = sim.Now();
+         SimTime other = cluster.server_busy_until(0);
+         EXPECT_TRUE(cluster.BringServerOnline(1).ok());
+         EXPECT_EQ(cluster.server_busy_until(0), other);  // own pipe only
+         return cluster.server_busy_until(1) - before;
+       },
+       p.dfs.stripe_server_base + bw(kMiB, p.dfs.write_bytes_per_ns)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SimParams params = StripedParams(c.servers);
+    Simulation sim;
+    DfsCluster cluster(&sim, &params);
+    DfsClient client(&cluster, "app");
+    EXPECT_EQ(c.measure(sim, cluster, client), c.expected);
+  }
 }
 
 TEST_F(StripedDfsTest, LargeFsyncFansOutAtLeastTwiceAsFast) {
