@@ -29,7 +29,7 @@ struct Point {
 // Appends + fsyncs `blocks` blocks of `block` bytes through one dfs file.
 Point RunWrites(int servers, uint64_t stripe, uint64_t block, int blocks) {
   TestbedOptions options;
-  options.dfs_servers = servers;
+  options.params.dfs.num_servers = servers;
   options.params.dfs.stripe_size = stripe;
   Testbed testbed(options);
   DfsClient client(testbed.dfs_cluster(), "ab-striping");
@@ -57,7 +57,7 @@ Point RunWrites(int servers, uint64_t stripe, uint64_t block, int blocks) {
 // One cold sequential read of the whole file (the recovery shape).
 SimTime RunRecoveryRead(int servers, uint64_t stripe, uint64_t bytes) {
   TestbedOptions options;
-  options.dfs_servers = servers;
+  options.params.dfs.num_servers = servers;
   options.params.dfs.stripe_size = stripe;
   Testbed testbed(options);
   DfsClient client(testbed.dfs_cluster(), "ab-striping-read");

@@ -33,7 +33,7 @@ uint64_t MaxReads() { return bench::SmokeFromEnv() ? 1000 : 20000; }
 // contrast it with the default three-server backend.
 TestbedOptions LegacyDfs(int dfs_servers = 1) {
   TestbedOptions options;
-  options.dfs_servers = dfs_servers;
+  options.params.dfs.num_servers = dfs_servers;
   return options;
 }
 
@@ -232,7 +232,7 @@ void SectionB(bench::Reporter* reporter) {
     Measured m;
     TestbedOptions options;
     options.tracing = traced;
-    options.dfs_servers = dfs_servers;
+    options.params.dfs.num_servers = dfs_servers;
     Testbed testbed(options);
     std::string app = std::string("fig11b-") + app_tag + "-" +
                       std::string(DurabilityModeName(mode));

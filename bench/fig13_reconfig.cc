@@ -46,8 +46,9 @@ int main() {
   bench::Title("Figure 13: append p99 under planned reconfiguration");
 
   TestbedOptions testbed_options;
-  testbed_options.num_peers = 6;   // 3 assigned + spares for migration
-  testbed_options.dfs_servers = 3;  // striped, so restarts can roll
+  testbed_options.num_peers = 6;  // 3 assigned + spares for migration
+  // Striped, so dfs server restarts can roll.
+  testbed_options.params.dfs.num_servers = 3;
   Testbed testbed(testbed_options);
   auto server = testbed.MakeServer("fig13", {.ncl_capacity = 64ull << 20});
   KvStoreOptions options;

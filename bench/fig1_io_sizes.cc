@@ -79,7 +79,7 @@ void AppSection(bench::Reporter* reporter, const char* name, const char* tag,
 // subsection below contrasts it with the default three-server backend.
 TestbedOptions LegacyDfs() {
   TestbedOptions options;
-  options.dfs_servers = 1;
+  options.params.dfs.num_servers = 1;
   return options;
 }
 
@@ -193,7 +193,7 @@ int main() {
     int idx = 0;
     for (int servers : {1, 3}) {
       TestbedOptions options;
-      options.dfs_servers = servers;
+      options.params.dfs.num_servers = servers;
       Testbed testbed(options);
       DfsClient client(testbed.dfs_cluster(), "fig1d-striped");
       auto file = client.Open("/striped-" + std::to_string(block));

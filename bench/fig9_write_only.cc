@@ -23,7 +23,7 @@ HarnessResult RunPoint(App app, DurabilityMode mode, int clients,
   // The paper-figure sweep runs the seed-calibrated single-pipe dfs so its
   // curves stay comparable across PRs; the striping subsection passes 3.
   TestbedOptions testbed_options;
-  testbed_options.dfs_servers = dfs_servers;
+  testbed_options.params.dfs.num_servers = dfs_servers;
   Testbed testbed(testbed_options);
   std::string id = std::string("fig9-") + std::to_string(static_cast<int>(app)) +
                    "-" + std::string(DurabilityModeName(mode));

@@ -25,10 +25,7 @@ Controller::Controller(Simulation* sim, const SimParams* params,
       c_rpc_timeouts_(obs.counter("controller.rpc.timeouts")),
       c_apmap_fenced_(obs.counter("controller.apmap.fenced_writes")),
       h_rpc_ns_(obs.histogram("controller.rpc.latency_ns")) {
-  int n = params_->controller.num_shards;
-  if (n < 1) {
-    n = 1;
-  }
+  const int n = kNumShards;
   shards_.resize(n);
   c_shard_rpcs_.reserve(n);
   for (int i = 0; i < n; ++i) {

@@ -64,12 +64,13 @@ struct ApMapEntry {
 class Controller {
  public:
   // Application state (/apps epochs + ap-maps, /servers leases) is
-  // hash-partitioned by app_id across ControllerParams::num_shards znode
-  // trees so thousands of tenants do not serialize on one tree; the peer
-  // registry (/peers) stays global. Every app maps to exactly one shard and
-  // the epoch fence is per (app, file), so the fencing argument is
-  // unaffected by the shard count (DESIGN.md §14).
-  //
+  // hash-partitioned by app_id across kNumShards znode trees so thousands
+  // of tenants do not serialize on one tree; the peer registry (/peers)
+  // stays global. Every app maps to exactly one shard and the epoch fence
+  // is per (app, file), so the fencing argument is unaffected by the shard
+  // count (DESIGN.md §14).
+  static constexpr int kNumShards = 8;
+
   // Registry keys: "controller.rpc.count" / "controller.rpc.timeouts"
   // counters, per-shard "controller.shard.<i>.rpcs" counters, a
   // "controller.rpc.latency_ns" histogram, and a "controller.rpc" trace

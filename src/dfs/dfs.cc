@@ -42,6 +42,19 @@ DfsCluster::DfsCluster(Simulation* sim, const SimParams* params,
   h_fsync_xfer_ns_ = obs_.histogram("dfs.client.fsync_xfer_ns");
   pipe_busy_.assign(num_servers_, 0);
   replay_backlog_.assign(num_servers_, 0);
+  const DfsParams& dfs = params_->dfs;
+  if (num_servers_ == 1) {
+    // A one-leg fan-out: the calibrated single-pipe bases already fold in
+    // the client's share, so max(now, busy) + base + bytes/bw is the seed
+    // arithmetic (DESIGN.md §10).
+    write_cost_ = {0, dfs.sync_base_latency, dfs.write_bytes_per_ns};
+    read_cost_ = {0, dfs.remote_read_base, dfs.read_bytes_per_ns};
+  } else {
+    write_cost_ = {dfs.stripe_client_base, dfs.stripe_server_base,
+                   dfs.write_bytes_per_ns};
+    read_cost_ = {dfs.stripe_client_read_base, dfs.stripe_server_read_base,
+                  dfs.read_bytes_per_ns};
+  }
   for (int s = 0; s < num_servers_; ++s) {
     std::string prefix = "dfs.server." + std::to_string(s);
     c_server_bytes_written_.push_back(obs_.counter(prefix + ".bytes_written"));
@@ -60,11 +73,6 @@ SimTime DfsCluster::pipe_busy_until() const {
   return busy;
 }
 
-int DfsCluster::ServerForOffset(uint64_t offset) const {
-  return static_cast<int>((offset / stripe_size_) %
-                          static_cast<uint64_t>(num_servers_));
-}
-
 void DfsCluster::AddStripeShares(uint64_t offset, uint64_t len,
                                  std::vector<uint64_t>* shares) const {
   while (len > 0) {
@@ -75,16 +83,6 @@ void DfsCluster::AddStripeShares(uint64_t offset, uint64_t len,
     offset += chunk;
     len -= chunk;
   }
-}
-
-SimTime DfsCluster::AcquirePipe(SimTime duration, bool foreground) {
-  SimTime start = std::max(sim_->Now(), pipe_busy_[0]);
-  SimTime done = start + duration;
-  pipe_busy_[0] = done;
-  if (foreground) {
-    sim_->AdvanceTo(done);
-  }
-  return done;
 }
 
 Status DfsCluster::TakeServerOffline(int server) {
@@ -125,29 +123,20 @@ Status DfsCluster::BringServerOnline(int server) {
   if (backlog == 0) {
     return OkStatus();
   }
-  // Replay the missed writes as one background transfer on the returned
-  // server's own pipe: it catches up without stalling foreground traffic
-  // on the other servers.
-  const DfsParams& dfs = params_->dfs;
-  SimTime leg = dfs.stripe_server_base +
-                static_cast<SimTime>(static_cast<double>(backlog) /
-                                     dfs.write_bytes_per_ns);
-  SimTime start = std::max(sim_->Now(), pipe_busy_[server]);
-  SimTime done = start + leg;
-  pipe_busy_[server] = done;
-  ObsAdd(c_server_bytes_written_[server], backlog);
-  ObsAdd(c_server_ops_[server]);
+  // Replay the missed writes as one background leg on the returned
+  // server's own pipe, with no client dispatch: it catches up without
+  // stalling foreground traffic on the other servers.
+  std::vector<uint64_t> shares(num_servers_, 0);
+  shares[server] = backlog;
+  FanOut(shares, {0, write_cost_.server_base, write_cost_.bytes_per_ns},
+         /*foreground=*/false, /*is_write=*/true);
   ObsAdd(c_replayed_bytes_, backlog);
-  if (obs_.tracer != nullptr && obs_.tracer->enabled()) {
-    obs_.tracer->AddAsyncSpan(server_write_span_[server], start, done);
-  }
   return OkStatus();
 }
 
 SimTime DfsCluster::FanOut(const std::vector<uint64_t>& shares,
-                           SimTime client_base, SimTime server_base,
-                           double bytes_per_ns, bool foreground, bool is_write,
-                           SimTime* ideal_ns) {
+                           const TransferCost& cost, bool foreground,
+                           bool is_write, SimTime* ideal_ns) {
   // Route around an offline server: its stripe shares go to the next
   // online server's pipe; missed write bytes accrue as replay backlog.
   const std::vector<uint64_t>* routed = &shares;
@@ -165,16 +154,16 @@ SimTime DfsCluster::FanOut(const std::vector<uint64_t>& shares,
     routed = &rerouted;
   }
   SimTime now = sim_->Now();
-  SimTime dispatch = now + client_base;
+  SimTime dispatch = now + cost.client_base;
   SimTime completion = dispatch;
   SimTime longest_leg = 0;
   for (int s = 0; s < num_servers_; ++s) {
     if ((*routed)[s] == 0) {
       continue;
     }
-    SimTime leg = server_base +
+    SimTime leg = cost.server_base +
                   static_cast<SimTime>(static_cast<double>((*routed)[s]) /
-                                       bytes_per_ns);
+                                       cost.bytes_per_ns);
     longest_leg = std::max(longest_leg, leg);
     SimTime start = std::max(dispatch, pipe_busy_[s]);
     SimTime done = start + leg;
@@ -190,7 +179,7 @@ SimTime DfsCluster::FanOut(const std::vector<uint64_t>& shares,
     }
   }
   if (ideal_ns != nullptr) {
-    *ideal_ns = client_base + longest_leg;
+    *ideal_ns = cost.client_base + longest_leg;
   }
   if (foreground) {
     sim_->AdvanceTo(completion);
@@ -307,17 +296,8 @@ uint64_t DfsClient::BackgroundFlushAll() {
     }
     st.dirty.clear();
     st.dirty_bytes = 0;
-    const DfsParams& dfs = cluster_->params_->dfs;
-    if (cluster_->num_servers_ == 1) {
-      cluster_->AcquirePipe(cluster_->params_->DfsSyncWriteLatency(bytes),
-                            /*foreground=*/false);
-      ObsAdd(cluster_->c_server_bytes_written_[0], bytes);
-      ObsAdd(cluster_->c_server_ops_[0]);
-    } else {
-      cluster_->FanOut(shares, dfs.stripe_client_base, dfs.stripe_server_base,
-                       dfs.write_bytes_per_ns, /*foreground=*/false,
-                       /*is_write=*/true);
-    }
+    cluster_->FanOut(shares, cluster_->write_cost_, /*foreground=*/false,
+                     /*is_write=*/true);
     ObsAdd(cluster_->c_bytes_written_, bytes);
     ObsAdd(cluster_->c_background_flush_bytes_, bytes);
     flushed += bytes;
@@ -500,19 +480,9 @@ Status DfsFile::SyncInternal(bool foreground, SimTime* done_at) {
   }
   st.dirty.clear();
   st.dirty_bytes = 0;
-  const DfsParams& dfs = cluster->params_->dfs;
-  SimTime done;
   SimTime ideal;  // queue-free duration: the transfer part of the latency
-  if (cluster->num_servers_ == 1) {
-    ideal = cluster->params_->DfsSyncWriteLatency(bytes);
-    done = cluster->AcquirePipe(ideal, foreground);
-    ObsAdd(cluster->c_server_bytes_written_[0], bytes);
-    ObsAdd(cluster->c_server_ops_[0]);
-  } else {
-    done = cluster->FanOut(shares, dfs.stripe_client_base,
-                           dfs.stripe_server_base, dfs.write_bytes_per_ns,
-                           foreground, /*is_write=*/true, &ideal);
-  }
+  SimTime done = cluster->FanOut(shares, cluster->write_cost_, foreground,
+                                 /*is_write=*/true, &ideal);
   if (done_at != nullptr) {
     *done_at = done;
   }
@@ -595,43 +565,35 @@ Result<std::string> DfsFile::ReadInternal(uint64_t offset, uint64_t len,
   }
 
   DfsCluster* cluster = client_->cluster_;
-  const bool striped = cluster->num_servers_ > 1;
+  std::vector<uint64_t> shares(cluster->num_servers_, 0);
 
   if (direct_io_) {
-    // Every read goes to the backend; striped mode issues the per-stripe
-    // reads to their servers concurrently.
+    // Every read goes to the backend; the per-stripe reads go to their
+    // servers concurrently.
     ObsAdd(cluster->c_direct_reads_);
-    if (striped) {
-      std::vector<uint64_t> shares(cluster->num_servers_, 0);
-      cluster->AddStripeShares(offset, len, &shares);
-      cluster->FanOut(shares, params.dfs.stripe_client_read_base,
-                      params.dfs.stripe_server_read_base,
-                      params.dfs.read_bytes_per_ns, foreground,
-                      /*is_write=*/false);
-    } else {
-      cluster->AcquirePipe(
-          params.dfs.remote_read_base +
-              static_cast<SimTime>(static_cast<double>(len) /
-                                   params.dfs.read_bytes_per_ns),
-          foreground);
-      ObsAdd(cluster->c_server_bytes_read_[0], len);
-      ObsAdd(cluster->c_server_ops_[0]);
-    }
+    cluster->AddStripeShares(offset, len, &shares);
+    cluster->FanOut(shares, cluster->read_cost_, foreground,
+                    /*is_write=*/false);
     return out;
   }
 
   // Page cache with readahead: a miss fetches the whole readahead window.
-  // Striped mode batches all missing windows of this read into one fan-out
-  // (per-server base paid once, transfers in parallel) — this is what
-  // parallelizes bulk recovery reads over the dfs (Fig 11).
+  // A striped cluster batches all missing windows of this read into one
+  // fan-out (per-server base paid once, transfers in parallel) — this is
+  // what parallelizes bulk recovery reads over the dfs (Fig 11). A
+  // one-server cluster keeps each missing window its own request, as the
+  // paper-calibrated single pipe does (DESIGN.md §10).
+  const bool per_window = cluster->num_servers_ == 1;
   uint64_t window = params.dfs.readahead_bytes;
   uint64_t first = offset / window;
   uint64_t last = (offset + len - 1) / window;
-  std::vector<uint64_t> miss_shares;
-  if (striped) {
-    miss_shares.assign(cluster->num_servers_, 0);
-  }
   bool missed = false;
+  auto fetch_missed = [&] {
+    cluster->FanOut(shares, cluster->read_cost_, foreground,
+                    /*is_write=*/false);
+    std::fill(shares.begin(), shares.end(), 0);
+    missed = false;
+  };
   for (uint64_t w = first; w <= last; ++w) {
     if (st.cached_windows.count(w) > 0) {
       ObsAdd(cluster->c_readahead_hits_);
@@ -644,26 +606,16 @@ Result<std::string> DfsFile::ReadInternal(uint64_t offset, uint64_t len,
     } else {
       ObsAdd(cluster->c_readahead_misses_);
       uint64_t fetch = std::min<uint64_t>(window, size - w * window);
-      if (striped) {
-        cluster->AddStripeShares(w * window, fetch, &miss_shares);
-        missed = true;
-      } else {
-        cluster->AcquirePipe(
-            params.dfs.remote_read_base +
-                static_cast<SimTime>(static_cast<double>(fetch) /
-                                     params.dfs.read_bytes_per_ns),
-            foreground);
-        ObsAdd(cluster->c_server_bytes_read_[0], fetch);
-        ObsAdd(cluster->c_server_ops_[0]);
+      cluster->AddStripeShares(w * window, fetch, &shares);
+      missed = true;
+      if (per_window) {
+        fetch_missed();
       }
       st.cached_windows.insert(w);
     }
   }
   if (missed) {
-    cluster->FanOut(miss_shares, params.dfs.stripe_client_read_base,
-                    params.dfs.stripe_server_read_base,
-                    params.dfs.read_bytes_per_ns, foreground,
-                    /*is_write=*/false);
+    fetch_missed();
   }
   return out;
 }

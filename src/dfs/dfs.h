@@ -9,13 +9,14 @@
 //     the last successful fsync survives; dirty data is lost;
 //   * a striped multi-server backend: file bytes map deterministically to
 //     stripes spread over DfsParams::num_servers object servers, each with
-//     its own bandwidth pipe. An fsync splits its dirty extents by stripe
-//     and fans the per-server transfers out in parallel (completion = max
-//     over the touched servers); foreground fsyncs still queue behind
-//     in-flight background bulk writes *on the pipes they share* (this is
-//     what makes weak-mode applications suffer write stalls that SplitFT
-//     avoids, §5.2). num_servers == 1 reduces exactly to the seed's single
-//     aggregated pipe (DESIGN.md §10);
+//     its own bandwidth pipe. Every backend charge (fsync, background
+//     flush, read, restart replay) is one fan-out of per-server transfer
+//     legs in parallel (completion = max over the touched servers);
+//     foreground fsyncs still queue behind in-flight background bulk
+//     writes *on the pipes they share* (this is what makes weak-mode
+//     applications suffer write stalls that SplitFT avoids, §5.2). A
+//     one-server cluster is a one-leg fan-out whose leg base is the
+//     calibrated single-pipe latency (DESIGN.md §10);
 //   * client-side page cache with sequential readahead, plus a direct-IO
 //     mode that bypasses it (Fig 11a);
 //   * a background flusher that periodically syncs dirty files, which is
@@ -80,9 +81,8 @@ class DfsCluster {
   // Takes one striped object server offline for a planned restart: FanOut
   // reroutes its stripe shares to the next online server and accrues a
   // write-replay backlog for the absent one. Only one server may be
-  // offline at a time (the "rolling" guarantee) and the single-pipe model
-  // (num_servers == 1) has no server to spare — both are
-  // kFailedPrecondition.
+  // offline at a time (the "rolling" guarantee) and a one-server cluster
+  // has no server to spare — both are kFailedPrecondition.
   Status TakeServerOffline(int server);
   // Returns the server to service and replays its accrued write backlog as
   // a background transfer on its own pipe.
@@ -100,29 +100,30 @@ class DfsCluster {
     std::string content;
   };
 
-  // The server owning the given file byte offset.
-  int ServerForOffset(uint64_t offset) const;
   // Adds the byte range's per-server stripe shares into `shares`
   // (size num_servers_).
   void AddStripeShares(uint64_t offset, uint64_t len,
                        std::vector<uint64_t>* shares) const;
 
-  // Seed-model (num_servers == 1) path: serializes an operation of the
-  // given duration through the single backend pipe. Foreground ops advance
-  // the simulation clock to their completion; background ops only extend
-  // the pipe's busy horizon. Returns the completion time.
-  SimTime AcquirePipe(SimTime duration, bool foreground);
+  // What one fan-out costs: the client pays `client_base` once, then each
+  // touched server's leg occupies its pipe for
+  // server_base + share / bytes_per_ns.
+  struct TransferCost {
+    SimTime client_base = 0;
+    SimTime server_base = 0;
+    double bytes_per_ns = 1.0;
+  };
 
-  // Striped (num_servers > 1) path: fans per-server transfer legs out in
-  // parallel. The client pays `client_base` once; each touched server's
-  // leg then occupies its own pipe for server_base + share/bytes_per_ns.
-  // Completion is the max leg completion (foreground ops advance the clock
-  // to it). `ideal_ns`, if non-null, receives the queue-free duration
-  // (client_base + longest leg) so callers can split wait from transfer.
-  // `is_write` routes the per-server byte counters and span names.
-  SimTime FanOut(const std::vector<uint64_t>& shares, SimTime client_base,
-                 SimTime server_base, double bytes_per_ns, bool foreground,
-                 bool is_write, SimTime* ideal_ns = nullptr);
+  // The only path to the backend pipes: fans the per-server transfer legs
+  // of `shares` (size num_servers_) out in parallel. A leg starts at
+  // max(now + client_base, its pipe's horizon); completion is the max leg
+  // completion, and foreground ops advance the clock to it (background
+  // ops only extend the horizons). `ideal_ns`, if non-null, receives the
+  // queue-free duration (client_base + longest leg) so callers can split
+  // wait from transfer. `is_write` routes the per-server byte counters and
+  // span names. Returns the completion time.
+  SimTime FanOut(const std::vector<uint64_t>& shares, const TransferCost& cost,
+                 bool foreground, bool is_write, SimTime* ideal_ns = nullptr);
 
   Simulation* sim_;
   const SimParams* params_;
@@ -130,6 +131,10 @@ class DfsCluster {
   uint64_t stripe_size_;
   std::map<std::string, DurableFile> files_;
   std::vector<SimTime> pipe_busy_;  // one horizon per server
+  // Per-operation costs, chosen once from num_servers_: a one-server
+  // cluster charges the calibrated single-pipe bases with no client share.
+  TransferCost write_cost_;
+  TransferCost read_cost_;
   // Rolling-restart state: at most one server offline, with the write
   // bytes it missed (replayed on return) tracked per server.
   int offline_server_ = -1;

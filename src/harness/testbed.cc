@@ -5,19 +5,8 @@
 
 namespace splitft {
 
-namespace {
-// Folds option-level overrides into the params before any layer is built
-// (options_ initializes first, so cluster_ sees the final value).
-TestbedOptions ApplyOverrides(TestbedOptions options) {
-  if (options.dfs_servers > 0) {
-    options.params.dfs.num_servers = options.dfs_servers;
-  }
-  return options;
-}
-}  // namespace
-
 Testbed::Testbed(TestbedOptions options)
-    : options_(ApplyOverrides(std::move(options))),
+    : options_(std::move(options)),
       tracer_(&sim_, options_.tracing),
       obs_{&metrics_, &tracer_},
       fabric_(&sim_, &options_.params, obs_),

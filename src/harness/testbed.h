@@ -41,10 +41,6 @@ struct TestbedOptions {
   // the NclConfig default; 1 forces the fully synchronous path (the
   // ablation baseline). MakeServer's own argument overrides this.
   int ncl_window = 0;
-  // DFS object-server count. 0 keeps params.dfs.num_servers (default 3);
-  // 1 forces the seed-calibrated single-pipe model (legacy baselines);
-  // >1 overrides the striped fan-out width.
-  int dfs_servers = 0;
   // Slab-pool tuning applied to every log peer. EC experiments set
   // carve_align to the shard-region grain so shard carves never fragment
   // the extent maps (src/ncl/peer.h).

@@ -553,19 +553,12 @@ void QueuePair::PostWriteChain(const WriteOp* ops, size_t count,
     return;
   }
   const RdmaParams& rdma = fabric_->params_->rdma;
-  SimTime n = static_cast<SimTime>(count);
-  if (rdma.doorbell_batching) {
-    // One doorbell for the whole chain: full post cost for the first WQE,
-    // marginal cost for each one appended behind it.
-    ObsAdd(fabric_->c_doorbells_);
-    fabric_->sim_->Advance(rdma.post_overhead +
-                           rdma.batched_wr_overhead * (n - 1));
-  } else {
-    // Coalescing off: the chain degenerates to one doorbell per WR, the
-    // seed's posting cost.
-    ObsAdd(fabric_->c_doorbells_, count);
-    fabric_->sim_->Advance(rdma.post_overhead * n);
-  }
+  // One doorbell for the whole chain: full post cost for the first WQE,
+  // marginal cost for each one appended behind it.
+  ObsAdd(fabric_->c_doorbells_);
+  fabric_->sim_->Advance(rdma.post_overhead +
+                         rdma.batched_wr_overhead *
+                             static_cast<SimTime>(count - 1));
   for (size_t i = 0; i < count; ++i) {
     ids_out[i] = EnqueueWrite(ops[i].rkey, ops[i].remote_offset, ops[i].data);
   }

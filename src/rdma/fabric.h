@@ -286,9 +286,9 @@ class QueuePair {
     std::string_view data;
   };
 
-  // Posts a chain of WRITEs with a single doorbell ring (when
-  // RdmaParams::doorbell_batching): the batch pays post_overhead once plus
-  // batched_wr_overhead per additional WR instead of post_overhead per WR.
+  // Posts a chain of WRITEs with a single doorbell ring: the batch pays
+  // post_overhead once plus batched_wr_overhead per additional WR instead
+  // of post_overhead per WR.
   // Send-queue ordering is preserved — the chain completes in post order,
   // after every WR posted earlier on this QP. Writes the wr_ids to
   // `ids_out` (which must hold `count` slots) in chain order. Never

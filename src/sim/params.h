@@ -36,10 +36,7 @@ struct RdmaParams {
   // Doorbell coalescing: QueuePair::PostWriteBatch posts its WR chain with
   // a single doorbell ring, paying post_overhead once plus
   // batched_wr_overhead for every WR after the first (the marginal cost of
-  // appending one more WQE to an already-open chain). Disabled, every WR
-  // in a batch pays the full post_overhead — one doorbell per WR, the
-  // seed's behaviour — which is what bench/ablation_batching toggles.
-  bool doorbell_batching = true;
+  // appending one more WQE to an already-open chain).
   SimTime batched_wr_overhead = Micros(0.05);
   // The NIC pipelines back-to-back WRs on a QP: the send queue is held
   // only for WQE issue plus payload serialization onto the wire
@@ -84,15 +81,17 @@ struct DfsParams {
   // ---- striped multi-server backend ----
   // Object servers (OSDs) the dfs stripes file bytes across, each with its
   // own bandwidth pipe (the paper's CephFS deployment runs three OSD
-  // nodes, §5.1). num_servers == 1 keeps the seed's single aggregated
-  // pipe: every cost below is bypassed and the calibrated
-  // sync_base_latency / remote_read_base arithmetic is reproduced exactly.
+  // nodes, §5.1). num_servers == 1 is the seed's single aggregated pipe: a
+  // one-leg fan-out with no client base whose leg base is the calibrated
+  // sync_base_latency / remote_read_base, and whose missing readahead
+  // windows stay one request each (DESIGN.md §10).
   int num_servers = 3;
   // Stripe unit: byte b of a file lives on server (b / stripe_size) %
   // num_servers. Smaller than Ceph's 4 MiB object default so MiB-scale
   // bulk writes actually spread across the servers.
   uint64_t stripe_size = 64 * 1024;
-  // Striped fan-out cost split (num_servers > 1 only). The client pays
+  // Striped fan-out cost split (num_servers > 1; a one-server cluster
+  // charges the calibrated bases above instead). The client pays
   // stripe_client_base once per operation (VFS + striping map + dispatch);
   // each touched server's leg then costs stripe_server_base plus the
   // payload term on that server's own pipe, and the operation completes at
@@ -119,13 +118,6 @@ struct LocalFsParams {
 // Controller (ZooKeeper-like) RPCs.
 struct ControllerParams {
   SimTime rpc_latency = Millis(1.8);  // one round trip incl. quorum commit
-  // Ap-map shards: /apps and /servers state is hash-partitioned by app_id
-  // across this many znode trees so thousands of applications register,
-  // lease, and recover without serializing on one tree. The peer registry
-  // (/peers) stays global. Epoch fences are per (app, file) and every app
-  // maps to exactly one shard, so fencing is unaffected by the shard count
-  // (DESIGN.md §14). 1 reproduces the single-tree layout.
-  int num_shards = 8;
 };
 
 // Per-application server CPU costs (back-derived from the paper's peak
@@ -182,13 +174,6 @@ struct SimParams {
     return dfs.stripe_server_base +
            static_cast<SimTime>(static_cast<double>(bytes) /
                                 dfs.write_bytes_per_ns);
-  }
-  // One striped read leg: all stripes fetched from one server in one
-  // operation share a single per-server base.
-  SimTime DfsStripeReadLeg(uint64_t bytes) const {
-    return dfs.stripe_server_read_base +
-           static_cast<SimTime>(static_cast<double>(bytes) /
-                                dfs.read_bytes_per_ns);
   }
   SimTime MemReadLatency(uint64_t bytes) const {
     return cpu.mem_read_base +

@@ -21,10 +21,11 @@
 namespace splitft {
 namespace {
 
-TestbedOptions Options(int num_peers, int dfs_servers = 0) {
+TestbedOptions Options(int num_peers,
+                       int dfs_servers = DfsParams{}.num_servers) {
   TestbedOptions options;
   options.num_peers = num_peers;
-  options.dfs_servers = dfs_servers;
+  options.params.dfs.num_servers = dfs_servers;
   return options;
 }
 
