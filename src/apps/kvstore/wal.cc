@@ -1,21 +1,14 @@
 #include "src/apps/kvstore/wal.h"
 
-#include "src/common/bytes.h"
-#include "src/common/crc32c.h"
+#include "src/common/record.h"
 
 namespace splitft {
 
 std::string WriteAheadLog::EncodeRecord(const std::vector<KvWrite>& batch) {
   std::string payload;
-  PutFixed32(&payload, static_cast<uint32_t>(batch.size()));
-  for (const KvWrite& w : batch) {
-    PutLengthPrefixed(&payload, w.key);
-    PutLengthPrefixed(&payload, w.value);
-  }
+  PutKvList(&payload, batch);
   std::string record;
-  PutFixed32(&record, MaskCrc(Crc32c(payload)));
-  PutFixed32(&record, static_cast<uint32_t>(payload.size()));
-  record += payload;
+  AppendRecord(&record, payload);
   return record;
 }
 
@@ -32,38 +25,14 @@ int WriteAheadLog::Replay(
     std::string_view raw,
     const std::function<void(std::string_view, std::string_view)>& apply) {
   int batches = 0;
-  size_t pos = 0;
-  while (pos + 8 <= raw.size()) {
-    uint32_t stored_crc = UnmaskCrc(DecodeFixed32(raw.data() + pos));
-    uint32_t len = DecodeFixed32(raw.data() + pos + 4);
-    if (pos + 8 + len > raw.size()) {
-      break;  // torn tail
-    }
-    std::string_view payload = raw.substr(pos + 8, len);
-    if (Crc32c(payload) != stored_crc) {
-      break;  // corrupt (partial overwrite); everything after is suspect
-    }
-    if (payload.size() < 4) {
-      break;
-    }
-    uint32_t count = DecodeFixed32(payload.data());
-    size_t off = 4;
-    bool good = true;
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string_view key, value;
-      if (!GetLengthPrefixed(payload, &off, &key) ||
-          !GetLengthPrefixed(payload, &off, &value)) {
-        good = false;
-        break;
-      }
-      apply(key, value);
-    }
-    if (!good) {
-      break;
+  ForEachRecord(raw, [&](std::string_view payload) {
+    size_t pos = 0;
+    if (!ForEachKv(payload, &pos, apply)) {
+      return false;
     }
     batches++;
-    pos += 8 + len;
-  }
+    return true;
+  });
   return batches;
 }
 

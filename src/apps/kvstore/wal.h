@@ -1,8 +1,8 @@
 // Write-ahead log for the mini-RocksDB: CRC-guarded batch records appended
 // to a SplitFile (dfs- or NCL-backed depending on the durability mode).
 //
-// Record layout: [masked crc32c of payload (4)] [payload len (4)] payload
-// Payload: [count (4)] then count x ([klen][key][vlen][value]).
+// One record per batch in the shared checksummed-record format, its
+// payload the batch as a KV list (both in src/common/record.h).
 // Replay stops at the first torn or corrupt record — partial tail writes
 // are expected after crashes and are unacknowledged by construction
 // (§4.5.1: applications use checksums for write atomicity).

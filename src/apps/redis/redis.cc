@@ -4,19 +4,18 @@
 #include <cstdio>
 
 #include "src/common/bytes.h"
-#include "src/common/crc32c.h"
 #include "src/common/logging.h"
+#include "src/common/record.h"
 
 namespace splitft {
 namespace {
 
-// AOF command frames: [masked crc (4)][len (4)] payload where payload is
-// [op (1)] followed by length-prefixed arguments.
+// AOF command frames are checksummed records (src/common/record.h) whose
+// payload is [op (1)] followed by length-prefixed arguments.
 constexpr char kOpSet = 'S';
 constexpr char kOpDel = 'D';
 constexpr char kOpHSet = 'H';
 constexpr char kOpLPush = 'L';
-constexpr size_t kFrameHeaderBytes = 8;
 
 std::string Frame(char op, std::initializer_list<std::string_view> args) {
   std::string payload;
@@ -25,9 +24,7 @@ std::string Frame(char op, std::initializer_list<std::string_view> args) {
     PutLengthPrefixed(&payload, a);
   }
   std::string frame;
-  PutFixed32(&frame, MaskCrc(Crc32c(payload)));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame += payload;
+  AppendRecord(&frame, payload);
   return frame;
 }
 
@@ -81,19 +78,11 @@ uint64_t Redis::aof_bytes() const { return aof_ == nullptr ? 0 : aof_->Size(); }
 
 std::string Redis::SerializeRdb() const {
   std::string out;
-  PutFixed32(&out, static_cast<uint32_t>(strings_.size()));
-  for (const auto& [k, v] : strings_) {
-    PutLengthPrefixed(&out, k);
-    PutLengthPrefixed(&out, v);
-  }
+  PutKvList(&out, strings_);
   PutFixed32(&out, static_cast<uint32_t>(hashes_.size()));
   for (const auto& [k, fields] : hashes_) {
     PutLengthPrefixed(&out, k);
-    PutFixed32(&out, static_cast<uint32_t>(fields.size()));
-    for (const auto& [f, v] : fields) {
-      PutLengthPrefixed(&out, f);
-      PutLengthPrefixed(&out, v);
-    }
+    PutKvList(&out, fields);
   }
   PutFixed32(&out, static_cast<uint32_t>(lists_.size()));
   for (const auto& [k, items] : lists_) {
@@ -116,37 +105,27 @@ Status Redis::LoadRdb(std::string_view raw) {
     pos += 4;
     return true;
   };
+  // The RDB is in key order, so every insert lands at the end.
+  if (!ForEachKv(raw, &pos, [&](std::string_view k, std::string_view v) {
+        strings_.emplace_hint(strings_.end(), k, v);
+      })) {
+    return DataLossError("rdb truncated (strings)");
+  }
   uint32_t n = 0;
   if (!read_u32(&n)) {
     return DataLossError("rdb truncated");
   }
   for (uint32_t i = 0; i < n; ++i) {
-    std::string_view k, v;
-    if (!GetLengthPrefixed(raw, &pos, &k) ||
-        !GetLengthPrefixed(raw, &pos, &v)) {
-      return DataLossError("rdb truncated (strings)");
-    }
-    // The RDB is in key order, so every insert lands at the end.
-    strings_.emplace_hint(strings_.end(), k, v);
-  }
-  if (!read_u32(&n)) {
-    return DataLossError("rdb truncated");
-  }
-  for (uint32_t i = 0; i < n; ++i) {
     std::string_view k;
-    uint32_t fields = 0;
-    if (!GetLengthPrefixed(raw, &pos, &k) || !read_u32(&fields)) {
+    if (!GetLengthPrefixed(raw, &pos, &k)) {
       return DataLossError("rdb truncated (hashes)");
     }
     auto& hash = hashes_.emplace_hint(hashes_.end(), k, KeyMap<std::string>())
                      ->second;
-    for (uint32_t j = 0; j < fields; ++j) {
-      std::string_view f, v;
-      if (!GetLengthPrefixed(raw, &pos, &f) ||
-          !GetLengthPrefixed(raw, &pos, &v)) {
-        return DataLossError("rdb truncated (hash fields)");
-      }
-      hash.emplace_hint(hash.end(), f, v);
+    if (!ForEachKv(raw, &pos, [&](std::string_view f, std::string_view v) {
+          hash.emplace_hint(hash.end(), f, v);
+        })) {
+      return DataLossError("rdb truncated (hash fields)");
     }
   }
   if (!read_u32(&n)) {
@@ -266,22 +245,16 @@ Status Redis::Recover() {
     }
     sim_->Advance(static_cast<SimTime>(raw->size()) *
                   params_->cpu.parse_log_per_byte_ns);
-    std::string_view data = *raw;
-    size_t pos = 0;
-    while (pos + kFrameHeaderBytes <= data.size()) {
-      uint32_t crc = UnmaskCrc(DecodeFixed32(data.data() + pos));
-      uint32_t len = DecodeFixed32(data.data() + pos + 4);
-      if (pos + kFrameHeaderBytes + len > data.size()) {
-        break;  // torn tail
+    Status applied;
+    ForEachRecord(*raw, [&](std::string_view payload) {
+      applied = ApplyCommand(payload);
+      if (!applied.ok()) {
+        return false;
       }
-      std::string_view payload = data.substr(pos + kFrameHeaderBytes, len);
-      if (Crc32c(payload) != crc) {
-        break;
-      }
-      RETURN_IF_ERROR(ApplyCommand(payload));
       replayed_commands_++;
-      pos += kFrameHeaderBytes + len;
-    }
+      return true;
+    });
+    RETURN_IF_ERROR(applied);
     aof_ = std::move(file);
     return OkStatus();
   }
@@ -312,7 +285,7 @@ Status Redis::AppendCommands(const std::vector<std::string>& frames) {
   // holds every batch the AOF it replaces held.
   for (const std::string& f : frames) {
     RETURN_IF_ERROR(
-        ApplyCommand(std::string_view(f).substr(kFrameHeaderBytes)));
+        ApplyCommand(std::string_view(f).substr(kRecordHeaderBytes)));
   }
   if (aof_->Size() >= options_.aof_rewrite_bytes) {
     RETURN_IF_ERROR(MaybeRewriteAof());

@@ -3,6 +3,7 @@
 #include "src/common/bytes.h"
 #include "src/common/crc32c.h"
 #include "src/common/logging.h"
+#include "src/common/record.h"
 
 namespace splitft {
 
@@ -27,11 +28,7 @@ Result<std::unique_ptr<SqliteLite>> SqliteLite::Open(
 
 std::string SqliteLite::SerializeTable() const {
   std::string out;
-  PutFixed32(&out, static_cast<uint32_t>(table_.size()));
-  for (const auto& [k, v] : table_) {
-    PutLengthPrefixed(&out, k);
-    PutLengthPrefixed(&out, v);
-  }
+  PutKvList(&out, table_);
   return out;
 }
 
@@ -39,18 +36,11 @@ Status SqliteLite::LoadTable(std::string_view raw) {
   if (raw.empty()) {
     return OkStatus();
   }
-  if (raw.size() < 4) {
+  size_t pos = 0;
+  if (!ForEachKv(raw, &pos, [&](std::string_view k, std::string_view v) {
+        table_[std::string(k)] = std::string(v);
+      })) {
     return DataLossError("db file truncated");
-  }
-  uint32_t count = DecodeFixed32(raw.data());
-  size_t pos = 4;
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string_view k, v;
-    if (!GetLengthPrefixed(raw, &pos, &k) ||
-        !GetLengthPrefixed(raw, &pos, &v)) {
-      return DataLossError("db file truncated (rows)");
-    }
-    table_[std::string(k)] = std::string(v);
   }
   return OkStatus();
 }
@@ -108,44 +98,23 @@ Status SqliteLite::Recover() {
       }
       sim_->Advance(static_cast<SimTime>(wal_raw->size()) *
                     params_->cpu.parse_log_per_byte_ns);
-      std::string_view data = *wal_raw;
-      size_t pos = kWalHeaderBytes;
-      while (pos + 16 <= data.size()) {
-        uint32_t crc = UnmaskCrc(DecodeFixed32(data.data() + pos));
-        uint64_t frame_gen = DecodeFixed64(data.data() + pos + 4);
-        uint32_t len = DecodeFixed32(data.data() + pos + 12);
-        if (frame_gen != generation_ || pos + 16 + len > data.size()) {
-          break;  // stale (pre-checkpoint) or torn frame
-        }
-        std::string payload(data.substr(pos + 16, len));
-        std::string guarded;
-        PutFixed64(&guarded, frame_gen);
-        guarded += payload;
-        if (Crc32c(guarded) != crc) {
-          break;
-        }
-        if (payload.size() < 4) {
-          break;
-        }
-        uint32_t count = DecodeFixed32(payload.data());
-        size_t off = 4;
-        bool good = true;
-        for (uint32_t i = 0; i < count; ++i) {
-          std::string_view k, v;
-          if (!GetLengthPrefixed(payload, &off, &k) ||
-              !GetLengthPrefixed(payload, &off, &v)) {
-            good = false;
-            break;
-          }
-          table_[std::string(k)] = std::string(v);
-        }
-        if (!good) {
-          break;
-        }
-        replayed_frames_++;
-        pos += 16 + len;
-      }
-      write_ptr_ = pos;
+      // A stale (pre-checkpoint), torn or corrupt frame ends the log.
+      auto apply_row = [&](std::string_view k, std::string_view v) {
+        table_[std::string(k)] = std::string(v);
+      };
+      size_t consumed = ForEachRecord(
+          std::string_view(*wal_raw).substr(kWalHeaderBytes),
+          [&](std::string_view payload) {
+            size_t pos = 8;
+            if (payload.size() < pos ||
+                DecodeFixed64(payload.data()) != generation_ ||
+                !ForEachKv(payload, &pos, apply_row)) {
+              return false;
+            }
+            replayed_frames_++;
+            return true;
+          });
+      write_ptr_ = kWalHeaderBytes + consumed;
       return OkStatus();
     }
   }
@@ -157,20 +126,10 @@ Status SqliteLite::Recover() {
 
 Status SqliteLite::CommitFrame(const std::vector<KvWrite>& writes) {
   std::string payload;
-  PutFixed32(&payload, static_cast<uint32_t>(writes.size()));
-  for (const KvWrite& w : writes) {
-    PutLengthPrefixed(&payload, w.key);
-    PutLengthPrefixed(&payload, w.value);
-  }
-  std::string guarded;
-  PutFixed64(&guarded, generation_);
-  guarded += payload;
-
+  PutFixed64(&payload, generation_);
+  PutKvList(&payload, writes);
   std::string frame;
-  PutFixed32(&frame, MaskCrc(Crc32c(guarded)));
-  PutFixed64(&frame, generation_);
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame += payload;
+  AppendRecord(&frame, payload);
 
   if (write_ptr_ + frame.size() > options_.wal_capacity) {
     // WAL full: checkpoint, then wrap and overwrite from the start

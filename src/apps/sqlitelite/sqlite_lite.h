@@ -11,8 +11,8 @@
 //
 // WAL layout:
 //   header (16 B): [magic (4)][generation (8)][reserved (4)]
-//   frames:        [masked crc (4)][generation (8)][len (4)][payload]
-//   payload:       [count (4)] count x ([klen][key][vlen][value])
+//   frames:        checksummed records (src/common/record.h), payload
+//                  [generation (8)] then the transaction's writes as a KV list
 // Recovery loads `db`, reads the header generation, and replays frames
 // whose crc checks out and whose generation matches; anything else is a
 // stale or torn frame.

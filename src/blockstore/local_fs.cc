@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/common/bytes.h"
-#include "src/common/crc32c.h"
+#include "src/common/record.h"
 
 namespace splitft {
 namespace {
@@ -19,8 +19,8 @@ Result<std::unique_ptr<LocalFs>> LocalFs::Mount(RemoteBlockDevice* device) {
 }
 
 Status LocalFs::LoadMetadata() {
-  // Metadata is serialized across the fixed metadata blocks:
-  //   [magic][crc][len][payload...], payload spanning blocks 0..n.
+  // Metadata is serialized across the fixed metadata blocks: [magic]
+  // followed by one checksummed record, its payload spanning blocks 0..n.
   std::string raw;
   for (uint64_t b = 0; b < kMetaBlocks; ++b) {
     auto block = device_->ReadBlock(b);
@@ -32,14 +32,14 @@ Status LocalFs::LoadMetadata() {
   if (DecodeFixed32(raw.data()) != kFsMagic) {
     return OkStatus();  // fresh device: empty file system
   }
-  uint32_t stored_crc = UnmaskCrc(DecodeFixed32(raw.data() + 4));
-  uint32_t len = DecodeFixed32(raw.data() + 8);
-  if (12 + len > raw.size()) {
-    return DataLossError("localfs metadata length out of range");
-  }
-  std::string_view payload(raw.data() + 12, len);
-  if (Crc32c(payload) != stored_crc) {
-    return DataLossError("localfs metadata checksum mismatch");
+  std::string_view payload;
+  switch (DecodeRecord(std::string_view(raw).substr(4), &payload)) {
+    case RecordCheck::kOk:
+      break;
+    case RecordCheck::kTorn:
+      return DataLossError("localfs metadata length out of range");
+    case RecordCheck::kCorrupt:
+      return DataLossError("localfs metadata checksum mismatch");
   }
 
   size_t pos = 0;
@@ -94,9 +94,7 @@ Status LocalFs::SyncMetadata() {
   }
   std::string raw;
   PutFixed32(&raw, kFsMagic);
-  PutFixed32(&raw, MaskCrc(Crc32c(payload)));
-  PutFixed32(&raw, static_cast<uint32_t>(payload.size()));
-  raw += payload;
+  AppendRecord(&raw, payload);
   if (raw.size() > kMetaBlocks * kBlockBytes) {
     return ResourceExhaustedError("localfs metadata area full");
   }

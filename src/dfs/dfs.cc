@@ -283,26 +283,35 @@ uint64_t DfsClient::BackgroundFlushAll() {
       st.dirty_bytes = 0;
       continue;
     }
-    std::string& content = fit->second.content;
     uint64_t bytes = st.dirty_bytes;
-    // A striped flush occupies only the pipes its dirty extents touch.
-    std::vector<uint64_t> shares(cluster_->num_servers_, 0);
-    for (auto& [offset, data] : st.dirty) {
-      if (content.size() < offset + data.size()) {
-        content.resize(offset + data.size(), '\0');
-      }
-      content.replace(offset, data.size(), data);
-      cluster_->AddStripeShares(offset, data.size(), &shares);
-    }
-    st.dirty.clear();
-    st.dirty_bytes = 0;
-    cluster_->FanOut(shares, cluster_->write_cost_, /*foreground=*/false,
-                     /*is_write=*/true);
-    ObsAdd(cluster_->c_bytes_written_, bytes);
+    FlushDirty(&st, &fit->second.content, /*foreground=*/false);
     ObsAdd(cluster_->c_background_flush_bytes_, bytes);
     flushed += bytes;
   }
   return flushed;
+}
+
+SimTime DfsClient::FlushDirty(FileState* st, std::string* content,
+                              bool foreground, SimTime* ideal,
+                              bool* overwrote) {
+  // Split the dirty extents by stripe while applying them; the fan-out
+  // charges each touched server's pipe for exactly its share.
+  std::vector<uint64_t> shares(cluster_->num_servers_, 0);
+  for (auto& [offset, data] : st->dirty) {
+    if (overwrote != nullptr && offset < content->size()) {
+      *overwrote = true;
+    }
+    if (content->size() < offset + data.size()) {
+      content->resize(offset + data.size(), '\0');
+    }
+    content->replace(offset, data.size(), data);
+    cluster_->AddStripeShares(offset, data.size(), &shares);
+  }
+  ObsAdd(cluster_->c_bytes_written_, st->dirty_bytes);
+  st->dirty.clear();
+  st->dirty_bytes = 0;
+  return cluster_->FanOut(shares, cluster_->write_cost_, foreground,
+                          /*is_write=*/true, ideal);
 }
 
 void DfsClient::StartPeriodicFlusher() {
@@ -462,31 +471,14 @@ Status DfsFile::SyncInternal(bool foreground, SimTime* done_at) {
   ObsSpan span(cluster->obs_.tracer, "dfs.fsync");
   ObsAdd(foreground ? cluster->c_fsyncs_ : cluster->c_background_syncs_);
   SimTime sync_start = cluster->sim_->Now();
-  std::string& content = cluster->files_[path_].content;
   uint64_t bytes = st.dirty_bytes;
   bool overwrote = false;
-  // Split the dirty extents by stripe while applying them; the fan-out
-  // charges each touched server's pipe for exactly its share.
-  std::vector<uint64_t> shares(cluster->num_servers_, 0);
-  for (auto& [offset, data] : st.dirty) {
-    if (offset < content.size()) {
-      overwrote = true;
-    }
-    if (content.size() < offset + data.size()) {
-      content.resize(offset + data.size(), '\0');
-    }
-    content.replace(offset, data.size(), data);
-    cluster->AddStripeShares(offset, data.size(), &shares);
-  }
-  st.dirty.clear();
-  st.dirty_bytes = 0;
   SimTime ideal;  // queue-free duration: the transfer part of the latency
-  SimTime done = cluster->FanOut(shares, cluster->write_cost_, foreground,
-                                 /*is_write=*/true, &ideal);
+  SimTime done = client_->FlushDirty(&st, &cluster->files_[path_].content,
+                                     foreground, &ideal, &overwrote);
   if (done_at != nullptr) {
     *done_at = done;
   }
-  ObsAdd(cluster->c_bytes_written_, bytes);
   ObsAdd(cluster->c_sync_ops_);
   // The sync's latency as the caller experiences it: pipe wait + transfer
   // for foreground calls, durable-at minus now for deferred group commits.

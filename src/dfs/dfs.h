@@ -225,6 +225,12 @@ class DfsClient {
   };
 
   FileState& GetState(const std::string& path);
+  // Applies `st`'s dirty ranges to `content`, clears them, and charges the
+  // write to the servers whose stripes they touch. Returns the time the
+  // write is durable; *ideal gets its queue-free duration. Sets
+  // *overwrote (nullable) when a range rewrote existing bytes.
+  SimTime FlushDirty(FileState* st, std::string* content, bool foreground,
+                     SimTime* ideal = nullptr, bool* overwrote = nullptr);
 
   DfsCluster* cluster_;
   std::string name_;

@@ -70,12 +70,8 @@ std::unique_ptr<AppServer> Testbed::MakeServer(const std::string& app_id,
     // f follows the parity width: EC tolerates exactly m shard losses.
     config.fault_budget = static_cast<int>(config.ec.m);
   }
-  int ncl_window = options.ncl_window;
-  if (ncl_window == 0) {
-    ncl_window = options_.ncl_window;
-  }
-  if (ncl_window > 0) {
-    config.inflight_window = ncl_window;
+  if (options.ncl_window > 0) {
+    config.inflight_window = options.ncl_window;
   }
   server->fs = std::make_unique<SplitFs>(config, server->dfs.get(), &fabric_,
                                          &controller_, &directory_, app_node_,
@@ -88,10 +84,7 @@ std::unique_ptr<AppServer> Testbed::MakeServer(const std::string& app_id,
     LOG_WARNING << "MakeServer(" << app_id << "): SplitFs::Start failed: "
                 << server->start_status.ToString();
   }
-  bool flusher = options.dfs_flusher < 0
-                     ? options.mode == DurabilityMode::kWeak
-                     : options.dfs_flusher > 0;
-  if (flusher) {
+  if (options.mode == DurabilityMode::kWeak) {
     // Weak mode relies on the OS flusher for eventual durability.
     server->dfs->StartPeriodicFlusher();
   }

@@ -37,10 +37,6 @@ struct TestbedOptions {
   // (they are cheap); span collection is opt-in so perf experiments can
   // verify the zero-overhead-when-disabled guarantee.
   bool tracing = false;
-  // NCL append pipelining window for servers built by MakeServer. 0 keeps
-  // the NclConfig default; 1 forces the fully synchronous path (the
-  // ablation baseline). MakeServer's own argument overrides this.
-  int ncl_window = 0;
   // Slab-pool tuning applied to every log peer. EC experiments set
   // carve_align to the shard-region grain so shard carves never fragment
   // the extent maps (src/ncl/peer.h).
@@ -56,17 +52,14 @@ struct ServerOptions {
   DurabilityMode mode = DurabilityMode::kSplitFt;
   // Content capacity for NCL-backed files created by this server.
   uint64_t ncl_capacity = 64ull << 20;
-  // NCL in-flight append window. 0: TestbedOptions::ncl_window, then the
-  // NclConfig default.
+  // NCL in-flight append window. 0 keeps the NclConfig default; 1 forces
+  // the fully synchronous path (the ablation baseline).
   int ncl_window = 0;
   // Shared client-side connection pool (DESIGN.md §14). nullptr keeps the
   // historical private-pool-per-server layout; pass testbed.shared_pool()
   // to co-locate many tenants on pooled QPs carving per-tenant windows
   // from one in-flight budget.
   NclConnectionPool* pool = nullptr;
-  // DFS periodic-flusher override: -1 derives it from the mode (weak
-  // servers start the OS-style flusher), 0 never starts it, 1 always does.
-  int dfs_flusher = -1;
   // Erasure-coded NCL regions (DESIGN.md §16): appends are striped across
   // ncl_ec.k data + ncl_ec.m parity shard peers instead of being fully
   // replicated on 2f+1. Tolerates f = ncl_ec.m failures at (k+m)/k× peer

@@ -6,6 +6,13 @@
 #include "src/common/logging.h"
 
 namespace splitft {
+namespace {
+
+// How many allocation candidates to try before giving up (§4.3: the
+// controller's availability is a hint; peers may reject).
+constexpr int kAllocationAttempts = 8;
+
+}  // namespace
 
 // ----------------------------------------------------------------- Client --
 
@@ -90,25 +97,18 @@ NclClient::~NclClient() {
 }
 
 LogPeer* NclClient::LookupPeerWithRetry(const std::string& name) {
-  LogPeer* peer = directory_->Lookup(name);
-  if (peer != nullptr || config_.retry.max_attempts <= 1) {
-    return peer;
-  }
-  Simulation* sim = fabric_->sim();
-  RetryState state(&config_.retry, sim->Now());
-  while (peer == nullptr && state.ShouldRetry(sim->Now())) {
-    ObsAdd(c_directory_lookup_retries_);
-    sim->RunUntil(sim->Now() + state.NextBackoff(&rng_));
-    peer = directory_->Lookup(name);
-  }
-  return peer;
+  return RetryUnderPolicy(
+      fabric_->sim(), config_.retry, &rng_,
+      [&] { return directory_->Lookup(name); },
+      [](const LogPeer* peer) { return peer == nullptr; },
+      c_directory_lookup_retries_);
 }
 
 Result<std::pair<LogPeer*, AllocationGrant>> NclClient::AllocateOnFreshPeer(
     const std::string& file, uint64_t region_bytes, uint64_t epoch,
     const std::set<std::string>& exclude) {
   std::set<std::string> tried = exclude;
-  for (int attempt = 0; attempt < config_.allocation_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kAllocationAttempts; ++attempt) {
     auto peers = RetryControllerRpc(
         [&] { return controller_->GetPeers(1, region_bytes, tried); });
     if (!peers.ok()) {
@@ -648,21 +648,13 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
       payload = geo().SlotBytes(slot.role, buffer_, range, &scratch);
     }
     const uint64_t remote_offset = header_bytes + range.begin;
+    // Data before header: a peer holding a header always holds its data.
     QueuePair::WriteOp ops[2];
     size_t nops = 0;
-    if (config.unsafe_seq_before_data) {
-      // BUG (for §4.6 validation): header lands before the data; a peer
-      // holding the header but not the data can win recovery.
-      ops[nops++] = QueuePair::WriteOp{slot.rkey, 0, header_view};
-      if (!range.empty()) {
-        ops[nops++] = QueuePair::WriteOp{slot.rkey, remote_offset, payload};
-      }
-    } else {
-      if (!range.empty()) {
-        ops[nops++] = QueuePair::WriteOp{slot.rkey, remote_offset, payload};
-      }
-      ops[nops++] = QueuePair::WriteOp{slot.rkey, 0, header_view};
+    if (!range.empty()) {
+      ops[nops++] = QueuePair::WriteOp{slot.rkey, remote_offset, payload};
     }
+    ops[nops++] = QueuePair::WriteOp{slot.rkey, 0, header_view};
     uint64_t ids[2];
     slot.qp->PostWriteChain(ops, nops, ids);
     for (size_t k = 0; k < nops; ++k) {

@@ -63,9 +63,6 @@ struct NclConfig {
   // SQ ordering keeps the region log prefix-ordered regardless, so
   // recovery never observes a sequence gap (tested in ncl_test).
   int inflight_window = 8;
-  // How many allocation candidates to try before giving up (§4.3: the
-  // controller's availability is a hint; peers may reject).
-  int allocation_attempts = 8;
 
   // Erasure-coded regions (DESIGN.md §16). When enabled, every ncl file is
   // striped as ec.k data + ec.m parity shards over k+m peers instead of
@@ -110,8 +107,8 @@ struct NclConfig {
 
   // Fault-injection switches reproducing the "subtle bugs" of §4.6. They
   // exist so tests and the model checker can demonstrate that the safe
-  // orderings matter; never enable outside tests.
-  bool unsafe_seq_before_data = false;
+  // orderings matter; never enable outside tests. (The header-before-data
+  // ordering bug lives in the model checker: McConfig::bug_seq_before_data.)
   bool unsafe_apmap_before_catchup = false;
   bool unsafe_skip_recovery_catchup = false;
   // Test hook: when >= 0, Record posts WRs to at most this many peers and
@@ -230,31 +227,13 @@ class NclClient {
   // first nullptr as a crash.
   LogPeer* LookupPeerWithRetry(const std::string& name);
 
-  static bool RpcTimedOut(const Status& st) {
-    return st.code() == StatusCode::kTimedOut;
-  }
-  template <typename T>
-  static bool RpcTimedOut(const Result<T>& r) {
-    return !r.ok() && r.status().code() == StatusCode::kTimedOut;
-  }
-
   // Runs a controller RPC, retrying kTimedOut failures (outage windows)
   // under config.retry. Permanent failures (kUnavailable "not enough
   // peers", kNotFound, ...) are returned immediately.
   template <typename Fn>
   auto RetryControllerRpc(Fn&& fn) -> decltype(fn()) {
-    auto r = fn();
-    if (!RpcTimedOut(r)) {
-      return r;
-    }
-    Simulation* sim = fabric_->sim();
-    RetryState state(&config_.retry, sim->Now());
-    while (RpcTimedOut(r) && state.ShouldRetry(sim->Now())) {
-      ObsAdd(c_controller_rpc_retries_);
-      sim->RunUntil(sim->Now() + state.NextBackoff(&rng_));
-      r = fn();
-    }
-    return r;
+    return RetryUnderPolicy(fabric_->sim(), config_.retry, &rng_, fn,
+                            RpcTimedOut{}, c_controller_rpc_retries_);
   }
 
   // EC geometry / fault-budget / peer-count validation (run once from the

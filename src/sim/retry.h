@@ -17,6 +17,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulation.h"
 
 namespace splitft {
@@ -68,23 +69,37 @@ class RetryState {
   int attempts_ = 0;  // retries performed so far (initial try not counted)
 };
 
-// Runs `op` until it returns OK, a non-retryable error, or the policy is
-// exhausted. `retryable(status)` classifies failures; the backoff between
-// attempts burns *virtual* time via sim->RunUntil so scheduled events
-// (partition heals, outage ends) keep flowing while we wait. Returns the
-// last status observed.
-template <typename Op, typename Classifier>
-Status RetryUnderPolicy(Simulation* sim, const RetryPolicy& policy, Rng* rng,
-                        Op op, Classifier retryable) {
+// Runs `fn` (returning a Status, a Result<T> or a pointer) until
+// `again(result)` is false or the policy is exhausted, and returns the last
+// result. `again` must be false on success. The deadline clock starts at
+// the first failure. Each retry counts into `retries` (nullable), then
+// burns its backoff in *virtual* time via sim->RunUntil, so scheduled
+// events (partition heals, outage ends) keep flowing while we wait.
+template <typename Fn, typename Again>
+auto RetryUnderPolicy(Simulation* sim, const RetryPolicy& policy, Rng* rng,
+                      Fn&& fn, Again&& again, Counter* retries = nullptr)
+    -> decltype(fn()) {
+  auto r = fn();
   RetryState state(&policy, sim->Now());
-  for (;;) {
-    Status st = op();
-    if (st.ok() || !retryable(st) || !state.ShouldRetry(sim->Now())) {
-      return st;
-    }
+  while (again(r) && state.ShouldRetry(sim->Now())) {
+    ObsAdd(retries);
     sim->RunUntil(sim->Now() + state.NextBackoff(rng));
+    r = fn();
   }
+  return r;
 }
+
+// The retry predicate for controller RPCs: kTimedOut marks an outage
+// window; success and every other failure are final.
+struct RpcTimedOut {
+  bool operator()(const Status& st) const {
+    return st.code() == StatusCode::kTimedOut;
+  }
+  template <typename T>
+  bool operator()(const Result<T>& r) const {
+    return !r.ok() && r.status().code() == StatusCode::kTimedOut;
+  }
+};
 
 }  // namespace splitft
 

@@ -269,16 +269,11 @@ Status SplitFs::Start() {
   // The lease RPC is retried through controller outage windows (kTimedOut)
   // under the client retry policy. kAborted — another live instance holds
   // the lease — is permanent and surfaces immediately.
-  const RetryPolicy& policy = ncl_->config().retry;
   Rng rng(ncl_->config().rng_seed ^ 0x1ea5eull);
-  Simulation* sim = controller_->sim();
-  RetryState state(&policy, sim->Now());
-  auto lease = controller_->AcquireServerLease(ncl_->config().app_id);
-  while (!lease.ok() && lease.status().code() == StatusCode::kTimedOut &&
-         state.ShouldRetry(sim->Now())) {
-    sim->RunUntil(sim->Now() + state.NextBackoff(&rng));
-    lease = controller_->AcquireServerLease(ncl_->config().app_id);
-  }
+  auto lease = RetryUnderPolicy(
+      controller_->sim(), ncl_->config().retry, &rng,
+      [&] { return controller_->AcquireServerLease(ncl_->config().app_id); },
+      RpcTimedOut{});
   if (!lease.ok()) {
     return lease.status();
   }
@@ -294,18 +289,13 @@ Status SplitFs::HandOverLease() {
   // Retried through outage windows like Start(): the transfer is a normal
   // controller RPC. A kFailedPrecondition (someone else owns the lease —
   // our session expired underneath us) is permanent.
-  const RetryPolicy& policy = ncl_->config().retry;
   Rng rng(ncl_->config().rng_seed ^ 0x4a0d0ull);
-  Simulation* sim = controller_->sim();
-  RetryState state(&policy, sim->Now());
-  auto successor =
-      controller_->TransferServerLease(ncl_->config().app_id, lease_);
-  while (!successor.ok() &&
-         successor.status().code() == StatusCode::kTimedOut &&
-         state.ShouldRetry(sim->Now())) {
-    sim->RunUntil(sim->Now() + state.NextBackoff(&rng));
-    successor = controller_->TransferServerLease(ncl_->config().app_id, lease_);
-  }
+  auto successor = RetryUnderPolicy(
+      controller_->sim(), ncl_->config().retry, &rng,
+      [&] {
+        return controller_->TransferServerLease(ncl_->config().app_id, lease_);
+      },
+      RpcTimedOut{});
   if (!successor.ok()) {
     return successor.status();
   }

@@ -188,6 +188,30 @@ TEST(RetryPolicyTest, LegacyPolicyNeverRetries) {
   EXPECT_FALSE(state.ShouldRetry(0));
 }
 
+TEST(RetryPolicyTest, RetryUnderPolicyStartsTheClockAtTheFirstFailure) {
+  // The first attempt alone outlasts the 1 ms deadline; the retries still
+  // run because the deadline counts from the first failure.
+  Simulation sim;
+  RetryPolicy policy = RetryPolicy::Transient(100, Millis(1));
+  policy.jitter = 0;
+  Rng rng(1);
+  Counter retries;
+  int target = 7;
+  int calls = 0;
+  int* found = RetryUnderPolicy(
+      &sim, policy, &rng,
+      [&]() -> int* {
+        sim.Advance(++calls == 1 ? Millis(2) : Micros(100));
+        return calls == 3 ? &target : nullptr;
+      },
+      [](const int* p) { return p == nullptr; }, &retries);
+  EXPECT_EQ(found, &target);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(retries.value(), 2u);
+  // 2 ms + 250 us + 100 us + 500 us + 100 us of unjittered backoff and work.
+  EXPECT_EQ(sim.Now(), Millis(2) + Micros(950));
+}
+
 // ----------------------------------------------- Client-side transients --
 
 constexpr uint64_t kLend = 512ull << 20;

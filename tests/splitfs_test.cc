@@ -10,6 +10,7 @@
 #include "src/ncl/peer_directory.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/params.h"
+#include "src/sim/retry.h"
 #include "src/sim/simulation.h"
 #include "src/splitft/split_fs.h"
 
@@ -167,6 +168,25 @@ TEST_F(SplitFsTest, SingleInstanceLeaseEnforced) {
   // After the first instance crashes, the second can start.
   fs1->SimulateCrash();
   EXPECT_TRUE(fs2->Start().ok());
+}
+
+TEST_F(SplitFsTest, StartRetriesThroughControllerOutage) {
+  // The default policy (one attempt) surfaces the outage as kTimedOut.
+  controller_.OutageFor(Millis(5));
+  EXPECT_EQ(MakeFs()->Start().code(), StatusCode::kTimedOut);
+  sim_.RunUntilIdle();
+
+  // A retrying policy waits the outage out and takes the lease.
+  NclConfig config;
+  config.app_id = "split-app";
+  config.retry = RetryPolicy::Transient(/*attempts=*/8);
+  SplitFs fs(config, &dfs_, &fabric_, &controller_, &directory_, app_node_);
+  SimTime healed = sim_.Now() + Millis(5);
+  controller_.OutageFor(Millis(5));
+  ASSERT_TRUE(fs.Start().ok());
+  EXPECT_GE(sim_.Now(), healed);
+  EXPECT_EQ(MakeFs()->Start().code(), StatusCode::kAborted)
+      << "the retried Start must hold the single-instance lease";
 }
 
 TEST_F(SplitFsTest, GracefulDestructionReleasesTheLease) {
