@@ -1,7 +1,15 @@
 #include "src/apps/redis/redis.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <deque>
+#include <exception>
+#include <functional>
+#include <map>
+#include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "src/common/bytes.h"
 #include "src/common/logging.h"
@@ -28,6 +36,127 @@ std::string Frame(char op, std::initializer_list<std::string_view> args) {
   return frame;
 }
 
+// The keyspace is split into at most this many hash shards: one per host
+// thread the recovery rebuild may use.
+constexpr size_t kMaxShards = 4;
+
+// Ordered keyspaces (the RDB serializes them in key order) with a
+// transparent comparator, so lookups by string_view allocate nothing.
+template <typename V>
+using KeyMap = std::map<std::string, V, std::less<>>;
+
+// One decoded AOF command: views into the record payload it was parsed
+// from. Every command names exactly one key, and that key picks its shard.
+struct Command {
+  char op = 0;
+  std::string_view key;
+  std::string_view field;  // HSET only
+  std::string_view value;  // SET, HSET and LPUSH
+};
+
+// The one AOF decoder, shared by replay and the live command path.
+Status ParseCommand(std::string_view payload, Command* cmd) {
+  if (payload.empty()) {
+    return DataLossError("empty aof frame");
+  }
+  cmd->op = payload[0];
+  size_t pos = 1;
+  switch (cmd->op) {
+    case kOpSet:
+      if (!GetLengthPrefixed(payload, &pos, &cmd->key) ||
+          !GetLengthPrefixed(payload, &pos, &cmd->value)) {
+        return DataLossError("bad SET frame");
+      }
+      return OkStatus();
+    case kOpDel:
+      if (!GetLengthPrefixed(payload, &pos, &cmd->key)) {
+        return DataLossError("bad DEL frame");
+      }
+      return OkStatus();
+    case kOpHSet:
+      if (!GetLengthPrefixed(payload, &pos, &cmd->key) ||
+          !GetLengthPrefixed(payload, &pos, &cmd->field) ||
+          !GetLengthPrefixed(payload, &pos, &cmd->value)) {
+        return DataLossError("bad HSET frame");
+      }
+      return OkStatus();
+    case kOpLPush:
+      if (!GetLengthPrefixed(payload, &pos, &cmd->key) ||
+          !GetLengthPrefixed(payload, &pos, &cmd->value)) {
+        return DataLossError("bad LPUSH frame");
+      }
+      return OkStatus();
+    default:
+      return DataLossError("unknown aof opcode");
+  }
+}
+
+// Views into a validated RDB, for one shard, each list in key order. A
+// hash's view is its encoded field list; a list's is its encoded items.
+using KvViews = std::vector<std::pair<std::string_view, std::string_view>>;
+struct RdbViews {
+  KvViews strings;
+  KvViews hashes;
+  KvViews lists;
+};
+
+// Runs fn(s) for every shard s < shards: shard 0 on the calling thread and
+// each other shard on a thread of its own. Returns once all have finished,
+// rethrowing on the calling thread what a worker threw (std::bad_alloc).
+// fn may touch only shard s and read-only inputs, never the simulation.
+template <typename Fn>
+void ForEachShardInParallel(size_t shards, const Fn& fn) {
+  std::vector<std::exception_ptr> thrown(shards);
+  {
+    std::vector<std::jthread> workers;
+    workers.reserve(shards - 1);
+    for (size_t s = 1; s < shards; ++s) {
+      workers.emplace_back([&fn, &thrown, s] {
+        try {
+          fn(s);
+        } catch (...) {
+          thrown[s] = std::current_exception();
+        }
+      });
+    }
+    fn(0);
+  }  // ~jthread joins the workers, also when fn(0) throws
+  for (const std::exception_ptr& e : thrown) {
+    if (e) {
+      std::rethrow_exception(e);
+    }
+  }
+}
+
+// Calls fn(key, value) for every entry of the map `member` picks out of
+// each shard, in global key order: a k-way merge of the shards' sorted
+// maps. A key lives in one shard only, so no two runs share a key.
+template <typename Shards, typename Member, typename Fn>
+void ForEachMerged(const Shards& shards, Member member, const Fn& fn) {
+  using Map = std::remove_cvref_t<decltype(shards[0].*member)>;
+  using It = typename Map::const_iterator;
+  std::vector<std::pair<It, It>> runs;
+  for (const auto& shard : shards) {
+    const Map& map = shard.*member;
+    if (!map.empty()) {
+      runs.emplace_back(map.begin(), map.end());
+    }
+  }
+  while (!runs.empty()) {
+    size_t next = 0;
+    for (size_t r = 1; r < runs.size(); ++r) {
+      if (runs[r].first->first < runs[next].first->first) {
+        next = r;
+      }
+    }
+    auto& [it, end] = runs[next];
+    fn(it->first, it->second);
+    if (++it == end) {
+      runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(next));
+    }
+  }
+}
+
 // The value under `key`, default-constructed first if absent. Builds the
 // key string only on insert.
 template <typename Map>
@@ -50,11 +179,88 @@ void EraseKey(Map* map, std::string_view key) {
 
 }  // namespace
 
+struct Redis::Shard {
+  KeyMap<std::string> strings;
+  KeyMap<KeyMap<std::string>> hashes;
+  KeyMap<std::deque<std::string>> lists;
+
+  // Fills the (empty) maps from the shard's views of the RDB. The views
+  // are in key order, so every insert lands at the end.
+  void Load(const RdbViews& rdb) {
+    for (const auto& [k, v] : rdb.strings) {
+      strings.emplace_hint(strings.end(), k, v);
+    }
+    for (const auto& [k, fields] : rdb.hashes) {
+      auto& hash =
+          hashes.emplace_hint(hashes.end(), k, KeyMap<std::string>())->second;
+      size_t pos = 0;
+      ForEachKv(fields, &pos, [&](std::string_view f, std::string_view v) {
+        hash.emplace_hint(hash.end(), f, v);
+      });
+    }
+    for (const auto& [k, items] : rdb.lists) {
+      auto& list =
+          lists.emplace_hint(lists.end(), k, std::deque<std::string>())
+              ->second;
+      size_t pos = 0;
+      std::string_view item;
+      while (GetLengthPrefixed(items, &pos, &item)) {
+        list.emplace_back(item);
+      }
+    }
+  }
+
+  void Apply(const Command& cmd) {
+    switch (cmd.op) {
+      case kOpSet:
+        FindOrInsert(&strings, cmd.key).assign(cmd.value);
+        return;
+      case kOpDel:
+        EraseKey(&strings, cmd.key);
+        EraseKey(&hashes, cmd.key);
+        EraseKey(&lists, cmd.key);
+        return;
+      case kOpHSet:
+        FindOrInsert(&FindOrInsert(&hashes, cmd.key), cmd.field)
+            .assign(cmd.value);
+        return;
+      case kOpLPush:
+        FindOrInsert(&lists, cmd.key).emplace_front(cmd.value);
+        return;
+      default:
+        return;  // ParseCommand admits no other opcode
+    }
+  }
+};
+
 Redis::Redis(SplitFs* fs, Simulation* sim, const SimParams* params,
              RedisOptions options)
-    : fs_(fs), sim_(sim), params_(params), options_(std::move(options)) {}
+    : fs_(fs),
+      sim_(sim),
+      params_(params),
+      options_(std::move(options)),
+      shards_(std::clamp<size_t>(std::thread::hardware_concurrency(), 1,
+                                 kMaxShards)) {}
 
 Redis::~Redis() = default;
+
+size_t Redis::ShardOf(std::string_view key) const {
+  return shards_.size() == 1
+             ? 0
+             : std::hash<std::string_view>()(key) % shards_.size();
+}
+
+Redis::Shard& Redis::ShardFor(std::string_view key) {
+  return shards_[ShardOf(key)];
+}
+
+size_t Redis::keys() const {
+  size_t n = 0;
+  for (const Shard& shard : shards_) {
+    n += shard.strings.size() + shard.hashes.size() + shard.lists.size();
+  }
+  return n;
+}
 
 Result<std::unique_ptr<Redis>> Redis::Open(SplitFs* fs, Simulation* sim,
                                            const SimParams* params,
@@ -77,24 +283,48 @@ Result<std::unique_ptr<SplitFile>> Redis::OpenAof(bool create) {
 uint64_t Redis::aof_bytes() const { return aof_ == nullptr ? 0 : aof_->Size(); }
 
 std::string Redis::SerializeRdb() const {
-  std::string out;
-  PutKvList(&out, strings_);
-  PutFixed32(&out, static_cast<uint32_t>(hashes_.size()));
-  for (const auto& [k, fields] : hashes_) {
-    PutLengthPrefixed(&out, k);
-    PutKvList(&out, fields);
-  }
-  PutFixed32(&out, static_cast<uint32_t>(lists_.size()));
-  for (const auto& [k, items] : lists_) {
-    PutLengthPrefixed(&out, k);
-    PutFixed32(&out, static_cast<uint32_t>(items.size()));
-    for (const std::string& item : items) {
-      PutLengthPrefixed(&out, item);
+  // The shards are merged back into one key-ordered stream, so the bytes
+  // do not depend on the shard count.
+  auto total = [this](auto member) {
+    size_t n = 0;
+    for (const Shard& shard : shards_) {
+      n += (shard.*member).size();
     }
-  }
+    return static_cast<uint32_t>(n);
+  };
+  std::string out;
+  // The strings section is a KV list (src/common/record.h).
+  PutFixed32(&out, total(&Shard::strings));
+  ForEachMerged(shards_, &Shard::strings,
+                [&](const std::string& k, const std::string& v) {
+                  PutLengthPrefixed(&out, k);
+                  PutLengthPrefixed(&out, v);
+                });
+  PutFixed32(&out, total(&Shard::hashes));
+  ForEachMerged(shards_, &Shard::hashes,
+                [&](const std::string& k, const KeyMap<std::string>& fields) {
+                  PutLengthPrefixed(&out, k);
+                  PutKvList(&out, fields);
+                });
+  PutFixed32(&out, total(&Shard::lists));
+  ForEachMerged(
+      shards_, &Shard::lists,
+      [&](const std::string& k, const std::deque<std::string>& items) {
+        PutLengthPrefixed(&out, k);
+        PutFixed32(&out, static_cast<uint32_t>(items.size()));
+        for (const std::string& item : items) {
+          PutLengthPrefixed(&out, item);
+        }
+      });
   return out;
 }
 
+// Recovery rebuilds the shards in parallel. The calling thread validates
+// and routes every RDB entry and AOF command in log order; then one
+// thread per shard applies that shard's entries, in the same order. Every
+// command names one key and a key's types share a shard, so each shard
+// sees exactly its own subsequence of the log and the result cannot
+// depend on thread timing.
 Status Redis::LoadRdb(std::string_view raw) {
   size_t pos = 0;
   auto read_u32 = [&](uint32_t* v) {
@@ -105,9 +335,9 @@ Status Redis::LoadRdb(std::string_view raw) {
     pos += 4;
     return true;
   };
-  // The RDB is in key order, so every insert lands at the end.
+  std::vector<RdbViews> views(shards_.size());
   if (!ForEachKv(raw, &pos, [&](std::string_view k, std::string_view v) {
-        strings_.emplace_hint(strings_.end(), k, v);
+        views[ShardOf(k)].strings.emplace_back(k, v);
       })) {
     return DataLossError("rdb truncated (strings)");
   }
@@ -120,13 +350,11 @@ Status Redis::LoadRdb(std::string_view raw) {
     if (!GetLengthPrefixed(raw, &pos, &k)) {
       return DataLossError("rdb truncated (hashes)");
     }
-    auto& hash = hashes_.emplace_hint(hashes_.end(), k, KeyMap<std::string>())
-                     ->second;
-    if (!ForEachKv(raw, &pos, [&](std::string_view f, std::string_view v) {
-          hash.emplace_hint(hash.end(), f, v);
-        })) {
+    const size_t start = pos;
+    if (!ForEachKv(raw, &pos, [](std::string_view, std::string_view) {})) {
       return DataLossError("rdb truncated (hash fields)");
     }
+    views[ShardOf(k)].hashes.emplace_back(k, raw.substr(start, pos - start));
   }
   if (!read_u32(&n)) {
     return DataLossError("rdb truncated");
@@ -137,61 +365,42 @@ Status Redis::LoadRdb(std::string_view raw) {
     if (!GetLengthPrefixed(raw, &pos, &k) || !read_u32(&items)) {
       return DataLossError("rdb truncated (lists)");
     }
-    auto& list =
-        lists_.emplace_hint(lists_.end(), k, std::deque<std::string>())
-            ->second;
+    const size_t start = pos;
     for (uint32_t j = 0; j < items; ++j) {
       std::string_view item;
       if (!GetLengthPrefixed(raw, &pos, &item)) {
         return DataLossError("rdb truncated (list items)");
       }
-      list.emplace_back(item);
     }
+    views[ShardOf(k)].lists.emplace_back(k, raw.substr(start, pos - start));
   }
+  ForEachShardInParallel(shards_.size(),
+                         [&](size_t s) { shards_[s].Load(views[s]); });
   return OkStatus();
 }
 
-Status Redis::ApplyCommand(std::string_view frame) {
-  if (frame.empty()) {
-    return DataLossError("empty aof frame");
-  }
-  char op = frame[0];
-  size_t pos = 1;
-  std::string_view a, b, c;
-  switch (op) {
-    case kOpSet:
-      if (!GetLengthPrefixed(frame, &pos, &a) ||
-          !GetLengthPrefixed(frame, &pos, &b)) {
-        return DataLossError("bad SET frame");
-      }
-      FindOrInsert(&strings_, a).assign(b);
-      return OkStatus();
-    case kOpDel:
-      if (!GetLengthPrefixed(frame, &pos, &a)) {
-        return DataLossError("bad DEL frame");
-      }
-      EraseKey(&strings_, a);
-      EraseKey(&hashes_, a);
-      EraseKey(&lists_, a);
-      return OkStatus();
-    case kOpHSet:
-      if (!GetLengthPrefixed(frame, &pos, &a) ||
-          !GetLengthPrefixed(frame, &pos, &b) ||
-          !GetLengthPrefixed(frame, &pos, &c)) {
-        return DataLossError("bad HSET frame");
-      }
-      FindOrInsert(&FindOrInsert(&hashes_, a), b).assign(c);
-      return OkStatus();
-    case kOpLPush:
-      if (!GetLengthPrefixed(frame, &pos, &a) ||
-          !GetLengthPrefixed(frame, &pos, &b)) {
-        return DataLossError("bad LPUSH frame");
-      }
-      FindOrInsert(&lists_, a).emplace_front(b);
-      return OkStatus();
-    default:
-      return DataLossError("unknown aof opcode");
-  }
+Status Redis::ReplayAof(std::string_view raw) {
+  // A malformed command fails recovery here, before any shard applies
+  // anything; a torn or corrupt record ends the log, as it would serially.
+  std::vector<std::vector<Command>> commands(shards_.size());
+  Status parsed;
+  ForEachRecord(raw, [&](std::string_view payload) {
+    Command cmd;
+    parsed = ParseCommand(payload, &cmd);
+    if (!parsed.ok()) {
+      return false;
+    }
+    commands[ShardOf(cmd.key)].push_back(cmd);
+    replayed_commands_++;
+    return true;
+  });
+  RETURN_IF_ERROR(parsed);
+  ForEachShardInParallel(shards_.size(), [&](size_t s) {
+    for (const Command& cmd : commands[s]) {
+      shards_[s].Apply(cmd);
+    }
+  });
+  return OkStatus();
 }
 
 Status Redis::Recover() {
@@ -245,16 +454,7 @@ Status Redis::Recover() {
     }
     sim_->Advance(static_cast<SimTime>(raw->size()) *
                   params_->cpu.parse_log_per_byte_ns);
-    Status applied;
-    ForEachRecord(*raw, [&](std::string_view payload) {
-      applied = ApplyCommand(payload);
-      if (!applied.ok()) {
-        return false;
-      }
-      replayed_commands_++;
-      return true;
-    });
-    RETURN_IF_ERROR(applied);
+    RETURN_IF_ERROR(ReplayAof(*raw));
     aof_ = std::move(file);
     return OkStatus();
   }
@@ -284,8 +484,10 @@ Status Redis::AppendCommands(const std::vector<std::string>& frames) {
   // decoder, and before the rewrite check, so an RDB snapshot taken below
   // holds every batch the AOF it replaces held.
   for (const std::string& f : frames) {
+    Command cmd;
     RETURN_IF_ERROR(
-        ApplyCommand(std::string_view(f).substr(kRecordHeaderBytes)));
+        ParseCommand(std::string_view(f).substr(kRecordHeaderBytes), &cmd));
+    ShardFor(cmd.key).Apply(cmd);
   }
   if (aof_->Size() >= options_.aof_rewrite_bytes) {
     RETURN_IF_ERROR(MaybeRewriteAof());
@@ -344,8 +546,9 @@ Status Redis::Put(std::string_view key, std::string_view value) {
 
 Result<std::string> Redis::Get(std::string_view key) {
   sim_->Advance(params_->cpu.redis_op);
-  auto it = strings_.find(key);
-  if (it == strings_.end()) {
+  const auto& strings = ShardFor(key).strings;
+  auto it = strings.find(key);
+  if (it == strings.end()) {
     return NotFoundError("no such key");
   }
   return it->second;
@@ -359,8 +562,9 @@ Status Redis::Del(std::string_view key) {
 Result<int64_t> Redis::Incr(std::string_view key) {
   sim_->Advance(params_->cpu.redis_op);
   int64_t value = 0;
-  auto it = strings_.find(key);
-  if (it != strings_.end()) {
+  const auto& strings = ShardFor(key).strings;
+  auto it = strings.find(key);
+  if (it != strings.end()) {
     value = std::strtoll(it->second.c_str(), nullptr, 10);
   }
   value++;
@@ -377,8 +581,9 @@ Status Redis::HSet(std::string_view key, std::string_view field,
 
 Result<std::string> Redis::HGet(std::string_view key, std::string_view field) {
   sim_->Advance(params_->cpu.redis_op);
-  auto it = hashes_.find(key);
-  if (it == hashes_.end()) {
+  const auto& hashes = ShardFor(key).hashes;
+  auto it = hashes.find(key);
+  if (it == hashes.end()) {
     return NotFoundError("no such hash");
   }
   auto fit = it->second.find(field);
@@ -395,8 +600,9 @@ Status Redis::LPush(std::string_view key, std::string_view value) {
 
 Result<std::string> Redis::LIndex(std::string_view key, int64_t index) {
   sim_->Advance(params_->cpu.redis_op);
-  auto it = lists_.find(key);
-  if (it == lists_.end()) {
+  const auto& lists = ShardFor(key).lists;
+  auto it = lists.find(key);
+  if (it == lists.end()) {
     return NotFoundError("no such list");
   }
   const auto& list = it->second;

@@ -9,17 +9,18 @@
 // When the AOF exceeds the rewrite threshold, the dataset is serialized to
 // an RDB file (large background dfs write) and the AOF is deleted and
 // recreated (Table 2's delete-reclaim policy). Recovery loads the RDB and
-// replays the AOF. Redis is single threaded: the harness serializes all
-// commands, giving strong mode its head-of-line blocking (§5.3).
+// replays the AOF. The modelled Redis is single threaded: the harness
+// serializes all commands, giving strong mode its head-of-line blocking
+// (§5.3). Only the simulator's host-side rebuild of the keyspace during
+// recovery runs on several threads (one per hash shard, see redis.cc); it
+// charges no virtual time of its own.
 #ifndef SRC_APPS_REDIS_REDIS_H_
 #define SRC_APPS_REDIS_REDIS_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/apps/storage_app.h"
@@ -60,9 +61,7 @@ class Redis : public StorageApp {
   Result<std::string> LIndex(std::string_view key, int64_t index);
 
   // Diagnostics.
-  size_t keys() const {
-    return strings_.size() + hashes_.size() + lists_.size();
-  }
+  size_t keys() const;
   uint64_t aof_bytes() const;
   int rdb_snapshots() const { return rdb_snapshots_; }
   uint64_t replayed_commands() const { return replayed_commands_; }
@@ -71,28 +70,29 @@ class Redis : public StorageApp {
   Redis(SplitFs* fs, Simulation* sim, const SimParams* params,
         RedisOptions options);
 
+  // One hash shard of the keyspace (defined in redis.cc). A key's string,
+  // hash and list all live in the shard its name hashes to.
+  struct Shard;
+
   Status Recover();
   // Appends the command frames to the AOF, commits them, then applies them
-  // to the dataset (through ApplyCommand, the replay decoder) and rewrites
-  // the AOF if it crossed the threshold.
+  // to the dataset (through the replay decoder) and rewrites the AOF if it
+  // crossed the threshold.
   Status AppendCommands(const std::vector<std::string>& frames);
   Status MaybeRewriteAof();
-  Status ApplyCommand(std::string_view frame);
+  // Replays the AOF records of `raw` up to its first torn or corrupt one.
+  Status ReplayAof(std::string_view raw);
   std::string SerializeRdb() const;
   Status LoadRdb(std::string_view raw);
   Result<std::unique_ptr<SplitFile>> OpenAof(bool create);
+  size_t ShardOf(std::string_view key) const;
+  Shard& ShardFor(std::string_view key);
 
   SplitFs* fs_;
   Simulation* sim_;
   const SimParams* params_;
   RedisOptions options_;
-  // Ordered keyspaces (the RDB serializes them in key order) with a
-  // transparent comparator, so lookups by string_view allocate nothing.
-  template <typename V>
-  using KeyMap = std::map<std::string, V, std::less<>>;
-  KeyMap<std::string> strings_;
-  KeyMap<KeyMap<std::string>> hashes_;
-  KeyMap<std::deque<std::string>> lists_;
+  std::vector<Shard> shards_;
   std::unique_ptr<SplitFile> aof_;
   uint64_t aof_generation_ = 1;
   int rdb_snapshots_ = 0;

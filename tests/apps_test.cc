@@ -2,6 +2,7 @@
 // including the crash-durability semantics each mode promises.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -13,6 +14,8 @@
 #include "src/apps/lru_cache.h"
 #include "src/apps/redis/redis.h"
 #include "src/apps/sqlitelite/sqlite_lite.h"
+#include "src/common/bytes.h"
+#include "src/common/record.h"
 #include "src/controller/controller.h"
 #include "src/dfs/dfs.h"
 #include "src/ncl/peer.h"
@@ -578,6 +581,105 @@ TEST_F(RedisRecoveryTest, LooksUpThroughNonOwningView) {
   EXPECT_EQ(*redis->Incr(view.substr(5, 4)), 2);
   EXPECT_EQ(*redis->Get("hits"), "2");
   EXPECT_FALSE(redis->Get(view.substr(0, 4)).ok());
+}
+
+// AOF replay of hand-written records. Recovery validates every command in
+// log order before any keyspace shard applies one, so the outcome is the
+// serial replay's: the first malformed command fails recovery, and a torn
+// final record ends the log silently.
+class RedisReplayErrorTest : public AppsTest {
+ protected:
+  static RedisOptions Options(const std::string& dir) {
+    RedisOptions options;
+    options.mode = DurabilityMode::kStrong;  // the AOF is a plain dfs file
+    options.dir = dir;
+    return options;
+  }
+
+  // An AOF record holding `op` and its length-prefixed arguments.
+  static std::string Record(char op,
+                            std::initializer_list<std::string_view> args) {
+    std::string payload(1, op);
+    for (std::string_view a : args) {
+      PutLengthPrefixed(&payload, a);
+    }
+    std::string record;
+    AppendRecord(&record, payload);
+    return record;
+  }
+
+  // Writes 200 keys of each type through a redis in `dir`, then appends
+  // `tail` to its AOF behind its back.
+  void WriteThenAppend(SplitFs* fs, const std::string& dir,
+                       std::string_view tail) {
+    {
+      auto redis = Redis::Open(fs, &sim_, &params_, Options(dir));
+      ASSERT_TRUE(redis.ok());
+      for (int i = 0; i < 200; ++i) {
+        std::string n = std::to_string(i);
+        ASSERT_TRUE((*redis)->Put("key-" + n, "v" + n).ok());
+        ASSERT_TRUE((*redis)->HSet("hash-" + n, "f", n).ok());
+        ASSERT_TRUE((*redis)->LPush("list-" + n, n).ok());
+      }
+    }
+    std::vector<std::string> aofs = fs->dfs()->List(dir + "/aof-");
+    ASSERT_EQ(aofs.size(), 1u);
+    SplitOpenOptions opts;
+    opts.create = false;
+    auto aof = fs->Open(aofs[0], opts);
+    ASSERT_TRUE(aof.ok());
+    ASSERT_TRUE((*aof)->Append(tail).ok());
+    ASSERT_TRUE((*aof)->Sync().ok());
+  }
+};
+
+TEST_F(RedisReplayErrorTest, MalformedCommandMidAofFailsRecovery) {
+  auto fs = MakeFs("redis-app");
+  // A checksum-valid HSET missing its value, then valid commands, then a
+  // second malformed record of another kind.
+  std::string tail = Record('H', {"hash-3", "f"}) +
+                     Record('S', {"key-1", "after"}) +
+                     Record('?', {"key-2"}) + Record('S', {"key-3", "x"});
+  WriteThenAppend(fs.get(), "/redis", tail);
+  auto redis = Redis::Open(fs.get(), &sim_, &params_, Options("/redis"));
+  ASSERT_FALSE(redis.ok());
+  EXPECT_EQ(redis.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(redis.status().message(), "bad HSET frame");
+
+  // Every malformed kind is reported by the parse step's own text.
+  const std::pair<std::string, std::string> bad[] = {
+      {Record('S', {"key-1"}), "bad SET frame"},
+      {Record('D', {}), "bad DEL frame"},
+      {Record('L', {"list-1"}), "bad LPUSH frame"},
+      {Record('Z', {"key-1"}), "unknown aof opcode"},
+  };
+  int case_id = 0;
+  for (const auto& [record, message] : bad) {
+    const std::string dir = "/redis-" + std::to_string(case_id++);
+    WriteThenAppend(fs.get(), dir, record + Record('S', {"key-1", "after"}));
+    auto reopened = Redis::Open(fs.get(), &sim_, &params_, Options(dir));
+    ASSERT_FALSE(reopened.ok()) << message;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(reopened.status().message(), message);
+  }
+}
+
+TEST_F(RedisReplayErrorTest, TornFinalRecordIsDroppedSilently) {
+  auto fs = MakeFs("redis-app");
+  std::string last = Record('S', {"torn", "never acked"});
+  std::string tail = Record('S', {"key-7", "replaced"}) +
+                     Record('D', {"hash-8"}) +
+                     last.substr(0, last.size() - 3);
+  WriteThenAppend(fs.get(), "/redis", tail);
+  auto redis = Redis::Open(fs.get(), &sim_, &params_, Options("/redis"));
+  ASSERT_TRUE(redis.ok()) << redis.status().ToString();
+  EXPECT_EQ((*redis)->replayed_commands(), 3u * 200 + 2);
+  EXPECT_EQ(*(*redis)->Get("key-7"), "replaced");
+  EXPECT_FALSE((*redis)->HGet("hash-8", "f").ok());
+  EXPECT_EQ(*(*redis)->HGet("hash-9", "f"), "9");
+  EXPECT_EQ(*(*redis)->LIndex("list-199", 0), "199");
+  EXPECT_FALSE((*redis)->Get("torn").ok());
+  EXPECT_EQ((*redis)->keys(), 3u * 200 - 1);
 }
 
 // ------------------------------------------------------------- SqliteLite --
