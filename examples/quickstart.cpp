@@ -80,7 +80,8 @@ int main() {
   }
   auto contents = (*wal)->Read(0, (*wal)->Size());
   std::printf("recovered %s of log:\n  %s\n",
-              HumanBytes((*wal)->Size()).c_str(), contents->c_str());
+              HumanBytes((*wal)->Size()).c_str(),
+              std::string(*contents).c_str());
 
   // The tracer's "ncl.recover.*" phase spans are the recovery breakdown.
   const auto& spans = testbed.tracer()->aggregates();

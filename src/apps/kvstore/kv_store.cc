@@ -336,7 +336,7 @@ Status KvStore::FlushMemtable() {
 Status KvStore::Compact() {
   // Read every input in full, newest table first, then merge the sorted
   // runs in one pass: newer values win.
-  std::vector<std::vector<std::string>> runs;
+  std::vector<std::vector<SharedBytes>> runs;
   for (const auto* level : {&level0_, &level1_}) {
     for (const auto& table : *level) {
       ASSIGN_OR_RETURN(auto blocks, table->ReadAllBlocks());

@@ -91,7 +91,7 @@ Result<std::unique_ptr<SstableReader>> SstableReader::Open(
 
   std::unique_ptr<SstableReader> reader(
       new SstableReader(std::move(file), block_cache));
-  reader->index_raw_ = std::move(*index_raw);
+  reader->index_raw_ = std::string(*index_raw);
   std::string_view raw = reader->index_raw_;
   if (raw.size() < 4) {
     return DataLossError("sstable index truncated");
@@ -140,7 +140,9 @@ Result<LruCache::Value> SstableReader::ReadBlock(const IndexEntry& entry) {
   if (!block.ok()) {
     return block.status();
   }
-  auto shared = std::make_shared<const std::string>(std::move(*block));
+  // The cached value is the block's own copy: a slice of the read would
+  // pin the whole table, even after a compaction deletes it.
+  auto shared = std::make_shared<const std::string>(*block);
   if (cache_ != nullptr) {
     cache_->Put(entry.cache_key, shared);
   }
@@ -162,18 +164,24 @@ Result<std::string> SstableReader::Get(std::string_view key) {
   std::string_view b = **block;
   size_t pos = 0;
   std::string_view k, v;
+  // Blocks are written in key order: the scan stops at the first key past
+  // the target.
   while (GetLengthPrefixed(b, &pos, &k) && GetLengthPrefixed(b, &pos, &v)) {
     if (k == key) {
       return std::string(v);
+    }
+    if (k > key) {
+      break;
     }
   }
   return NotFoundError("key absent from block");
 }
 
-Result<std::vector<std::string>> SstableReader::ReadAllBlocks() {
+Result<std::vector<SharedBytes>> SstableReader::ReadAllBlocks() {
   // Compaction inputs are background IO: they use the backend's bandwidth
   // but run on background threads, so they do not stall the write path.
-  std::vector<std::string> blocks;
+  // The blocks alias the table's bytes for the length of the compaction.
+  std::vector<SharedBytes> blocks;
   blocks.reserve(index_.size());
   for (const IndexEntry& entry : index_) {
     auto block = file_->ReadBackground(entry.offset, entry.length);
@@ -190,7 +198,7 @@ namespace {
 // Walks one run's entries in key order.
 class RunCursor {
  public:
-  explicit RunCursor(const std::vector<std::string>* blocks)
+  explicit RunCursor(const std::vector<SharedBytes>* blocks)
       : blocks_(blocks) {
     Advance();
   }
@@ -209,7 +217,7 @@ class RunCursor {
   }
 
  private:
-  const std::vector<std::string>* blocks_;
+  const std::vector<SharedBytes>* blocks_;
   size_t block_ = 0;
   size_t pos_ = 0;
   SstEntry entry_;
@@ -218,7 +226,7 @@ class RunCursor {
 }  // namespace
 
 std::vector<SstEntry> MergeRuns(
-    const std::vector<std::vector<std::string>>& runs) {
+    const std::vector<std::vector<SharedBytes>>& runs) {
   std::vector<RunCursor> cursors;
   cursors.reserve(runs.size());
   for (const auto& run : runs) {

@@ -72,7 +72,7 @@ class SstableReader {
 
   // Full scan, for compaction: every data block, in file order. Compaction
   // inputs are background IO and bypass the cache.
-  Result<std::vector<std::string>> ReadAllBlocks();
+  Result<std::vector<SharedBytes>> ReadAllBlocks();
 
  private:
   struct IndexEntry {
@@ -99,7 +99,7 @@ class SstableReader {
 // and runs[0] the newest. Returns every key once, in order, with its value
 // from the newest run holding it; the views point into `runs`.
 std::vector<SstEntry> MergeRuns(
-    const std::vector<std::vector<std::string>>& runs);
+    const std::vector<std::vector<SharedBytes>>& runs);
 
 }  // namespace splitft
 

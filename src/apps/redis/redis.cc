@@ -7,6 +7,7 @@
 #include <exception>
 #include <functional>
 #include <map>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -91,13 +92,11 @@ Status ParseCommand(std::string_view payload, Command* cmd) {
   }
 }
 
-// Views into a validated RDB, for one shard, each list in key order. A
-// hash's view is its encoded field list; a list's is its encoded items.
-using KvViews = std::vector<std::pair<std::string_view, std::string_view>>;
-struct RdbViews {
-  KvViews strings;
-  KvViews hashes;
-  KvViews lists;
+// A string in a shard's delta over the snapshot index: its value since
+// the snapshot, or a DEL of a key the snapshot holds.
+struct StringDelta {
+  std::string value;
+  bool deleted = false;
 };
 
 // Runs fn(s) for every shard s < shards: shard 0 on the calling thread and
@@ -180,43 +179,27 @@ void EraseKey(Map* map, std::string_view key) {
 }  // namespace
 
 struct Redis::Shard {
-  KeyMap<std::string> strings;
+  // Strings set or deleted since the snapshot; they shadow the index.
+  KeyMap<StringDelta> strings;
   KeyMap<KeyMap<std::string>> hashes;
   KeyMap<std::deque<std::string>> lists;
 
-  // Fills the (empty) maps from the shard's views of the RDB. The views
-  // are in key order, so every insert lands at the end.
-  void Load(const RdbViews& rdb) {
-    for (const auto& [k, v] : rdb.strings) {
-      strings.emplace_hint(strings.end(), k, v);
-    }
-    for (const auto& [k, fields] : rdb.hashes) {
-      auto& hash =
-          hashes.emplace_hint(hashes.end(), k, KeyMap<std::string>())->second;
-      size_t pos = 0;
-      ForEachKv(fields, &pos, [&](std::string_view f, std::string_view v) {
-        hash.emplace_hint(hash.end(), f, v);
-      });
-    }
-    for (const auto& [k, items] : rdb.lists) {
-      auto& list =
-          lists.emplace_hint(lists.end(), k, std::deque<std::string>())
-              ->second;
-      size_t pos = 0;
-      std::string_view item;
-      while (GetLengthPrefixed(items, &pos, &item)) {
-        list.emplace_back(item);
-      }
-    }
-  }
-
-  void Apply(const Command& cmd) {
+  // Applies one command. The snapshot index is only read, so replay
+  // workers share it.
+  void Apply(const Command& cmd, const SnapshotIndex& snapshot) {
     switch (cmd.op) {
-      case kOpSet:
-        FindOrInsert(&strings, cmd.key).assign(cmd.value);
+      case kOpSet: {
+        StringDelta& delta = FindOrInsert(&strings, cmd.key);
+        delta.value.assign(cmd.value);
+        delta.deleted = false;
         return;
+      }
       case kOpDel:
-        EraseKey(&strings, cmd.key);
+        if (FindInSnapshot(snapshot, cmd.key).has_value()) {
+          FindOrInsert(&strings, cmd.key) = StringDelta{{}, true};
+        } else {
+          EraseKey(&strings, cmd.key);
+        }
         EraseKey(&hashes, cmd.key);
         EraseKey(&lists, cmd.key);
         return;
@@ -254,12 +237,44 @@ Redis::Shard& Redis::ShardFor(std::string_view key) {
   return shards_[ShardOf(key)];
 }
 
+std::optional<std::string_view> Redis::FindInSnapshot(
+    const SnapshotIndex& index, std::string_view key) {
+  auto it = std::lower_bound(
+      index.begin(), index.end(), key,
+      [](const auto& entry, std::string_view k) { return entry.first < k; });
+  if (it == index.end() || it->first != key) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
 size_t Redis::keys() const {
-  size_t n = 0;
+  size_t n = snapshot_.size();
   for (const Shard& shard : shards_) {
-    n += shard.strings.size() + shard.hashes.size() + shard.lists.size();
+    n += shard.hashes.size() + shard.lists.size();
+    // A deleted marker hides a snapshot key; a live entry adds a key only
+    // when the snapshot lacks it.
+    for (const auto& [key, delta] : shard.strings) {
+      if (delta.deleted) {
+        n--;
+      } else if (!FindInSnapshot(snapshot_, key).has_value()) {
+        n++;
+      }
+    }
   }
   return n;
+}
+
+std::optional<std::string_view> Redis::FindString(std::string_view key) const {
+  const auto& delta = shards_[ShardOf(key)].strings;
+  auto it = delta.find(key);
+  if (it == delta.end()) {
+    return FindInSnapshot(snapshot_, key);
+  }
+  if (it->second.deleted) {
+    return std::nullopt;
+  }
+  return it->second.value;
 }
 
 Result<std::unique_ptr<Redis>> Redis::Open(SplitFs* fs, Simulation* sim,
@@ -293,13 +308,33 @@ std::string Redis::SerializeRdb() const {
     return static_cast<uint32_t>(n);
   };
   std::string out;
-  // The strings section is a KV list (src/common/record.h).
-  PutFixed32(&out, total(&Shard::strings));
+  // The strings section is a KV list (src/common/record.h): the snapshot
+  // index merged with the key-ordered delta, which wins on equal keys. Its
+  // count is patched in once the merge has counted the live strings.
+  PutFixed32(&out, 0);
+  uint32_t strings = 0;
+  auto put_string = [&](std::string_view k, std::string_view v) {
+    PutLengthPrefixed(&out, k);
+    PutLengthPrefixed(&out, v);
+    strings++;
+  };
+  auto next = snapshot_.begin();
   ForEachMerged(shards_, &Shard::strings,
-                [&](const std::string& k, const std::string& v) {
-                  PutLengthPrefixed(&out, k);
-                  PutLengthPrefixed(&out, v);
+                [&](const std::string& k, const StringDelta& delta) {
+                  for (; next != snapshot_.end() && next->first < k; ++next) {
+                    put_string(next->first, next->second);
+                  }
+                  if (next != snapshot_.end() && next->first == k) {
+                    ++next;
+                  }
+                  if (!delta.deleted) {
+                    put_string(k, delta.value);
+                  }
                 });
+  for (; next != snapshot_.end(); ++next) {
+    put_string(next->first, next->second);
+  }
+  EncodeFixed32(out.data(), strings);
   PutFixed32(&out, total(&Shard::hashes));
   ForEachMerged(shards_, &Shard::hashes,
                 [&](const std::string& k, const KeyMap<std::string>& fields) {
@@ -319,13 +354,15 @@ std::string Redis::SerializeRdb() const {
   return out;
 }
 
-// Recovery rebuilds the shards in parallel. The calling thread validates
-// and routes every RDB entry and AOF command in log order; then one
-// thread per shard applies that shard's entries, in the same order. Every
-// command names one key and a key's types share a shard, so each shard
-// sees exactly its own subsequence of the log and the result cannot
-// depend on thread timing.
-Status Redis::LoadRdb(std::string_view raw) {
+// Recovery keeps the RDB it read and indexes its strings section in
+// place; hashes and lists are copied into their shards. The AOF replay
+// then applies on one thread per shard: the calling thread validates and
+// routes every command in log order, and each shard applies its own, in
+// the same order. Every command names one key and a key's types share a
+// shard, so each shard sees exactly its own subsequence of the log and the
+// result cannot depend on thread timing.
+Status Redis::LoadRdb(SharedBytes rdb) {
+  std::string_view raw = rdb;
   size_t pos = 0;
   auto read_u32 = [&](uint32_t* v) {
     if (pos + 4 > raw.size()) {
@@ -335,11 +372,21 @@ Status Redis::LoadRdb(std::string_view raw) {
     pos += 4;
     return true;
   };
-  std::vector<RdbViews> views(shards_.size());
+  SnapshotIndex index;
+  if (raw.size() >= 4) {
+    // Every entry takes at least its two length prefixes.
+    index.reserve(std::min<size_t>(DecodeFixed32(raw.data()), raw.size() / 8));
+  }
+  bool ordered = true;
   if (!ForEachKv(raw, &pos, [&](std::string_view k, std::string_view v) {
-        views[ShardOf(k)].strings.emplace_back(k, v);
+        ordered = ordered && (index.empty() || index.back().first < k);
+        index.emplace_back(k, v);
       })) {
     return DataLossError("rdb truncated (strings)");
+  }
+  if (!ordered) {
+    // The index is binary searched: its keys must strictly increase.
+    return DataLossError("rdb strings out of key order");
   }
   uint32_t n = 0;
   if (!read_u32(&n)) {
@@ -350,11 +397,15 @@ Status Redis::LoadRdb(std::string_view raw) {
     if (!GetLengthPrefixed(raw, &pos, &k)) {
       return DataLossError("rdb truncated (hashes)");
     }
-    const size_t start = pos;
-    if (!ForEachKv(raw, &pos, [](std::string_view, std::string_view) {})) {
+    // Keys arrive in order, so each insert lands at its shard map's end.
+    auto& hashes = ShardFor(k).hashes;
+    auto& hash =
+        hashes.emplace_hint(hashes.end(), k, KeyMap<std::string>())->second;
+    if (!ForEachKv(raw, &pos, [&](std::string_view f, std::string_view v) {
+          hash.emplace_hint(hash.end(), f, v);
+        })) {
       return DataLossError("rdb truncated (hash fields)");
     }
-    views[ShardOf(k)].hashes.emplace_back(k, raw.substr(start, pos - start));
   }
   if (!read_u32(&n)) {
     return DataLossError("rdb truncated");
@@ -365,17 +416,19 @@ Status Redis::LoadRdb(std::string_view raw) {
     if (!GetLengthPrefixed(raw, &pos, &k) || !read_u32(&items)) {
       return DataLossError("rdb truncated (lists)");
     }
-    const size_t start = pos;
+    auto& lists = ShardFor(k).lists;
+    auto& list =
+        lists.emplace_hint(lists.end(), k, std::deque<std::string>())->second;
     for (uint32_t j = 0; j < items; ++j) {
       std::string_view item;
       if (!GetLengthPrefixed(raw, &pos, &item)) {
         return DataLossError("rdb truncated (list items)");
       }
+      list.emplace_back(item);
     }
-    views[ShardOf(k)].lists.emplace_back(k, raw.substr(start, pos - start));
   }
-  ForEachShardInParallel(shards_.size(),
-                         [&](size_t s) { shards_[s].Load(views[s]); });
+  snapshot_rdb_ = std::move(rdb);
+  snapshot_ = std::move(index);
   return OkStatus();
 }
 
@@ -397,7 +450,7 @@ Status Redis::ReplayAof(std::string_view raw) {
   RETURN_IF_ERROR(parsed);
   ForEachShardInParallel(shards_.size(), [&](size_t s) {
     for (const Command& cmd : commands[s]) {
-      shards_[s].Apply(cmd);
+      shards_[s].Apply(cmd, snapshot_);
     }
   });
   return OkStatus();
@@ -422,7 +475,7 @@ Status Redis::Recover() {
     }
     sim_->Advance(static_cast<SimTime>(raw->size()) *
                   params_->cpu.parse_log_per_byte_ns);
-    RETURN_IF_ERROR(LoadRdb(*raw));
+    RETURN_IF_ERROR(LoadRdb(std::move(*raw)));
     rdb_gen = std::strtoull(newest.substr(newest.rfind('-') + 1).c_str(),
                             nullptr, 10);
   }
@@ -487,7 +540,7 @@ Status Redis::AppendCommands(const std::vector<std::string>& frames) {
     Command cmd;
     RETURN_IF_ERROR(
         ParseCommand(std::string_view(f).substr(kRecordHeaderBytes), &cmd));
-    ShardFor(cmd.key).Apply(cmd);
+    ShardFor(cmd.key).Apply(cmd, snapshot_);
   }
   if (aof_->Size() >= options_.aof_rewrite_bytes) {
     RETURN_IF_ERROR(MaybeRewriteAof());
@@ -546,12 +599,11 @@ Status Redis::Put(std::string_view key, std::string_view value) {
 
 Result<std::string> Redis::Get(std::string_view key) {
   sim_->Advance(params_->cpu.redis_op);
-  const auto& strings = ShardFor(key).strings;
-  auto it = strings.find(key);
-  if (it == strings.end()) {
+  std::optional<std::string_view> value = FindString(key);
+  if (!value.has_value()) {
     return NotFoundError("no such key");
   }
-  return it->second;
+  return std::string(*value);
 }
 
 Status Redis::Del(std::string_view key) {
@@ -562,10 +614,9 @@ Status Redis::Del(std::string_view key) {
 Result<int64_t> Redis::Incr(std::string_view key) {
   sim_->Advance(params_->cpu.redis_op);
   int64_t value = 0;
-  const auto& strings = ShardFor(key).strings;
-  auto it = strings.find(key);
-  if (it != strings.end()) {
-    value = std::strtoll(it->second.c_str(), nullptr, 10);
+  std::optional<std::string_view> current = FindString(key);
+  if (current.has_value()) {
+    value = std::strtoll(std::string(*current).c_str(), nullptr, 10);
   }
   value++;
   std::string text = std::to_string(value);

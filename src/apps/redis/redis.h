@@ -11,19 +11,24 @@
 // recreated (Table 2's delete-reclaim policy). Recovery loads the RDB and
 // replays the AOF. The modelled Redis is single threaded: the harness
 // serializes all commands, giving strong mode its head-of-line blocking
-// (§5.3). Only the simulator's host-side rebuild of the keyspace during
-// recovery runs on several threads (one per hash shard, see redis.cc); it
-// charges no virtual time of its own.
+// (§5.3). Recovery keeps the RDB it read pinned and serves its strings in
+// place through a sorted index, which a per-shard delta of later SETs and
+// DELs shadows (DESIGN.md §15). Only the simulator's host-side AOF replay
+// runs on several threads (one per hash shard, see redis.cc); it charges
+// no virtual time of its own.
 #ifndef SRC_APPS_REDIS_REDIS_H_
 #define SRC_APPS_REDIS_REDIS_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/apps/storage_app.h"
+#include "src/common/shared_bytes.h"
 #include "src/sim/simulation.h"
 #include "src/splitft/split_fs.h"
 
@@ -73,6 +78,14 @@ class Redis : public StorageApp {
   // One hash shard of the keyspace (defined in redis.cc). A key's string,
   // hash and list all live in the shard its name hashes to.
   struct Shard;
+  // (key, value) views into an RDB's strings section, keys strictly
+  // increasing.
+  using SnapshotIndex =
+      std::vector<std::pair<std::string_view, std::string_view>>;
+
+  // The snapshot's value for `key`: a binary search of `index`.
+  static std::optional<std::string_view> FindInSnapshot(
+      const SnapshotIndex& index, std::string_view key);
 
   Status Recover();
   // Appends the command frames to the AOF, commits them, then applies them
@@ -83,7 +96,11 @@ class Redis : public StorageApp {
   // Replays the AOF records of `raw` up to its first torn or corrupt one.
   Status ReplayAof(std::string_view raw);
   std::string SerializeRdb() const;
-  Status LoadRdb(std::string_view raw);
+  // Indexes the strings of `rdb` in place, keeping it pinned, and copies
+  // its hashes and lists into the shards.
+  Status LoadRdb(SharedBytes rdb);
+  // The live string under `key`: its shard's delta, else the snapshot.
+  std::optional<std::string_view> FindString(std::string_view key) const;
   Result<std::unique_ptr<SplitFile>> OpenAof(bool create);
   size_t ShardOf(std::string_view key) const;
   Shard& ShardFor(std::string_view key);
@@ -93,6 +110,11 @@ class Redis : public StorageApp {
   const SimParams* params_;
   RedisOptions options_;
   std::vector<Shard> shards_;
+  // The RDB recovery loaded and the index of its strings section. Later
+  // rewrites unlink the file, but the slice keeps its bytes until the next
+  // recovery: at most one superseded snapshot stays pinned.
+  SharedBytes snapshot_rdb_;
+  SnapshotIndex snapshot_;
   std::unique_ptr<SplitFile> aof_;
   uint64_t aof_generation_ = 1;
   int rdb_snapshots_ = 0;

@@ -291,7 +291,7 @@ uint64_t DfsClient::BackgroundFlushAll() {
   return flushed;
 }
 
-SimTime DfsClient::FlushDirty(FileState* st, std::string* content,
+SimTime DfsClient::FlushDirty(FileState* st, CowBuffer* content,
                               bool foreground, SimTime* ideal,
                               bool* overwrote) {
   // Split the dirty extents by stripe while applying them; the fan-out
@@ -301,10 +301,7 @@ SimTime DfsClient::FlushDirty(FileState* st, std::string* content,
     if (overwrote != nullptr && offset < content->size()) {
       *overwrote = true;
     }
-    if (content->size() < offset + data.size()) {
-      content->resize(offset + data.size(), '\0');
-    }
-    content->replace(offset, data.size(), data);
+    content->Write(offset, data);
     cluster_->AddStripeShares(offset, data.size(), &shares);
   }
   ObsAdd(cluster_->c_bytes_written_, st->dirty_bytes);
@@ -500,15 +497,15 @@ Status DfsFile::SyncInternal(bool foreground, SimTime* done_at) {
 }
 
 
-Result<std::string> DfsFile::Read(uint64_t offset, uint64_t len) {
+Result<SharedBytes> DfsFile::Read(uint64_t offset, uint64_t len) {
   return ReadInternal(offset, len, /*foreground=*/true);
 }
 
-Result<std::string> DfsFile::ReadBackground(uint64_t offset, uint64_t len) {
+Result<SharedBytes> DfsFile::ReadBackground(uint64_t offset, uint64_t len) {
   return ReadInternal(offset, len, /*foreground=*/false);
 }
 
-Result<std::string> DfsFile::ReadInternal(uint64_t offset, uint64_t len,
+Result<SharedBytes> DfsFile::ReadInternal(uint64_t offset, uint64_t len,
                                           bool foreground) {
   RETURN_IF_ERROR(CheckUsable());
   ObsSpan span(client_->cluster_->obs_.tracer, "dfs.read");
@@ -519,41 +516,47 @@ Result<std::string> DfsFile::ReadInternal(uint64_t offset, uint64_t len,
 
   uint64_t size = Size();
   if (offset >= size) {
-    return std::string();
+    return SharedBytes();
   }
   len = std::min<uint64_t>(len, size - offset);
 
-  // Materialize only the requested range: durable bytes overlaid with any
-  // intersecting dirty ranges.
-  std::string out;
+  // The first dirty range that may intersect the read: dirty ranges
+  // starting before offset+len may, so walk back one entry past the first
+  // candidate to catch a range spanning `offset`.
+  auto first_dirty = st.dirty.lower_bound(offset);
+  if (first_dirty != st.dirty.begin() &&
+      std::prev(first_dirty)->first + std::prev(first_dirty)->second.size() >
+          offset) {
+    --first_dirty;
+  }
+  const bool overlaps_dirty =
+      first_dirty != st.dirty.end() && first_dirty->first < offset + len;
   auto fit = client_->cluster_->files_.find(path_);
-  if (fit != client_->cluster_->files_.end() &&
-      offset < fit->second.content.size()) {
-    out = fit->second.content.substr(
-        offset, std::min<uint64_t>(len, fit->second.content.size() - offset));
-  }
-  if (out.size() < len) {
-    out.resize(len, '\0');
-  }
-  if (!st.dirty.empty()) {
-    // Dirty ranges starting before offset+len may intersect; walk back one
-    // entry past the first candidate to catch a range spanning `offset`.
-    auto it = st.dirty.lower_bound(offset);
-    if (it != st.dirty.begin()) {
-      --it;
+  const CowBuffer* content = fit == client_->cluster_->files_.end()
+                                 ? nullptr
+                                 : &fit->second.content;
+  SharedBytes out;
+  if (!overlaps_dirty && content != nullptr &&
+      offset + len <= content->size()) {
+    out = content->Slice(offset, len);
+  } else {
+    // Materialize only the requested range: durable bytes overlaid with
+    // the intersecting dirty ranges.
+    std::string overlay;
+    if (content != nullptr && offset < content->size()) {
+      overlay = content->view().substr(offset, len);
     }
-    for (; it != st.dirty.end() && it->first < offset + len; ++it) {
+    overlay.resize(len, '\0');
+    for (auto it = first_dirty;
+         it != st.dirty.end() && it->first < offset + len; ++it) {
       uint64_t d_off = it->first;
       const std::string& data = it->second;
-      uint64_t d_end = d_off + data.size();
-      if (d_end <= offset) {
-        continue;
-      }
       uint64_t copy_begin = std::max(offset, d_off);
-      uint64_t copy_end = std::min(offset + len, d_end);
-      out.replace(copy_begin - offset, copy_end - copy_begin, data,
-                  copy_begin - d_off, copy_end - copy_begin);
+      uint64_t copy_end = std::min(offset + len, d_off + data.size());
+      overlay.replace(copy_begin - offset, copy_end - copy_begin, data,
+                      copy_begin - d_off, copy_end - copy_begin);
     }
+    out = SharedBytes(std::move(overlay));
   }
 
   DfsCluster* cluster = client_->cluster_;

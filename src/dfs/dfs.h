@@ -34,6 +34,7 @@
 
 #include "src/common/annotations.h"
 #include "src/common/io_trace.h"
+#include "src/common/shared_bytes.h"
 #include "src/common/status.h"
 #include "src/obs/obs.h"
 #include "src/sim/params.h"
@@ -96,8 +97,10 @@ class DfsCluster {
   friend class DfsClient;
   friend class DfsFile;
 
+  // Durable bytes. Reads that touch no dirty range alias them; a later
+  // sync copies them first only while such a read is still held.
   struct DurableFile {
-    std::string content;
+    CowBuffer content;
   };
 
   // Adds the byte range's per-server stripe shares into `shares`
@@ -229,7 +232,7 @@ class DfsClient {
   // write to the servers whose stripes they touch. Returns the time the
   // write is durable; *ideal gets its queue-free duration. Sets
   // *overwrote (nullable) when a range rewrote existing bytes.
-  SimTime FlushDirty(FileState* st, std::string* content, bool foreground,
+  SimTime FlushDirty(FileState* st, CowBuffer* content, bool foreground,
                      SimTime* ideal = nullptr, bool* overwrote = nullptr);
 
   DfsCluster* cluster_;
@@ -256,11 +259,14 @@ class DfsFile {
   // harness to overlap the commit pipeline with read service.
   Result<SimTime> SyncDeferred();
   // Reads [offset, offset+len) from the file (durable + dirty view).
-  // Charges cached/remote/direct-IO latency per the page-cache state.
-  Result<std::string> Read(uint64_t offset, uint64_t len);
+  // Charges cached/remote/direct-IO latency per the page-cache state. A
+  // range no dirty range overlaps aliases the durable bytes, which the
+  // slice keeps alive across later writes, syncs and unlinks; one that
+  // overlaps a dirty range is an owned overlay.
+  Result<SharedBytes> Read(uint64_t offset, uint64_t len);
   // Background variant (compaction inputs): remote fetches occupy the
   // backend pipe but do not block the caller's clock.
-  Result<std::string> ReadBackground(uint64_t offset, uint64_t len);
+  Result<SharedBytes> ReadBackground(uint64_t offset, uint64_t len);
 
   // Logical size including unflushed writes.
   uint64_t Size() const;
@@ -273,7 +279,7 @@ class DfsFile {
 
   Status CheckUsable() const;
   Status SyncInternal(bool foreground, SimTime* done_at);
-  Result<std::string> ReadInternal(uint64_t offset, uint64_t len,
+  Result<SharedBytes> ReadInternal(uint64_t offset, uint64_t len,
                                    bool foreground);
 
   DfsClient* client_;

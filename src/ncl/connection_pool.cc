@@ -176,7 +176,11 @@ PooledQp::~PooledQp() { pool_->ReleaseOwner(this); }
 
 uint64_t PooledQp::PostWrite(RKey rkey, uint64_t remote_offset,
                              std::string_view data) {
-  uint64_t wr = lane_->live.qp->PostWrite(rkey, remote_offset, data);
+  return PostWrite(QueuePair::WriteOp{rkey, remote_offset, data});
+}
+
+uint64_t PooledQp::PostWrite(const QueuePair::WriteOp& op) {
+  uint64_t wr = lane_->live.qp->PostWrite(op);
   lane_->live.route.Add(wr, this);
   return wr;
 }

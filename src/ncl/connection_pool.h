@@ -189,6 +189,7 @@ class PooledQp {
   NodeId remote() const { return lane_->remote; }
 
   uint64_t PostWrite(RKey rkey, uint64_t remote_offset, std::string_view data);
+  uint64_t PostWrite(const QueuePair::WriteOp& op);
   // Allocation-free chain post (the NCL append hot path); `ids_out` must
   // hold `count` slots. See QueuePair::PostWriteChain.
   void PostWriteChain(const QueuePair::WriteOp* ops, size_t count,

@@ -111,6 +111,16 @@ std::string_view NclGeometry::SlotBytes(uint32_t role,
   return *scratch;
 }
 
+SharedBytes NclGeometry::SlotSlice(uint32_t role, const CowBuffer& logical,
+                                   const SlotRange& range) const {
+  if (k_ == 1) {
+    return logical.Slice(range.begin, range.size());
+  }
+  std::string encoded;
+  SlotBytes(role, logical.view(), range, &encoded);
+  return SharedBytes(std::move(encoded));
+}
+
 NclGeometry::Claim NclGeometry::ClaimFrom(
     std::vector<Responder> responders) const {
   // Freshest first; the stable sort keeps role order among equal seqs.

@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/shared_bytes.h"
 #include "src/common/status.h"
 #include "src/controller/controller.h"
 #include "src/ncl/ec.h"
@@ -89,6 +90,10 @@ class NclGeometry {
   std::string_view SlotBytes(uint32_t role, std::string_view logical,
                              const SlotRange& range,
                              std::string* scratch) const;
+  // The same bytes as a slice a bulk WR can hold by reference: a slice of
+  // `logical` for a replica, an owned encoding for a shard.
+  SharedBytes SlotSlice(uint32_t role, const CowBuffer& logical,
+                        const SlotRange& range) const;
 
   // ---- Recovery ------------------------------------------------------------
   // A slot whose recovery header read answered, and what it advertises.

@@ -323,8 +323,10 @@ class NclFile {
   Status Write(uint64_t offset, std::string_view data);
 
   // Reads from the local buffer (after recovery, from the recovered
-  // contents — prefetched or fetched on demand per config).
-  Result<std::string> Read(uint64_t offset, uint64_t len);
+  // contents — prefetched or fetched on demand per config). A read served
+  // from the local buffer aliases it: the slice keeps its bytes across
+  // later appends, which copy the buffer first while a slice is held.
+  Result<SharedBytes> Read(uint64_t offset, uint64_t len);
 
   // release() (§4.2): frees the regions on all peers and removes the
   // ap-map entry. The file ceases to exist in NCL.
@@ -456,10 +458,10 @@ class NclFile {
   void RepostSuspect(PeerSlot* slot);
   void PostFullState(PeerSlot* slot);
   // The WRs that bring `slot`'s region `rkey` to the current state: its
-  // whole slot image (when non-empty), then its header. The ops view
-  // `scratch` and `header` (kNclMaxHeaderBytes).
+  // whole slot image (when non-empty), then its header. The image WR holds
+  // its bytes by reference (a slice of buffer_, or an owned shard
+  // encoding); the header WR views `header` (kNclMaxHeaderBytes).
   std::vector<QueuePair::WriteOp> FullStateOps(const PeerSlot& slot, RKey rkey,
-                                               std::string* scratch,
                                                char* header) const;
   // Fires due resurrection attempts; demotes slots whose deadline expired.
   // Returns true if any WRs were posted.
@@ -515,7 +517,9 @@ class NclFile {
   uint64_t committed_seq_ = 0;
   // Recent appends, oldest first, covering at least (min alive acked, seq_].
   std::deque<WindowEntry> window_;
-  std::string buffer_;  // local copy of the file contents
+  // Local copy of the file contents; reads and bulk catch-up WRs take
+  // slices of it.
+  CowBuffer buffer_;
   std::vector<PeerSlot> slots_;
   std::vector<std::string> peer_names_;
   // Peers ever assigned to this file; Create uses it to pick n distinct

@@ -29,10 +29,10 @@ class DfsBackedFile : public SplitFile {
     RETURN_IF_ERROR(file_->Sync(/*foreground=*/!options.background));
     return SimTime{0};
   }
-  Result<std::string> Read(uint64_t offset, uint64_t len) override {
+  Result<SharedBytes> Read(uint64_t offset, uint64_t len) override {
     return file_->Read(offset, len);
   }
-  Result<std::string> ReadBackground(uint64_t offset, uint64_t len) override {
+  Result<SharedBytes> ReadBackground(uint64_t offset, uint64_t len) override {
     return file_->ReadBackground(offset, len);
   }
   uint64_t Size() const override { return file_->Size(); }
@@ -68,7 +68,7 @@ class NclBackedFile : public SplitFile {
     RETURN_IF_ERROR(file_->Drain());
     return SimTime{0};
   }
-  Result<std::string> Read(uint64_t offset, uint64_t len) override {
+  Result<SharedBytes> Read(uint64_t offset, uint64_t len) override {
     return file_->Read(offset, len);
   }
   uint64_t Size() const override { return file_->size(); }
@@ -113,10 +113,7 @@ class FineGrainedFile : public SplitFile {
   }
 
   Status WriteAt(uint64_t offset, std::string_view data) override {
-    if (view_.size() < offset + data.size()) {
-      view_.resize(offset + data.size(), '\0');
-    }
-    view_.replace(offset, data.size(), data);
+    view_.Write(offset, data);
     if (data.size() < threshold_) {
       ObsAdd(c_small_writes_);
       std::string frame;
@@ -151,12 +148,8 @@ class FineGrainedFile : public SplitFile {
     return SimTime{0};
   }
 
-  Result<std::string> Read(uint64_t offset, uint64_t len) override {
-    if (offset >= view_.size()) {
-      return std::string();
-    }
-    len = std::min<uint64_t>(len, view_.size() - offset);
-    return view_.substr(offset, len);
+  Result<SharedBytes> Read(uint64_t offset, uint64_t len) override {
+    return view_.Slice(offset, len);
   }
 
   uint64_t Size() const override { return view_.size(); }
@@ -165,7 +158,7 @@ class FineGrainedFile : public SplitFile {
 
   // Writes the merged image to the dfs and resets the journal.
   Status Checkpoint() {
-    RETURN_IF_ERROR(base_->Write(0, view_));
+    RETURN_IF_ERROR(base_->Write(0, view_.view()));
     RETURN_IF_ERROR(base_->Sync(/*foreground=*/true));
     return log_->Truncate();
   }
@@ -175,7 +168,7 @@ class FineGrainedFile : public SplitFile {
   // striped backend its per-stripe fetches fan out across the object
   // servers in parallel (the Fig 11 recovery speedup).
   Status RecoverView() {
-    std::string base_image;
+    SharedBytes base_image;
     {
       ObsSpan read_span(tracer_, "splitfs.recover.read_base");
       auto base = base_->Read(0, base_->Size());
@@ -185,7 +178,8 @@ class FineGrainedFile : public SplitFile {
       base_image = std::move(*base);
     }
     ObsSpan replay_span(tracer_, "splitfs.recover.replay");
-    view_ = std::move(base_image);
+    // The view is mutated by the replay, so it starts as its own copy.
+    view_.Assign(std::string(base_image));
     auto journal = log_->Read(0, log_->size());
     if (!journal.ok()) {
       return journal.status();
@@ -201,10 +195,7 @@ class FineGrainedFile : public SplitFile {
         if (pos + len > j.size()) {
           break;  // torn tail record: unacknowledged, safe to drop
         }
-        if (view_.size() < offset + len) {
-          view_.resize(offset + len, '\0');
-        }
-        view_.replace(offset, len, j.substr(pos, len));
+        view_.Write(offset, j.substr(pos, len));
         pos += len;
       } else if (kind == kFrameLarge) {
         // Re-copy the (final) dfs bytes for the range, preserving order
@@ -213,10 +204,7 @@ class FineGrainedFile : public SplitFile {
         if (!chunk.ok()) {
           return chunk.status();
         }
-        if (view_.size() < offset + chunk->size()) {
-          view_.resize(offset + chunk->size(), '\0');
-        }
-        view_.replace(offset, chunk->size(), *chunk);
+        view_.Write(offset, *chunk);
       } else {
         break;  // corrupt frame: stop at the torn tail
       }
@@ -229,7 +217,7 @@ class FineGrainedFile : public SplitFile {
   std::unique_ptr<NclFile> log_;
   uint64_t threshold_;
   std::string path_;
-  std::string view_;
+  CowBuffer view_;
   Counter* c_small_writes_;
   Counter* c_large_writes_;
   Tracer* tracer_;

@@ -19,6 +19,7 @@
 #include <string_view>
 
 #include "src/common/annotations.h"
+#include "src/common/shared_bytes.h"
 #include "src/common/status.h"
 #include "src/controller/controller.h"
 #include "src/dfs/dfs.h"
@@ -71,10 +72,12 @@ class SplitFile {
   // data is durable. Background and deferred syncs pass SyncOptions.
   Status Sync() { return Sync(SyncOptions{}).status(); }
 
-  virtual Result<std::string> Read(uint64_t offset, uint64_t len) = 0;
+  // The bytes come back as a slice that may alias the backend's buffer
+  // (DfsFile::Read, NclFile::Read); holding it keeps them alive.
+  virtual Result<SharedBytes> Read(uint64_t offset, uint64_t len) = 0;
   // Background-IO read (compaction inputs): remote fetches occupy the
   // storage backend but do not block the caller. Default: normal Read.
-  virtual Result<std::string> ReadBackground(uint64_t offset, uint64_t len) {
+  virtual Result<SharedBytes> ReadBackground(uint64_t offset, uint64_t len) {
     return Read(offset, len);
   }
   virtual uint64_t Size() const = 0;

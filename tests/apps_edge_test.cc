@@ -192,7 +192,7 @@ class SstableFormatTest : public EdgeTest {
       RETURN_IF_ERROR(file_->Sync(/*foreground=*/!options.background));
       return SimTime{0};
     }
-    Result<std::string> Read(uint64_t offset, uint64_t len) override {
+    Result<SharedBytes> Read(uint64_t offset, uint64_t len) override {
       return file_->Read(offset, len);
     }
     uint64_t Size() const override { return file_->Size(); }
@@ -316,7 +316,7 @@ class CompactionDiffTest : public SstableFormatTest {
     }
     auto bytes = (*file)->Read(0, (*file)->Size());
     EXPECT_TRUE(bytes.ok()) << path;
-    return bytes.ok() ? *bytes : "";
+    return bytes.ok() ? std::string(*bytes) : "";
   }
 
   // The bytes of the one sstable under `prefix`.

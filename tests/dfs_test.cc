@@ -348,6 +348,37 @@ TEST_F(DfsTest, OverwriteExactlyCoveringRangeReplacesIt) {
   EXPECT_EQ(cluster_.bytes_written(), 12u);
 }
 
+// A read of durable bytes is a slice of them. It keeps its bytes across a
+// later overwrite + sync and across an unlink, while a fresh read sees the
+// new bytes (use-after-free under the ASan job otherwise).
+TEST_F(DfsTest, ReadSliceOutlivesOverwriteSyncAndUnlink) {
+  auto file = client_.Open("/f");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Append(std::string(4096, 'a')).ok());
+  ASSERT_TRUE((*file)->Sync().ok());
+  auto old = (*file)->Read(0, 4096);
+  ASSERT_TRUE(old.ok());
+  auto alias = (*file)->Read(100, 10);
+  ASSERT_TRUE(alias.ok());
+  EXPECT_EQ(alias->data(), old->data() + 100);  // durable reads alias
+
+  ASSERT_TRUE((*file)->Write(0, std::string(8192, 'b')).ok());
+  auto overlay = (*file)->Read(4000, 200);  // overlaps the dirty range
+  ASSERT_TRUE(overlay.ok());
+  EXPECT_EQ(*overlay, std::string(200, 'b'));
+  ASSERT_TRUE((*file)->Sync().ok());
+  EXPECT_EQ(*old, std::string(4096, 'a'));
+  auto fresh = (*file)->Read(0, 8192);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(*fresh, std::string(8192, 'b'));
+
+  ASSERT_TRUE(client_.Unlink("/f").ok());
+  file->reset();
+  EXPECT_EQ(*old, std::string(4096, 'a'));
+  EXPECT_EQ(*alias, std::string(10, 'a'));
+  EXPECT_EQ(*fresh, std::string(8192, 'b'));
+}
+
 TEST_F(DfsTest, AppendBetweenRangesBridgesWithoutDoubleCount) {
   auto file = client_.Open("/f");
   ASSERT_TRUE(file.ok());

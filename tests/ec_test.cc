@@ -310,7 +310,7 @@ class EcClusterTest : public ::testing::Test {
   std::string Contents(NclFile* file) {
     auto data = file->Read(0, file->size());
     EXPECT_TRUE(data.ok());
-    return data.ok() ? *data : std::string();
+    return data.ok() ? std::string(*data) : std::string();
   }
 
   int64_t GaugeValue(const std::string& name) {

@@ -227,7 +227,7 @@ class FormatPinTest : public ::testing::Test {
     }
     auto raw = (*file)->Read(0, (*file)->Size());
     EXPECT_TRUE(raw.ok()) << path;
-    return raw.ok() ? *raw : "";
+    return raw.ok() ? std::string(*raw) : "";
   }
 
   Simulation sim_;

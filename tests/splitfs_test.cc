@@ -45,7 +45,7 @@ class SplitFsTest : public ::testing::Test {
   std::string ReadAll(SplitFile* file) {
     auto data = file->Read(0, file->Size());
     EXPECT_TRUE(data.ok());
-    return data.ok() ? *data : std::string();
+    return data.ok() ? std::string(*data) : std::string();
   }
 
   Simulation sim_;
