@@ -1,8 +1,10 @@
 #include "src/apps/redis/redis.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -40,6 +42,9 @@ std::string Frame(char op, std::initializer_list<std::string_view> args) {
 // The keyspace is split into at most this many hash shards: one per host
 // thread the recovery rebuild may use.
 constexpr size_t kMaxShards = 4;
+
+// The AOF bytes per command ReplayAof reserves its shard buckets for.
+constexpr size_t kReplayReserveFrameBytes = 128;
 
 // Ordered keyspaces (the RDB serializes them in key order) with a
 // transparent comparator, so lookups by string_view allocate nothing.
@@ -92,12 +97,34 @@ Status ParseCommand(std::string_view payload, Command* cmd) {
   }
 }
 
-// A string in a shard's delta over the snapshot index: its value since
-// the snapshot, or a DEL of a key the snapshot holds.
+// A string in a shard's delta: its value since the recovery, or a DEL of
+// a key a layer below the delta holds.
 struct StringDelta {
   std::string value;
   bool deleted = false;
 };
+
+// A string in a shard's replay index: the last SET or DEL of `key` in the
+// replayed AOF. A deletion is kept only for a key the snapshot holds.
+struct ReplayedString {
+  std::string_view key;
+  std::string_view value;
+  // The fold's sort key: KeyHead of `key` past the shard's common key
+  // prefix. Unused once the index is built.
+  uint64_t head = 0;
+  bool deleted = false;
+};
+
+// The 8 bytes of `key` after its first `skip`, zero-padded, as a big-endian
+// number. Of two keys sharing their first `skip` bytes, the one with the
+// smaller head sorts first; equal heads say nothing.
+uint64_t KeyHead(std::string_view key, size_t skip) {
+  uint64_t head = 0;
+  for (size_t i = skip; i < skip + 8; ++i) {
+    head = head << 8 | (i < key.size() ? static_cast<uint8_t>(key[i]) : 0);
+  }
+  return head;
+}
 
 // Runs fn(s) for every shard s < shards: shard 0 on the calling thread and
 // each other shard on a thread of its own. Returns once all have finished,
@@ -127,30 +154,82 @@ void ForEachShardInParallel(size_t shards, const Fn& fn) {
   }
 }
 
-// Calls fn(key, value) for every entry of the map `member` picks out of
-// each shard, in global key order: a k-way merge of the shards' sorted
-// maps. A key lives in one shard only, so no two runs share a key.
-template <typename Shards, typename Member, typename Fn>
-void ForEachMerged(const Shards& shards, Member member, const Fn& fn) {
-  using Map = std::remove_cvref_t<decltype(shards[0].*member)>;
-  using It = typename Map::const_iterator;
-  std::vector<std::pair<It, It>> runs;
-  for (const auto& shard : shards) {
-    const Map& map = shard.*member;
-    if (!map.empty()) {
-      runs.emplace_back(map.begin(), map.end());
-    }
+// A key-ordered map's entries as a run of ForEachMerged.
+template <typename Map>
+class MapRun {
+ public:
+  explicit MapRun(const Map& map) : it_(map.begin()), end_(map.end()) {}
+  bool done() const { return it_ == end_; }
+  std::string_view key() const { return it_->first; }
+  const typename Map::mapped_type& value() const { return it_->second; }
+  void Next() { ++it_; }
+
+ private:
+  typename Map::const_iterator it_, end_;
+};
+
+// A shard's strings in key order: its replay index overlaid with its
+// delta, the delta winning on equal keys. value() is nullopt for a
+// deletion.
+class StringRun {
+ public:
+  StringRun(const std::vector<ReplayedString>& replayed,
+            const KeyMap<StringDelta>& delta)
+      : replayed_(replayed.begin()),
+        replayed_end_(replayed.end()),
+        delta_(delta.begin()),
+        delta_end_(delta.end()) {}
+  bool done() const {
+    return replayed_ == replayed_end_ && delta_ == delta_end_;
   }
+  std::string_view key() const {
+    return FromDelta() ? std::string_view(delta_->first) : replayed_->key;
+  }
+  std::optional<std::string_view> value() const {
+    if (FromDelta() ? delta_->second.deleted : replayed_->deleted) {
+      return std::nullopt;
+    }
+    return FromDelta() ? std::string_view(delta_->second.value)
+                       : replayed_->value;
+  }
+  void Next() {
+    if (!FromDelta()) {
+      ++replayed_;
+      return;
+    }
+    if (replayed_ != replayed_end_ && replayed_->key == delta_->first) {
+      ++replayed_;  // shadowed by the delta
+    }
+    ++delta_;
+  }
+
+ private:
+  bool FromDelta() const {
+    return replayed_ == replayed_end_ ||
+           (delta_ != delta_end_ && delta_->first <= replayed_->key);
+  }
+
+  std::vector<ReplayedString>::const_iterator replayed_, replayed_end_;
+  KeyMap<StringDelta>::const_iterator delta_, delta_end_;
+};
+
+// Calls fn(key, value) for the entries of every run in global key order: a
+// k-way merge of sorted runs. A key lives in one shard only, so no two
+// runs share a key.
+template <typename Run, typename Fn>
+void ForEachMerged(std::vector<Run> runs, const Fn& fn) {
+  std::erase_if(runs, [](const Run& run) { return run.done(); });
   while (!runs.empty()) {
     size_t next = 0;
     for (size_t r = 1; r < runs.size(); ++r) {
-      if (runs[r].first->first < runs[next].first->first) {
+      if (runs[r].key() < runs[next].key()) {
         next = r;
       }
     }
-    auto& [it, end] = runs[next];
-    fn(it->first, it->second);
-    if (++it == end) {
+    Run& run = runs[next];
+    fn(run.key(), run.value());
+    run.Next();
+    if (run.done()) {
       runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(next));
     }
   }
@@ -178,14 +257,49 @@ void EraseKey(Map* map, std::string_view key) {
 
 }  // namespace
 
+// A shard's strings are read through three layers, top down: the delta of
+// live SETs and DELs since the recovery, the replay index the recovery
+// folded the AOF into, and the global snapshot index. The first layer
+// holding an entry for a key decides, and a deletion hides the layers
+// below it.
 struct Redis::Shard {
-  // Strings set or deleted since the snapshot; they shadow the index.
-  KeyMap<StringDelta> strings;
+  enum class Layer { kDelta, kReplay, kSnapshot };
+
+  KeyMap<StringDelta> strings;  // the delta
+  // The replay index, sorted by key, viewing replay_bytes. Built once by
+  // Replay, then only read.
+  std::vector<ReplayedString> replayed;
+  std::unique_ptr<char[]> replay_bytes;
   KeyMap<KeyMap<std::string>> hashes;
   KeyMap<std::deque<std::string>> lists;
 
-  // Applies one command. The snapshot index is only read, so replay
-  // workers share it.
+  // The live string under `key`, reading layer `from` and those below it.
+  // The one string lookup: every read, and every test of what a layer
+  // hides, goes through it.
+  std::optional<std::string_view> Find(std::string_view key,
+                                       const SnapshotIndex& snapshot,
+                                       Layer from = Layer::kDelta) const {
+    if (from == Layer::kDelta) {
+      auto it = strings.find(key);
+      if (it != strings.end()) {
+        return it->second.deleted
+                   ? std::nullopt
+                   : std::optional<std::string_view>(it->second.value);
+      }
+    }
+    if (from != Layer::kSnapshot) {
+      auto it = std::lower_bound(
+          replayed.begin(), replayed.end(), key,
+          [](const ReplayedString& e, std::string_view k) { return e.key < k; });
+      if (it != replayed.end() && it->key == key) {
+        return it->deleted ? std::nullopt
+                           : std::optional<std::string_view>(it->value);
+      }
+    }
+    return FindInSnapshot(snapshot, key);
+  }
+
+  // Applies one live command. A string lands in the delta.
   void Apply(const Command& cmd, const SnapshotIndex& snapshot) {
     switch (cmd.op) {
       case kOpSet: {
@@ -195,24 +309,116 @@ struct Redis::Shard {
         return;
       }
       case kOpDel:
-        if (FindInSnapshot(snapshot, cmd.key).has_value()) {
+        if (Find(cmd.key, snapshot, Layer::kReplay).has_value()) {
           FindOrInsert(&strings, cmd.key) = StringDelta{{}, true};
         } else {
           EraseKey(&strings, cmd.key);
         }
-        EraseKey(&hashes, cmd.key);
-        EraseKey(&lists, cmd.key);
+        EraseCollections(cmd.key);
         return;
       case kOpHSet:
-        FindOrInsert(&FindOrInsert(&hashes, cmd.key), cmd.field)
-            .assign(cmd.value);
-        return;
       case kOpLPush:
-        FindOrInsert(&lists, cmd.key).emplace_front(cmd.value);
+        ApplyCollectionWrite(cmd);
         return;
       default:
         return;  // ParseCommand admits no other opcode
     }
+  }
+
+  // Folds the shard's replayed commands, in log order, into the shard. All
+  // of them must view one AOF buffer, so that a later command's key view
+  // starts at a higher address. Hashes and lists apply command by command;
+  // the last SET or DEL of each string wins and lands in the replay index,
+  // whose bytes are copied once into one exactly-sized buffer. The
+  // snapshot index is only read, so replay workers share it.
+  void Replay(const std::vector<Command>& log, const SnapshotIndex& snapshot) {
+    assert(replayed.empty() && strings.empty());
+    replayed.reserve(static_cast<size_t>(
+        std::count_if(log.begin(), log.end(), [](const Command& cmd) {
+          return cmd.op == kOpSet || cmd.op == kOpDel;
+        })));
+    for (const Command& cmd : log) {
+      if (cmd.op == kOpSet || cmd.op == kOpDel) {
+        replayed.push_back({.key = cmd.key,
+                            .value = cmd.value,
+                            .deleted = cmd.op == kOpDel});
+        if (cmd.op == kOpDel) {
+          EraseCollections(cmd.key);
+        }
+      } else {
+        ApplyCollectionWrite(cmd);
+      }
+    }
+    // Sort each key's writes together, in log order. Keys with a long
+    // common prefix (YCSB's "user000...") would make most comparisons read
+    // both keys out of the AOF; the heads past that prefix settle them.
+    std::string_view first;
+    if (!replayed.empty()) {
+      first = replayed[0].key;
+    }
+    size_t common = first.size();
+    for (const ReplayedString& entry : replayed) {
+      common = static_cast<size_t>(
+          std::ranges::mismatch(first.substr(0, common), entry.key).in1 -
+          first.begin());
+    }
+    for (ReplayedString& entry : replayed) {
+      entry.head = KeyHead(entry.key, common);
+    }
+    std::sort(replayed.begin(), replayed.end(),
+              [](const ReplayedString& a, const ReplayedString& b) {
+                if (a.head != b.head) {
+                  return a.head < b.head;
+                }
+                int order = a.key.compare(b.key);
+                return order != 0 ? order < 0 : a.key.data() < b.key.data();
+              });
+    size_t kept = 0;
+    size_t bytes = 0;
+    for (size_t i = 0; i < replayed.size(); ++i) {
+      const ReplayedString& last = replayed[i];
+      if ((i + 1 < replayed.size() && replayed[i + 1].key == last.key) ||
+          (last.deleted &&
+           !Find(last.key, snapshot, Layer::kSnapshot).has_value())) {
+        continue;  // overwritten later, or a deletion hiding nothing
+      }
+      bytes += last.key.size() + last.value.size();
+      replayed[kept++] = last;
+    }
+    replayed.resize(kept);
+    // Views into the buffer stay valid because it never grows.
+    replay_bytes = std::make_unique_for_overwrite<char[]>(bytes);
+    char* out = replay_bytes.get();
+    auto copy = [&](std::string_view from) {
+      assert(out + from.size() <= replay_bytes.get() + bytes);
+      if (!from.empty()) {
+        std::memcpy(out, from.data(), from.size());
+      }
+      out += from.size();
+      return std::string_view(out - from.size(), from.size());
+    };
+    for (ReplayedString& entry : replayed) {
+      entry.key = copy(entry.key);
+      entry.value = copy(entry.value);
+    }
+    assert(out == replay_bytes.get() + bytes);
+  }
+
+ private:
+  // An HSET or LPUSH.
+  void ApplyCollectionWrite(const Command& cmd) {
+    if (cmd.op == kOpHSet) {
+      FindOrInsert(&FindOrInsert(&hashes, cmd.key), cmd.field)
+          .assign(cmd.value);
+    } else {
+      FindOrInsert(&lists, cmd.key).emplace_front(cmd.value);
+    }
+  }
+
+  // A DEL's effect on the key's hash and list.
+  void EraseCollections(std::string_view key) {
+    EraseKey(&hashes, key);
+    EraseKey(&lists, key);
   }
 };
 
@@ -252,29 +458,27 @@ size_t Redis::keys() const {
   size_t n = snapshot_.size();
   for (const Shard& shard : shards_) {
     n += shard.hashes.size() + shard.lists.size();
-    // A deleted marker hides a snapshot key; a live entry adds a key only
-    // when the snapshot lacks it.
-    for (const auto& [key, delta] : shard.strings) {
-      if (delta.deleted) {
+    // A deletion hides a key the layers below it hold; a live entry adds a
+    // key only when they lack it.
+    auto count = [&](std::string_view key, bool deleted, Shard::Layer below) {
+      if (deleted) {
         n--;
-      } else if (!FindInSnapshot(snapshot_, key).has_value()) {
+      } else if (!shard.Find(key, snapshot_, below).has_value()) {
         n++;
       }
+    };
+    for (const ReplayedString& entry : shard.replayed) {
+      count(entry.key, entry.deleted, Shard::Layer::kSnapshot);
+    }
+    for (const auto& [key, delta] : shard.strings) {
+      count(key, delta.deleted, Shard::Layer::kReplay);
     }
   }
   return n;
 }
 
 std::optional<std::string_view> Redis::FindString(std::string_view key) const {
-  const auto& delta = shards_[ShardOf(key)].strings;
-  auto it = delta.find(key);
-  if (it == delta.end()) {
-    return FindInSnapshot(snapshot_, key);
-  }
-  if (it->second.deleted) {
-    return std::nullopt;
-  }
-  return it->second.value;
+  return shards_[ShardOf(key)].Find(key, snapshot_);
 }
 
 Result<std::unique_ptr<Redis>> Redis::Open(SplitFs* fs, Simulation* sim,
@@ -307,10 +511,19 @@ std::string Redis::SerializeRdb() const {
     }
     return static_cast<uint32_t>(n);
   };
+  auto runs = [this](auto member) {
+    using Map = std::remove_cvref_t<decltype(shards_[0].*member)>;
+    std::vector<MapRun<Map>> out;
+    for (const Shard& shard : shards_) {
+      out.emplace_back(shard.*member);
+    }
+    return out;
+  };
   std::string out;
   // The strings section is a KV list (src/common/record.h): the snapshot
-  // index merged with the key-ordered delta, which wins on equal keys. Its
-  // count is patched in once the merge has counted the live strings.
+  // index merged with the shards' replay indexes and deltas, a higher
+  // layer winning on equal keys. Its count is patched in once the merge
+  // has counted the live strings.
   PutFixed32(&out, 0);
   uint32_t strings = 0;
   auto put_string = [&](std::string_view k, std::string_view v) {
@@ -318,17 +531,21 @@ std::string Redis::SerializeRdb() const {
     PutLengthPrefixed(&out, v);
     strings++;
   };
+  std::vector<StringRun> string_runs;
+  for (const Shard& shard : shards_) {
+    string_runs.emplace_back(shard.replayed, shard.strings);
+  }
   auto next = snapshot_.begin();
-  ForEachMerged(shards_, &Shard::strings,
-                [&](const std::string& k, const StringDelta& delta) {
+  ForEachMerged(std::move(string_runs),
+                [&](std::string_view k, std::optional<std::string_view> v) {
                   for (; next != snapshot_.end() && next->first < k; ++next) {
                     put_string(next->first, next->second);
                   }
                   if (next != snapshot_.end() && next->first == k) {
                     ++next;
                   }
-                  if (!delta.deleted) {
-                    put_string(k, delta.value);
+                  if (v.has_value()) {
+                    put_string(k, *v);
                   }
                 });
   for (; next != snapshot_.end(); ++next) {
@@ -336,21 +553,20 @@ std::string Redis::SerializeRdb() const {
   }
   EncodeFixed32(out.data(), strings);
   PutFixed32(&out, total(&Shard::hashes));
-  ForEachMerged(shards_, &Shard::hashes,
-                [&](const std::string& k, const KeyMap<std::string>& fields) {
+  ForEachMerged(runs(&Shard::hashes),
+                [&](std::string_view k, const KeyMap<std::string>& fields) {
                   PutLengthPrefixed(&out, k);
                   PutKvList(&out, fields);
                 });
   PutFixed32(&out, total(&Shard::lists));
-  ForEachMerged(
-      shards_, &Shard::lists,
-      [&](const std::string& k, const std::deque<std::string>& items) {
-        PutLengthPrefixed(&out, k);
-        PutFixed32(&out, static_cast<uint32_t>(items.size()));
-        for (const std::string& item : items) {
-          PutLengthPrefixed(&out, item);
-        }
-      });
+  ForEachMerged(runs(&Shard::lists),
+                [&](std::string_view k, const std::deque<std::string>& items) {
+                  PutLengthPrefixed(&out, k);
+                  PutFixed32(&out, static_cast<uint32_t>(items.size()));
+                  for (const std::string& item : items) {
+                    PutLengthPrefixed(&out, item);
+                  }
+                });
   return out;
 }
 
@@ -435,7 +651,13 @@ Status Redis::LoadRdb(SharedBytes rdb) {
 Status Redis::ReplayAof(std::string_view raw) {
   // A malformed command fails recovery here, before any shard applies
   // anything; a torn or corrupt record ends the log, as it would serially.
+  // Each bucket is reserved for its share of the AOF at one command per
+  // kReplayReserveFrameBytes, so it rarely regrows (a YCSB SET frames to
+  // 141 B); pages a reservation leaves untouched take no memory.
   std::vector<std::vector<Command>> commands(shards_.size());
+  for (std::vector<Command>& bucket : commands) {
+    bucket.reserve(raw.size() / kReplayReserveFrameBytes / shards_.size());
+  }
   Status parsed;
   ForEachRecord(raw, [&](std::string_view payload) {
     Command cmd;
@@ -449,9 +671,7 @@ Status Redis::ReplayAof(std::string_view raw) {
   });
   RETURN_IF_ERROR(parsed);
   ForEachShardInParallel(shards_.size(), [&](size_t s) {
-    for (const Command& cmd : commands[s]) {
-      shards_[s].Apply(cmd, snapshot_);
-    }
+    shards_[s].Replay(commands[s], snapshot_);
   });
   return OkStatus();
 }

@@ -12,10 +12,14 @@
 // replays the AOF. The modelled Redis is single threaded: the harness
 // serializes all commands, giving strong mode its head-of-line blocking
 // (§5.3). Recovery keeps the RDB it read pinned and serves its strings in
-// place through a sorted index, which a per-shard delta of later SETs and
-// DELs shadows (DESIGN.md §15). Only the simulator's host-side AOF replay
-// runs on several threads (one per hash shard, see redis.cc); it charges
-// no virtual time of its own.
+// place through a sorted snapshot index. AOF replay folds each hash
+// shard's SETs and DELs into a sorted replay index over one shard-owned
+// byte buffer (the last write of a key wins), so it allocates per shard,
+// not per command. Live SETs and DELs land in a per-shard delta. A string
+// lookup reads the delta, then the replay index, then the snapshot index
+// (DESIGN.md §15). Only the simulator's host-side AOF replay runs on
+// several threads (one per hash shard, see redis.cc); it charges no
+// virtual time of its own.
 #ifndef SRC_APPS_REDIS_REDIS_H_
 #define SRC_APPS_REDIS_REDIS_H_
 
@@ -93,13 +97,14 @@ class Redis : public StorageApp {
   // crossed the threshold.
   Status AppendCommands(const std::vector<std::string>& frames);
   Status MaybeRewriteAof();
-  // Replays the AOF records of `raw` up to its first torn or corrupt one.
+  // Replays the AOF records of `raw` up to its first torn or corrupt one
+  // into the shards' replay indexes. Runs once, on a fresh instance.
   Status ReplayAof(std::string_view raw);
   std::string SerializeRdb() const;
   // Indexes the strings of `rdb` in place, keeping it pinned, and copies
   // its hashes and lists into the shards.
   Status LoadRdb(SharedBytes rdb);
-  // The live string under `key`: its shard's delta, else the snapshot.
+  // The live string under `key`, read through its shard's layers.
   std::optional<std::string_view> FindString(std::string_view key) const;
   Result<std::unique_ptr<SplitFile>> OpenAof(bool create);
   size_t ShardOf(std::string_view key) const;
