@@ -7,9 +7,11 @@
 # It then appends one JSON row to bench/trajectory.jsonl in the checkout
 # that holds this script: the commit of the checkout the binaries were
 # built in (`git describe --always --dirty` run inside <bench-binary-dir>,
-# "unknown" outside a checkout), `nproc`, and each binary's exit status and
-# wall seconds. One row per change, checked in, shows how full-size host
-# time moves over the project's history.
+# "unknown" outside a checkout), `nproc`, and for each binary its exit
+# status, wall seconds, user and system CPU seconds and minor page faults
+# (the getrusage(2) record wait4(2) returns for it). One row per change,
+# checked in, shows how full-size host time moves over the project's
+# history.
 #
 # Usage: tools/bench_full_size.sh <bench-binary-dir>
 #   e.g. mkdir -p out && cd out && ../tools/bench_full_size.sh ../build/bench
@@ -20,6 +22,29 @@ if [ $# -ne 1 ] || [ ! -d "$1" ]; then
   exit 2
 fi
 unset SPLITFT_BENCH_SMOKE
+
+# Runs binary $1 with its output in file $2 and prints "<exit> <wall_s>
+# <user_s> <sys_s> <minor_faults>" for it.
+run_measured() {
+  python3 - "$1" "$2" <<'PY'
+import os
+import subprocess
+import sys
+import time
+
+with open(sys.argv[2], "wb") as log:
+    start = time.monotonic()
+    child = subprocess.Popen([sys.argv[1]], stdout=log,
+                             stderr=subprocess.STDOUT)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.monotonic() - start
+child.returncode = os.waitstatus_to_exitcode(status)
+code = child.returncode if child.returncode >= 0 else 128 - child.returncode
+print(code, "%.3f %.3f %.3f %d" %
+      (wall, usage.ru_utime, usage.ru_stime, usage.ru_minflt))
+PY
+}
+
 trajectory="$(cd "$(dirname "$0")/.." && pwd)/bench/trajectory.jsonl"
 
 mapfile -t bins < <(find "$1" -maxdepth 1 -type f -executable | sort)
@@ -32,13 +57,14 @@ failed=0
 rows=""
 for bin in "${bins[@]}"; do
   name=$(basename "$bin")
-  start=$(date +%s%N)
-  status=0
-  "$bin" > "$name.log" 2>&1 || status=$?
-  ms=$(( ($(date +%s%N) - start) / 1000000 ))
-  wall=$(printf '%d.%03d' $((ms / 1000)) $((ms % 1000)))
-  printf '%-24s exit=%-3d wall=%ss\n' "$name" "$status" "$wall"
-  rows+="${rows:+, }\"$name\": {\"exit\": $status, \"wall_s\": $wall}"
+  read -r status wall user sys minflt < <(run_measured "$bin" "$name.log")
+  if [ -z "${minflt:-}" ]; then  # the binary could not be started
+    status=127 wall=0 user=0 sys=0 minflt=0
+  fi
+  printf '%-24s exit=%-3d wall=%ss user=%ss sys=%ss minflt=%d\n' \
+    "$name" "$status" "$wall" "$user" "$sys" "$minflt"
+  rows+="${rows:+, }\"$name\": {\"exit\": $status, \"wall_s\": $wall"
+  rows+=", \"user_s\": $user, \"sys_s\": $sys, \"minflt\": $minflt}"
   if [ "$status" -ne 0 ]; then
     failed=1
   fi
