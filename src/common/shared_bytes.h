@@ -94,6 +94,17 @@ class CowBuffer {
   void Assign(std::string bytes) {
     bytes_ = std::make_shared<std::string>(std::move(bytes));
   }
+  // Empties the buffer and returns its string, capacity included, when no
+  // slice shares it; a shared string stays with its slices and an empty
+  // one is returned.
+  std::string Release() {
+    std::string out;
+    if (bytes_ != nullptr && !Shared()) {
+      out.swap(*bytes_);
+    }
+    bytes_.reset();
+    return out;
+  }
 
  private:
   // True while a slice (or a copy of this buffer) references the bytes.
@@ -101,12 +112,14 @@ class CowBuffer {
 
   // The string to mutate, about to hold at least `reserve` bytes: copied
   // first when shared, so outstanding slices keep the bytes they viewed.
+  // The copy keeps the source's capacity, so appends after a copy grow it
+  // as they would have grown the source instead of copying it again.
   std::string& Mutable(size_t reserve) {
     if (bytes_ == nullptr) {
       bytes_ = std::make_shared<std::string>();
     } else if (Shared()) {
       auto copy = std::make_shared<std::string>();
-      copy->reserve(std::max(reserve, bytes_->size()));
+      copy->reserve(std::max(reserve, bytes_->capacity()));
       copy->append(*bytes_);
       bytes_ = std::move(copy);
     }

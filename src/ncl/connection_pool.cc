@@ -200,8 +200,10 @@ std::vector<uint64_t> PooledQp::PostWriteBatch(
   return ids;
 }
 
-uint64_t PooledQp::PostRead(RKey rkey, uint64_t remote_offset, uint64_t len) {
-  uint64_t wr = lane_->live.qp->PostRead(rkey, remote_offset, len);
+uint64_t PooledQp::PostRead(RKey rkey, uint64_t remote_offset, uint64_t len,
+                            std::string landing) {
+  uint64_t wr =
+      lane_->live.qp->PostRead(rkey, remote_offset, len, std::move(landing));
   lane_->live.route.Add(wr, this);
   return wr;
 }

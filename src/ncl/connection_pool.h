@@ -35,6 +35,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/ncl/wr_route_map.h"
@@ -195,7 +196,9 @@ class PooledQp {
   void PostWriteChain(const QueuePair::WriteOp* ops, size_t count,
                       uint64_t* ids_out);
   std::vector<uint64_t> PostWriteBatch(std::vector<QueuePair::WriteOp> ops);
-  uint64_t PostRead(RKey rkey, uint64_t remote_offset, uint64_t len);
+  // See QueuePair::PostRead: the completion carries `landing`, refilled.
+  uint64_t PostRead(RKey rkey, uint64_t remote_offset, uint64_t len,
+                    std::string landing = {});
   // The one completion poll. O(1) when nothing is ready: the lane is
   // drained only if a completion landed on it since its last drain.
   bool PollCq(Completion* out) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -11,6 +13,11 @@ namespace {
 // How many allocation candidates to try before giving up (§4.3: the
 // controller's availability is a hint; peers may reject).
 constexpr int kAllocationAttempts = 8;
+
+// The fabric's spare buffer key of `app_id`'s log `file`.
+std::string SpareKey(const std::string& app_id, const std::string& file) {
+  return app_id + '\0' + file;
+}
 
 }  // namespace
 
@@ -195,6 +202,7 @@ Result<DeleteReport> NclClient::DeleteWithReport(const std::string& file) {
   }
   RETURN_IF_ERROR(RetryControllerRpc(
       [&] { return controller_->DeleteApMap(config_.app_id, file); }));
+  fabric_->DropSpareBuffer(SpareKey(config_.app_id, file));
   return report;
 }
 
@@ -322,14 +330,21 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
     out->seq_ = claim.seq;
     out->length_ = claim.length;
     out->recovery_slot_ = static_cast<int>(claim.sources[0]);
+    // The buffer this file's last handle left on the app node, already
+    // paged in and with the room it had for appends: a replica's image
+    // READ lands in it, a stripe's rebuild writes into it.
+    std::string spare =
+        fabric_->TakeSpareBuffer(SpareKey(config_.app_id, file), out->length_);
     if (out->length_ > 0) {
       const uint64_t image_bytes = geometry_.FullRange(out->length_).size();
       std::vector<NclFile::WrWait> fetches;
       for (uint32_t role : claim.sources) {
         NclFile::PeerSlot& slot = out->slots_[role];
-        fetches.push_back({&slot, slot.qp->PostRead(slot.rkey,
-                                                    geometry_.header_bytes(),
-                                                    image_bytes)});
+        std::string landing =
+            geometry_.striped() ? std::string() : std::exchange(spare, {});
+        fetches.push_back(
+            {&slot, slot.qp->PostRead(slot.rkey, geometry_.header_bytes(),
+                                      image_bytes, std::move(landing))});
       }
       if (!out->AwaitWrs(&fetches).ok()) {
         return UnavailableError("recovery read of " + file + " failed");
@@ -338,7 +353,7 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
       for (NclFile::WrWait& f : fetches) {
         images.push_back({f.slot->role, std::move(f.data)});
       }
-      std::string rebuilt;
+      std::string rebuilt = std::move(spare);
       RETURN_IF_ERROR(
           geometry_.Rebuild(std::move(images), out->length_, &rebuilt));
       out->buffer_.Assign(std::move(rebuilt));
@@ -440,6 +455,12 @@ NclFile::~NclFile() {
   }
   auto& files = client_->open_files_;
   files.erase(std::remove(files.begin(), files.end(), this), files.end());
+  if (!deleted_) {
+    // Closed, not deleted: the log may be recovered, and its recovery
+    // lands in this buffer (unless a slice still holds it).
+    client_->fabric_->KeepSpareBuffer(
+        SpareKey(client_->config_.app_id, name_), buffer_.Release());
+  }
 }
 
 int NclFile::alive_peers() const {
@@ -1430,6 +1451,7 @@ Status NclFile::Delete() {
   Status st = client_->RetryControllerRpc([&] {
     return client_->controller_->DeleteApMap(client_->config_.app_id, name_);
   });
+  client_->fabric_->DropSpareBuffer(SpareKey(client_->config_.app_id, name_));
   deleted_ = true;
   return st;
 }

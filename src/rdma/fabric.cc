@@ -55,22 +55,22 @@ uint64_t Fabric::Region::ChunkLen(size_t index) const {
   return std::min(kRegionChunkBytes, size - index * kRegionChunkBytes);
 }
 
-std::string Fabric::Region::Read(uint64_t offset, uint64_t len) const {
-  std::string out;
-  out.reserve(len);
+void Fabric::Region::Read(uint64_t offset, uint64_t len,
+                          std::string* out) const {
+  out->clear();
+  out->reserve(len);
   while (len > 0) {
     size_t index = offset / kRegionChunkBytes;
     uint64_t within = offset % kRegionChunkBytes;
     uint64_t n = std::min(len, ChunkLen(index) - within);
     if (chunks[index] != nullptr) {
-      out.append(chunks[index].get() + within, n);
+      out->append(chunks[index].get() + within, n);
     } else {
-      out.append(n, '\0');
+      out->append(n, '\0');
     }
     offset += n;
     len -= n;
   }
-  return out;
 }
 
 void Fabric::Region::Write(uint64_t offset, std::string_view data) {
@@ -299,7 +299,9 @@ Result<std::string> Fabric::ReadRegion(NodeId node_id, RKey rkey,
   if (!InBounds(offset, len, region->size)) {
     return InvalidArgumentError("read past the end of the region");
   }
-  return region->Read(offset, len);
+  std::string out;
+  region->Read(offset, len, &out);
+  return out;
 }
 
 Status Fabric::WriteRegion(NodeId node_id, RKey rkey, uint64_t offset,
@@ -354,6 +356,40 @@ uint64_t Fabric::PooledPayloadBytes() const {
     }
   }
   return bytes;
+}
+
+namespace {
+
+// Frees a string's heap block. Assigning an empty string would keep it:
+// libstdc++ copies a short source into the existing allocation.
+void FreeString(std::string* bytes) { std::string().swap(*bytes); }
+
+}  // namespace
+
+void Fabric::KeepSpareBuffer(std::string key, std::string bytes) {
+  FreeString(&spare_.bytes);
+  if (!bytes.empty()) {
+    spare_.key = std::move(key);
+    spare_.bytes = std::move(bytes);
+  }
+}
+
+std::string Fabric::TakeSpareBuffer(std::string_view key,
+                                    uint64_t min_capacity) {
+  std::string out;
+  if (spare_.key == key) {
+    if (spare_.bytes.capacity() >= min_capacity) {
+      out.swap(spare_.bytes);
+    }
+    FreeString(&spare_.bytes);
+  }
+  return out;
+}
+
+void Fabric::DropSpareBuffer(std::string_view key) {
+  if (spare_.key == key) {
+    FreeString(&spare_.bytes);
+  }
 }
 
 std::string Fabric::AcquirePayload(std::string_view data) {
@@ -482,8 +518,8 @@ bool Fabric::TryDeliverOnce(const std::shared_ptr<QpState>& qp,
     return true;
   }
   if (wr->is_read) {
-    CompleteWr(qp, *wr, WcStatus::kSuccess,
-               region.Read(wr->remote_offset, len));
+    region.Read(wr->remote_offset, len, &wr->data);
+    CompleteWr(qp, *wr, WcStatus::kSuccess, std::move(wr->data));
   } else {
     // One-sided write: lands in remote memory with no remote CPU.
     region.Write(wr->remote_offset, wr->payload());
@@ -616,12 +652,14 @@ uint64_t QueuePair::EnqueueWrite(const WriteOp& op) {
   return id;
 }
 
-uint64_t QueuePair::PostRead(RKey rkey, uint64_t remote_offset, uint64_t len) {
+uint64_t QueuePair::PostRead(RKey rkey, uint64_t remote_offset, uint64_t len,
+                             std::string landing) {
   Fabric::WorkRequest wr;
   wr.wr_id = state_->next_wr_id++;
   wr.is_read = true;
   wr.rkey = rkey;
   wr.remote_offset = remote_offset;
+  wr.data = std::move(landing);
   wr.read_len = len;
 
   ObsAdd(fabric_->c_reads_posted_);

@@ -154,6 +154,24 @@ class Fabric {
   uint64_t ResidentRegionBytes(NodeId node) const;
   uint64_t PooledPayloadBytes() const;
 
+  // ---- Spare host buffer (host-side, no simulated meaning) ---------------
+
+  // The app node's memory outlives a crashed process: a closed NCL file
+  // leaves its log buffer here, and that file's recovery READ lands in it
+  // instead of in freshly faulted pages (DESIGN.md §15). The fabric holds
+  // at most one spare; keeping one drops the previous spare, whatever
+  // its key. An empty `bytes` only drops it.
+  void KeepSpareBuffer(std::string key, std::string bytes);
+  // The spare kept under `key` if its capacity is at least `min_capacity`,
+  // else an empty string. A spare under `key` is dropped either way.
+  std::string TakeSpareBuffer(std::string_view key, uint64_t min_capacity);
+  // Drops the spare kept under `key`, if any.
+  void DropSpareBuffer(std::string_view key);
+  // Capacity of the spare held, in bytes (0 when none is held).
+  uint64_t SpareBufferBytes() const {
+    return spare_.bytes.empty() ? 0 : spare_.bytes.capacity();
+  }
+
   // Region memory materializes in chunks of at most this many bytes.
   static constexpr uint64_t kRegionChunkBytes = 1 << 20;
   // WR payload pool size classes (capacity, in bytes) and per-class
@@ -178,8 +196,9 @@ class Fabric {
     explicit Region(uint64_t bytes);
 
     uint64_t ChunkLen(size_t index) const;
-    // Both require [offset, offset + len) to lie within `size`.
-    std::string Read(uint64_t offset, uint64_t len) const;
+    // Both require [offset, offset + len) to lie within `size`. Read
+    // replaces `*out` with the bytes, reusing its capacity.
+    void Read(uint64_t offset, uint64_t len, std::string* out) const;
     void Write(uint64_t offset, std::string_view data);
     // Drops every chunk: the region reads as zeros again.
     void Zero();
@@ -203,7 +222,9 @@ class Fabric {
     bool is_read;
     RKey rkey;
     uint64_t remote_offset;
-    std::string data;    // payload for writes, copied from the poster
+    // Payload for writes, copied from the poster; for reads, the landing
+    // buffer the region bytes replace.
+    std::string data;
     // Or, for a bulk write posted with an owner: the referenced payload,
     // held until the WR lands instead of copied into `data`.
     SharedBytes pinned;
@@ -253,6 +274,12 @@ class Fabric {
   RKey next_rkey_ = 1;
 
   std::vector<std::string> payload_pool_[4];
+
+  struct Spare {
+    std::string key;
+    std::string bytes;
+  };
+  Spare spare_;
 
   ObsContext obs_;
   Counter* c_writes_posted_;
@@ -325,8 +352,12 @@ class QueuePair {
   // a vector (setup/recovery paths, tests).
   std::vector<uint64_t> PostWriteBatch(const std::vector<WriteOp>& ops);
 
-  // Posts a one-sided RDMA READ of `len` bytes.
-  uint64_t PostRead(RKey rkey, uint64_t remote_offset, uint64_t len);
+  // Posts a one-sided RDMA READ of `len` bytes. The completion's
+  // read_data is `landing`, its old bytes replaced by the region's (a
+  // READ into a local scatter entry): a landing buffer with the capacity
+  // allocates nothing.
+  uint64_t PostRead(RKey rkey, uint64_t remote_offset, uint64_t len,
+                    std::string landing = {});
 
   // Non-blocking completion poll; returns true and fills `out` if a
   // completion was available.

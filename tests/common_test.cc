@@ -10,6 +10,7 @@
 #include "src/common/crc32c.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
+#include "src/common/shared_bytes.h"
 #include "src/common/status.h"
 
 namespace splitft {
@@ -431,6 +432,83 @@ TEST(HistogramTest, NegativeClampedToZero) {
   h.Add(-5);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.min(), 0);
+}
+
+// ------------------------------------------------ SharedBytes / CowBuffer --
+
+TEST(SharedBytesTest, SliceSharesItsOwnerAndClamps) {
+  SharedBytes bytes(std::string("hello world"));
+  SharedBytes world = bytes.Slice(6, 100);
+  EXPECT_EQ(world, "world");
+  EXPECT_EQ(world.data(), bytes.data() + 6);
+  EXPECT_TRUE(bytes.Slice(20, 4).empty());
+  EXPECT_EQ(std::string(world.Slice(1, 3)), "orl");
+}
+
+TEST(CowBufferTest, WriteWithoutSliceMutatesInPlace) {
+  CowBuffer buffer;
+  buffer.Write(0, "abcd");
+  const char* block = buffer.view().data();
+  buffer.Write(1, "XY");
+  EXPECT_EQ(buffer.view(), "aXYd");
+  EXPECT_EQ(buffer.view().data(), block);
+  // A write past the end zero-fills the gap.
+  buffer.Write(6, "z");
+  EXPECT_EQ(buffer.view(), std::string_view("aXYd\0\0z", 7));
+}
+
+TEST(CowBufferTest, SliceOutlivesWriteClearAndAssign) {
+  CowBuffer buffer;
+  buffer.Write(0, "abcdef");
+  SharedBytes written = buffer.Slice(0, 6);
+  buffer.Write(0, "XY");
+  EXPECT_EQ(written, "abcdef");
+  EXPECT_EQ(buffer.view(), "XYcdef");
+  SharedBytes cleared = buffer.Slice(2, 4);
+  buffer.Clear();
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_EQ(cleared, "cdef");
+  buffer.Write(0, "new");
+  SharedBytes assigned = buffer.Slice(0, 3);
+  buffer.Assign("other");
+  EXPECT_EQ(assigned, "new");
+  EXPECT_EQ(buffer.view(), "other");
+  EXPECT_EQ(written, "abcdef");
+}
+
+TEST(CowBufferTest, ReleaseReturnsBytesOnlyWhenUnshared) {
+  CowBuffer buffer;
+  buffer.Write(0, std::string(100, 'a'));
+  {
+    SharedBytes slice = buffer.Slice(0, 1);
+    EXPECT_EQ(buffer.Release(), "");
+    EXPECT_EQ(buffer.size(), 0u);
+    EXPECT_EQ(slice, "a");
+  }
+  buffer.Write(0, std::string(100, 'b'));
+  const char* block = buffer.view().data();
+  std::string released = buffer.Release();
+  EXPECT_EQ(released, std::string(100, 'b'));
+  EXPECT_EQ(released.data(), block);
+  EXPECT_EQ(buffer.size(), 0u);
+}
+
+// The copy a write makes while a slice is held keeps the source's
+// capacity, so the appends after it grow in place instead of copying the
+// buffer a second time.
+TEST(CowBufferTest, CopyOnWriteKeepsTheCapacity) {
+  CowBuffer buffer;
+  buffer.Write(0, std::string(1000, 'a'));
+  buffer.Write(1000, "b");  // grows geometrically: room past 1001 bytes
+  {
+    SharedBytes slice = buffer.Slice(0, 1);
+    buffer.Write(1001, "c");  // copies: the slice keeps the old bytes
+    EXPECT_EQ(slice, "a");
+  }
+  const char* block = buffer.view().data();
+  buffer.Write(1002, std::string(500, 'd'));
+  EXPECT_EQ(buffer.view().data(), block);
+  EXPECT_EQ(buffer.size(), 1502u);
 }
 
 }  // namespace

@@ -69,6 +69,35 @@ class NclTest : public ::testing::Test {
     return data.ok() ? std::string(*data) : std::string();
   }
 
+  // Appends ten 100 B records to a file, closes it and its client, then
+  // recovers the file through a fresh client and appends once more. The
+  // recovered buffer must hold the log, and must not move on that append.
+  void ExpectRecoveredLogAppendsInPlace(NclConfig config) {
+    std::string oracle;
+    {
+      auto client = MakeClient(config);
+      auto file = client->Create("/wal/1");
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      for (int i = 0; i < 10; ++i) {
+        std::string record(100, static_cast<char>('a' + i));
+        oracle += record;
+        ASSERT_TRUE((*file)->Append(record).ok());
+      }
+    }
+    sim_.RunUntilIdle();
+    EXPECT_GT(fabric_.SpareBufferBytes(), oracle.size());
+    auto fresh = MakeClient(config);
+    auto recovered = fresh->Recover("/wal/1");
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(fabric_.SpareBufferBytes(), 0u);
+    EXPECT_EQ(Contents(recovered->get()), oracle);
+    const char* before = (*recovered)->Read(0, 1)->data();
+    ASSERT_TRUE((*recovered)->Append("tail").ok());
+    EXPECT_EQ((*recovered)->Read(0, 1)->data(), before)
+        << "the first append after recovery moved the log";
+    EXPECT_EQ(Contents(recovered->get()), oracle + "tail");
+  }
+
   Simulation sim_;
   SimParams params_;
   MetricsRegistry metrics_;
@@ -1142,6 +1171,49 @@ TEST_F(NclTest, BulkCatchUpWrLandsAfterItsFileIsDestroyed) {
   auto recovered = fresh->Recover("/wal/1");
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(Contents(recovered->get()) == oracle);
+}
+
+// ------------------------------------------- Recovery into the spare buffer --
+
+// A closed file leaves its log buffer on the fabric and its recovery lands
+// in it, room to append included: the first append after the recovery
+// leaves the buffer where the recovery put it instead of copying the log.
+TEST_F(NclTest, RecoveredReplicaAppendsInPlace) {
+  StartPeers(3);
+  ExpectRecoveredLogAppendsInPlace(NclConfig{});
+}
+
+TEST_F(NclTest, RecoveredStripeAppendsInPlace) {
+  StartPeers(4);
+  NclConfig config;
+  config.ec_enabled = true;
+  config.fault_budget = 2;
+  ExpectRecoveredLogAppendsInPlace(config);
+}
+
+// Deleting a log drops the buffer its closed handle left on the fabric, and
+// a log re-created under the same name recovers only its own bytes.
+TEST_F(NclTest, RecreatedLogNeverRecoversIntoItsPredecessorsBytes) {
+  StartPeers(3);
+  {
+    auto client = MakeClient();
+    {
+      auto file = client->Create("/wal/1");
+      ASSERT_TRUE(file.ok());
+      ASSERT_TRUE((*file)->Append(std::string(4096, 'o')).ok());
+    }
+    EXPECT_GE(fabric_.SpareBufferBytes(), 4096u);
+    ASSERT_TRUE(client->Delete("/wal/1").ok());
+    EXPECT_EQ(fabric_.SpareBufferBytes(), 0u);
+    auto file = client->Create("/wal/1");
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append("new").ok());
+  }
+  sim_.RunUntilIdle();
+  auto fresh = MakeClient();
+  auto recovered = fresh->Recover("/wal/1");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(Contents(recovered->get()), "new");
 }
 
 // Parameterized across failure budgets: the protocol works for any f.

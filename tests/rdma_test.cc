@@ -321,6 +321,28 @@ TEST_F(RdmaTest, NeverWrittenRangeReadsZeros) {
   EXPECT_EQ(c.read_data, std::string("\0\0\0\0x\0", 6));
 }
 
+// A READ into a landing buffer replaces its stale bytes with exactly the
+// region's, zeros for never-written chunks included, and keeps its heap
+// block when the block has the room.
+TEST_F(RdmaTest, ReadIntoLandingBufferReplacesStaleBytes) {
+  auto rkey = fabric_.RegisterRegion(peer_, 3 * kChunk);
+  ASSERT_TRUE(rkey.ok());
+  ASSERT_TRUE(fabric_.WriteRegion(peer_, *rkey, kChunk, "x").ok());
+  std::string landing(2 * kChunk + 64, 's');
+  const char* block = landing.data();
+  QueuePair qp(&fabric_, app_, peer_);
+  qp.PostRead(*rkey, kChunk - 4, 6, std::move(landing));
+  Completion c = WaitCompletion(&qp);
+  ASSERT_EQ(c.status, WcStatus::kSuccess);
+  EXPECT_EQ(c.read_data, std::string("\0\0\0\0x\0", 6));
+  EXPECT_EQ(c.read_data.data(), block);
+  // A landing buffer too small for the read grows to hold it.
+  qp.PostRead(*rkey, 0, kChunk + 1, std::string(3, 's'));
+  c = WaitCompletion(&qp);
+  ASSERT_EQ(c.status, WcStatus::kSuccess);
+  EXPECT_EQ(c.read_data, std::string(kChunk, '\0') + "x");
+}
+
 TEST_F(RdmaTest, WriteSpanningChunkBoundaryReadsBackIntact) {
   auto rkey = fabric_.RegisterRegion(peer_, 2 * kChunk);
   ASSERT_TRUE(rkey.ok());
