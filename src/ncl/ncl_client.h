@@ -543,6 +543,9 @@ class NclFile {
   bool watermark_dirty_ = true;
   // Scratch for ComputeCommittedSeq, one entry per slot.
   std::vector<uint64_t> acked_scratch_;
+  // Scratch for one slot's shard bytes in RecordAsync (striped files),
+  // kept so a steady-state EC append reuses its capacity.
+  std::string shard_scratch_;
   // Last computed ncl.ec.degraded_stripes value (striped files).
   uint64_t degraded_lag_ = 0;
   // Some slot may be suspect: cleared only by a MaybeRetrySuspects pass
