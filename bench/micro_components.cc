@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "src/common/rng.h"
 #include "src/controller/znode_store.h"
 #include "src/modelcheck/model.h"
+#include "src/ncl/connection_pool.h"
 #include "src/ncl/ec.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/simulation.h"
@@ -99,6 +101,35 @@ void BM_FabricWritePostPoll(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_FabricWritePostPoll)->Arg(128)->Arg(4096);
+
+// The per-WR host path through the pooled fabric (DESIGN.md §14): two
+// handles take turns on one shared lane, so every completion is routed
+// through the lane drain to its owner's ready queue before the poll.
+void BM_PooledWritePostPoll(benchmark::State& state) {
+  Simulation sim;
+  SimParams params;
+  Fabric fabric(&sim, &params);
+  NodeId a = fabric.AddNode("a");
+  NodeId b = fabric.AddNode("b");
+  auto rkey = fabric.RegisterRegion(b, 1 << 20);
+  NclPoolOptions one_lane;
+  one_lane.qps_per_peer = 1;
+  NclConnectionPool pool(&fabric, a, one_lane);
+  std::unique_ptr<PooledQp> handles[2] = {pool.Connect(b), pool.Connect(b)};
+  std::string payload(static_cast<size_t>(state.range(0)), 'x');
+  Completion c;
+  size_t turn = 0;
+  for (auto _ : state) {
+    PooledQp* h = handles[turn++ % 2].get();
+    h->PostWrite(*rkey, 0, payload);
+    while (!h->PollCq(&c)) {
+      sim.RunOne();
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_PooledWritePostPoll)->Arg(128);
 
 void BM_WalEncodeReplay(benchmark::State& state) {
   std::vector<KvWrite> batch;

@@ -304,6 +304,64 @@ TEST_F(TenantsTest, RetiredQpCompletionsSurfaceBeforeLiveOnes) {
   EXPECT_EQ(pool.open_qps(), 1u);  // the drained retired QP is gone
 }
 
+TEST_F(TenantsTest, SharedLaneReadLandsInItsOwnBufferBesideWrites) {
+  // One lane, two handles: a reader's READ and a writer's WRITEs share
+  // the QP's CQ. The READ's bytes reach only the reader, in the very
+  // storage of the landing buffer it posted; the writer's completions
+  // carry no READ bytes; and a reader's real error still turns the
+  // writer's collateral flush into kRetryExceeded.
+  NclPoolOptions one_lane;
+  one_lane.qps_per_peer = 1;
+  NclConnectionPool pool(&fabric_, app_node_, one_lane);
+  const NodeId remote = fabric_.AddNode("remote");
+  auto region = fabric_.RegisterRegion(remote, 1 << 20);
+  ASSERT_TRUE(region.ok());
+  const std::string image(3000, 'r');
+  ASSERT_TRUE(fabric_.WriteRegion(remote, *region, 4096, image).ok());
+  auto reader = pool.Connect(remote);
+  auto writer = pool.Connect(remote);
+
+  std::string landing(8192, 's');
+  const char* storage = landing.data();
+  uint64_t w0 = writer->PostWrite(*region, 0, "w0");
+  uint64_t rd = reader->PostRead(*region, 4096, image.size(),
+                                 std::move(landing));
+  uint64_t w1 = writer->PostWrite(*region, 16, std::string(512, 'w'));
+  sim_.RunUntilIdle();
+
+  Completion c;
+  ASSERT_TRUE(reader->PollCq(&c));
+  EXPECT_EQ(c.wr_id, rd);
+  ASSERT_EQ(c.status, WcStatus::kSuccess);
+  ASSERT_NE(c.read_data, nullptr);
+  EXPECT_EQ(*c.read_data, image);
+  EXPECT_EQ(c.read_data->data(), storage);
+  EXPECT_FALSE(reader->PollCq(&c));
+  std::vector<uint64_t> writes;
+  while (writer->PollCq(&c)) {
+    EXPECT_EQ(c.status, WcStatus::kSuccess);
+    EXPECT_EQ(c.read_data, nullptr);
+    writes.push_back(c.wr_id);
+  }
+  EXPECT_EQ(writes, (std::vector<uint64_t>{w0, w1}));
+
+  // The reader's READ of a bad rkey errors the lane; the writer's WRITE
+  // posted behind it is flushed.
+  uint64_t bad = reader->PostRead(*region + 1000, 0, 64, std::string(64, 's'));
+  sim_.RunUntilIdle();
+  uint64_t w2 = writer->PostWrite(*region, 0, "w2");
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(reader->PollCq(&c));
+  EXPECT_EQ(c.wr_id, bad);
+  EXPECT_EQ(c.status, WcStatus::kRemoteAccessError);
+  EXPECT_EQ(c.read_data, nullptr);
+  ASSERT_TRUE(writer->PollCq(&c));
+  EXPECT_EQ(c.wr_id, w2);
+  EXPECT_EQ(c.status, WcStatus::kRetryExceeded);
+  EXPECT_EQ(c.read_data, nullptr);
+  EXPECT_EQ(pool.flush_rewrites(), 1u);
+}
+
 TEST_F(TenantsTest, BurstDrainsLanesAtMostOncePerCompletion) {
   // A lane is drained only after a completion landed on it, so 32 tenants
   // sharing lanes cost at most one drain per completion — not one per
