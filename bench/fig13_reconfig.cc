@@ -10,7 +10,8 @@
 //               copy + suffix catch-up + ap-map cutover
 //   handover    cooperative single-instance lease transfer
 //   dfs-roll    rolling restart of all striped dfs servers, one at a time
-//   reactivate  end the drain; the peer accepts allocations again
+//   reactivate  end the drain; the peer accepts allocations again (checked
+//               after the last phase with a direct allocation)
 //
 // Traffic must keep flowing through every phase (the paper's planned
 // operations are invisible next to the unplanned-failure stalls of Fig 12);
@@ -18,6 +19,7 @@
 // drain gauges so a silent migration failure turns the run red.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -170,6 +172,9 @@ int main() {
         .Scalar("tput_kops", result.throughput_kops);
   }
   bench::Rule();
+  // The registry as the phases left it, before the reactivate probe below
+  // touches the victim's gauges.
+  std::string metrics_json = testbed.metrics()->ToJson();
 
   // The planned operations all landed, under traffic, without failures.
   std::string errors;
@@ -191,6 +196,13 @@ int main() {
   if (vstate == nullptr ||
       vstate->value() != static_cast<int64_t>(LogPeerState::kActive)) {
     errors += "  victim peer not back to ACTIVE after reactivate\n";
+  }
+  // ... and it takes placements again: a direct allocation is granted and
+  // released. Probed after the last phase, so no series moves.
+  LogPeer* victim_peer = testbed.peer(victim);
+  if (!victim_peer->Allocate("fig13-probe", "reactivate", 4096, 0).ok() ||
+      !victim_peer->Release("fig13-probe", "reactivate").ok()) {
+    errors += "  victim peer refused an allocation after reactivate\n";
   }
   if (resident_after_drain != 0) {
     errors += "  victim peer still holds regions after the drain\n";
@@ -220,7 +232,7 @@ int main() {
       .Scalar("dfs_server_restarts",
               static_cast<double>(testbed.metrics()->CounterValue(
                   "dfs.cluster.server_restarts")));
-  reporter.SetMetricsJson(testbed.metrics()->ToJson());
+  reporter.SetMetricsJson(std::move(metrics_json));
   bench::Note("planned operations ride the traffic: the drain's cutover "
               "window is bounded by suffix catch-up, so p99 stays near the "
               "baseline (contrast with Fig 12's quorum-loss stalls)");

@@ -32,15 +32,13 @@ struct Fabric::QpState {
   NodeId remote;
   bool error = false;        // QP moved to error state after a failed WR
   bool closed = false;       // local endpoint destroyed
-  SimTime busy_until = 0;    // SQ ordering: next WR completes after this
-  // Delay-fault order floors. `delivery_floor` is the latest delivery time
-  // of a WR posted under a link delay, `cq_floor` the latest time a
-  // delayed completion was scheduled to surface: no later WR lands, and no
-  // later completion surfaces, before them — even after the delay that set
-  // them is cleared or shortened. Both stay below every sim time while no
-  // delay is injected.
+  SimTime busy_until = 0;    // the send queue issues the next WR from here
+  // RC order: no WR lands before `delivery_floor`, the last WR's delivery
+  // time, and while `held` completions wait out a completion delay, none
+  // surfaces before `cq_floor`, when the last of them is due.
   SimTime delivery_floor = 0;
-  SimTime cq_floor = -1;
+  SimTime cq_floor = 0;
+  size_t held = 0;
   uint64_t next_wr_id = 1;
   std::deque<Completion> cq;
   size_t outstanding = 0;
@@ -123,6 +121,28 @@ bool InBounds(uint64_t offset, uint64_t len, uint64_t size) {
   return offset <= size && len <= size - offset;
 }
 
+RKey MakeRKey(size_t slot_index, uint32_t generation) {
+  return (static_cast<uint64_t>(slot_index) + 1) << 32 | generation;
+}
+
+// The one region lookup, in the region table `slots` (const or not): the
+// slot `rkey` names if its generation still matches and its region lives
+// on `node` (valid or not), else null. An rkey's high half holds the slot
+// index + 1, so rkey 0 wraps to an index past the end.
+template <typename Table>
+auto* FindSlot(Table& slots, NodeId node, RKey rkey) {
+  const uint64_t index = (rkey >> 32) - 1;
+  auto* slot = index < slots.size() ? &slots[index] : nullptr;
+  const bool match = slot != nullptr && slot->node == node &&
+                     slot->generation == static_cast<uint32_t>(rkey);
+  return match ? slot : nullptr;
+}
+
+// Either direction of a link maps to one key.
+uint64_t LinkKey(NodeId a, NodeId b) {
+  return static_cast<uint64_t>(std::min(a, b)) << 32 | std::max(a, b);
+}
+
 }  // namespace
 
 Fabric::Fabric(Simulation* sim, const SimParams* params, ObsContext obs)
@@ -138,10 +158,8 @@ Fabric::Fabric(Simulation* sim, const SimParams* params, ObsContext obs)
       c_wr_retries_(obs.counter("fabric.wr.wr_retries")),
       c_wr_retry_recoveries_(obs.counter("fabric.wr.wr_retry_recoveries")) {}
 
-Fabric::~Fabric() = default;
-
 NodeId Fabric::AddNode(std::string name) {
-  nodes_.push_back(Node{std::move(name), /*alive=*/true, {}});
+  nodes_.push_back(Node{std::move(name)});
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -151,33 +169,49 @@ const std::string& Fabric::NodeName(NodeId id) const {
 
 bool Fabric::IsAlive(NodeId id) const { return nodes_.at(id).alive; }
 
+Status Fabric::CheckAlive(NodeId id) const {
+  const Node& node = nodes_.at(id);
+  return node.alive ? OkStatus()
+                    : UnavailableError("node " + node.name + " is down");
+}
+
 void Fabric::CrashNode(NodeId id) {
-  Node& node = nodes_.at(id);
-  node.alive = false;
+  nodes_.at(id).alive = false;
   // Volatile memory: contents are gone and rkeys invalid.
-  node.regions.clear();
+  for (RegionSlot& slot : region_slots_) {
+    if (slot.node == id) {
+      FreeSlot(&slot);
+    }
+  }
 }
 
 void Fabric::RestartNode(NodeId id) { nodes_.at(id).alive = true; }
 
-uint64_t Fabric::PartitionKey(NodeId a, NodeId b) const {
-  NodeId lo = std::min(a, b);
-  NodeId hi = std::max(a, b);
-  return (static_cast<uint64_t>(lo) << 32) | hi;
+// The fault lookups sit on every WR's path; with no fault injected they
+// answer without hashing.
+Fabric::LinkFaults Fabric::Faults(NodeId a, NodeId b) const {
+  if (link_faults_.empty()) {
+    return {};
+  }
+  auto it = link_faults_.find(LinkKey(a, b));
+  return it == link_faults_.end() ? LinkFaults{} : it->second;
 }
 
-void Fabric::SetPartitioned(NodeId a, NodeId b, bool partitioned) {
-  if (partitioned) {
-    partitions_.insert(PartitionKey(a, b));
-  } else {
-    partitions_.erase(PartitionKey(a, b));
+template <typename T>
+void Fabric::SetLinkFault(NodeId a, NodeId b, T LinkFaults::*fault, T value) {
+  auto it = link_faults_.try_emplace(LinkKey(a, b)).first;
+  it->second.*fault = value;
+  if (it->second == LinkFaults{}) {
+    link_faults_.erase(it);
   }
 }
 
-// The three fault lookups sit on every WR's path; with no fault of the
-// kind injected they answer without hashing.
+void Fabric::SetPartitioned(NodeId a, NodeId b, bool partitioned) {
+  SetLinkFault(a, b, &LinkFaults::partitioned, partitioned);
+}
+
 bool Fabric::IsPartitioned(NodeId a, NodeId b) const {
-  return !partitions_.empty() && partitions_.count(PartitionKey(a, b)) > 0;
+  return Faults(a, b).partitioned;
 }
 
 uint64_t Fabric::PartitionFor(NodeId a, NodeId b, SimTime heal_after) {
@@ -187,120 +221,103 @@ uint64_t Fabric::PartitionFor(NodeId a, NodeId b, SimTime heal_after) {
 }
 
 void Fabric::SetLinkDelay(NodeId a, NodeId b, SimTime extra) {
-  if (extra > 0) {
-    link_delays_[PartitionKey(a, b)] = extra;
-  } else {
-    link_delays_.erase(PartitionKey(a, b));
-  }
+  SetLinkFault(a, b, &LinkFaults::delay, std::max<SimTime>(extra, 0));
 }
 
 SimTime Fabric::LinkDelay(NodeId a, NodeId b) const {
-  if (link_delays_.empty()) {
-    return 0;
-  }
-  auto it = link_delays_.find(PartitionKey(a, b));
-  return it == link_delays_.end() ? 0 : it->second;
+  return Faults(a, b).delay;
 }
 
 void Fabric::SetCompletionDelay(NodeId a, NodeId b, SimTime delay) {
-  if (delay > 0) {
-    completion_delays_[PartitionKey(a, b)] = delay;
-  } else {
-    completion_delays_.erase(PartitionKey(a, b));
-  }
+  SetLinkFault(a, b, &LinkFaults::completion_delay,
+               std::max<SimTime>(delay, 0));
 }
 
 SimTime Fabric::CompletionDelay(NodeId a, NodeId b) const {
-  if (completion_delays_.empty()) {
-    return 0;
-  }
-  auto it = completion_delays_.find(PartitionKey(a, b));
-  return it == completion_delays_.end() ? 0 : it->second;
+  return Faults(a, b).completion_delay;
 }
 
-void Fabric::ClearLinkFaults() {
-  partitions_.clear();
-  link_delays_.clear();
-  completion_delays_.clear();
+void Fabric::ClearLinkFaults() { link_faults_.clear(); }
+
+Result<RKey> Fabric::CreateRegion(NodeId node_id, uint64_t size,
+                                  SimTime cost) {
+  RETURN_IF_ERROR(CheckAlive(node_id));
+  sim_->Advance(cost);
+  size_t index = region_slots_.size();
+  if (free_slots_.empty()) {
+    region_slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  RegionSlot& slot = region_slots_[index];
+  slot.region = Region(size);
+  slot.node = node_id;
+  return MakeRKey(index, slot.generation);
+}
+
+void Fabric::FreeSlot(RegionSlot* slot) {
+  slot->region = Region(0);
+  slot->node = kInvalidNode;
+  slot->generation++;
+  free_slots_.push_back(static_cast<uint32_t>(slot - region_slots_.data()));
 }
 
 Result<RKey> Fabric::RegisterRegion(NodeId node_id, uint64_t size) {
-  Node& node = nodes_.at(node_id);
-  if (!node.alive) {
-    return UnavailableError("node " + node.name + " is down");
-  }
   // Page pinning + NIC registration cost, charged to the caller's timeline
   // (the peer's lightweight setup process performs it synchronously).
-  sim_->Advance(params_->MrRegisterLatency(size));
-  RKey rkey = next_rkey_++;
-  node.regions.emplace(rkey, Region(size));
-  return rkey;
+  return CreateRegion(node_id, size, params_->MrRegisterLatency(size));
 }
 
 Result<RKey> Fabric::BindWindowRegion(NodeId node_id, uint64_t size) {
-  Node& node = nodes_.at(node_id);
-  if (!node.alive) {
-    return UnavailableError("node " + node.name + " is down");
-  }
   // The slab already paid pinning + NIC registration; a window bind is a
   // send-queue operation granting a fresh rkey over a sub-range.
-  sim_->Advance(params_->rdma.mw_bind_latency);
-  RKey rkey = next_rkey_++;
-  node.regions.emplace(rkey, Region(size));
-  return rkey;
+  return CreateRegion(node_id, size, params_->rdma.mw_bind_latency);
 }
 
 Status Fabric::InvalidateRegion(NodeId node_id, RKey rkey) {
-  Node& node = nodes_.at(node_id);
-  auto it = node.regions.find(rkey);
-  if (it == node.regions.end()) {
+  RegionSlot* slot = FindSlot(region_slots_, node_id, rkey);
+  if (slot == nullptr) {
     return NotFoundError("no such region");
   }
-  it->second.valid = false;
+  slot->region.valid = false;
   return OkStatus();
 }
 
 Result<RKey> Fabric::RecycleRegion(NodeId node_id, RKey rkey) {
-  Node& node = nodes_.at(node_id);
-  if (!node.alive) {
-    return UnavailableError("node " + node.name + " is down");
-  }
-  auto it = node.regions.find(rkey);
-  if (it == node.regions.end()) {
+  RETURN_IF_ERROR(CheckAlive(node_id));
+  RegionSlot* slot = FindSlot(region_slots_, node_id, rkey);
+  if (slot == nullptr) {
     return NotFoundError("no such region");
   }
-  Region region = std::move(it->second);
-  node.regions.erase(it);
   // Zero the reused memory (local peer-side memset), priced by the full
   // registered size however little of it was materialized.
-  region.Zero();
+  slot->region.Zero();
   sim_->Advance(static_cast<SimTime>(
-      static_cast<double>(region.size) / 12.0));  // ~12 GB/s memset
-  region.valid = true;
-  RKey fresh = next_rkey_++;
-  node.regions.emplace(fresh, std::move(region));
-  return fresh;
+      static_cast<double>(slot->region.size) / 12.0));  // ~12 GB/s memset
+  slot->region.valid = true;
+  // The same slot under a fresh rkey: the old one dies in place.
+  slot->generation++;
+  return MakeRKey(slot - region_slots_.data(), slot->generation);
 }
 
 Status Fabric::DeregisterRegion(NodeId node_id, RKey rkey) {
-  Node& node = nodes_.at(node_id);
-  if (node.regions.erase(rkey) == 0) {
+  RegionSlot* slot = FindSlot(region_slots_, node_id, rkey);
+  if (slot == nullptr) {
     return NotFoundError("no such region");
   }
+  FreeSlot(slot);
   return OkStatus();
 }
 
 Result<const Fabric::Region*> Fabric::LocalRegion(NodeId node_id,
                                                  RKey rkey) const {
-  const Node& node = nodes_.at(node_id);
-  if (!node.alive) {
-    return UnavailableError("node " + node.name + " is down");
-  }
-  auto it = node.regions.find(rkey);
-  if (it == node.regions.end() || !it->second.valid) {
+  RETURN_IF_ERROR(CheckAlive(node_id));
+  const RegionSlot* slot = FindSlot(region_slots_, node_id, rkey);
+  if (slot == nullptr || !slot->region.valid) {
     return PermissionDeniedError("invalid rkey");
   }
-  return &it->second;
+  return &slot->region;
 }
 
 Result<Fabric::Region*> Fabric::LocalRegion(NodeId node_id, RKey rkey) {
@@ -358,8 +375,10 @@ Result<uint64_t> Fabric::RegionSize(NodeId node_id, RKey rkey) const {
 
 uint64_t Fabric::ResidentRegionBytes(NodeId node_id) const {
   uint64_t bytes = 0;
-  for (const auto& [rkey, region] : nodes_.at(node_id).regions) {
-    bytes += region.ResidentBytes();
+  for (const RegionSlot& slot : region_slots_) {
+    if (slot.node == node_id) {
+      bytes += slot.region.ResidentBytes();
+    }
   }
   return bytes;
 }
@@ -469,13 +488,11 @@ void Fabric::ReleasePayload(WorkRequest* wr) {
 void Fabric::PushCompletion(const std::shared_ptr<QpState>& qp, uint64_t wr_id,
                             WcStatus status,
                             std::unique_ptr<std::string> read_data) {
+  qp->outstanding--;
   if (qp->closed) {
-    // Initiator is gone; nobody will poll this CQ.
-    qp->outstanding--;
-    return;
+    return;  // the initiator is gone; nobody will poll this CQ
   }
   qp->cq.push_back(Completion{wr_id, status, std::move(read_data)});
-  qp->outstanding--;
   if (qp->completion_flag != nullptr) {
     *qp->completion_flag = true;
   }
@@ -495,27 +512,27 @@ void Fabric::CompleteWr(const std::shared_ptr<QpState>& qp,
     obs_.tracer->AddAsyncSpan(wr.is_read ? "fabric.wr.read" : "fabric.wr.write",
                               wr.posted_at, sim_->Now());
   }
-  uint64_t wr_id = wr.wr_id;
   // CQ order: a completion never overtakes one still held by a completion
-  // delay, even once that delay is cleared. One due this very instant may
-  // not have fired yet, so a tie queues behind it too (FIFO at equal times).
+  // delay, even once that delay is cleared, and even once the clock has
+  // passed the held one's due time (a synchronous Advance runs no events).
   SimTime now = sim_->Now();
   SimTime at = now + CompletionDelay(qp->local, qp->remote);
-  if (at > now || qp->cq_floor >= now) {
+  if (at > now || qp->held > 0) {
     at = std::max(at, qp->cq_floor);
     qp->cq_floor = at;
-    sim_->ScheduleAt(at, sim::assert_inline([this, qp, wr_id, status,
+    qp->held++;
+    sim_->ScheduleAt(at, sim::assert_inline([this, qp, wr_id = wr.wr_id, status,
                              data = std::move(read_data)]() mutable {
+      qp->held--;
       PushCompletion(qp, wr_id, status, std::move(data));
     }));
     return;
   }
-  PushCompletion(qp, wr_id, status, std::move(read_data));
+  PushCompletion(qp, wr.wr_id, status, std::move(read_data));
 }
 
 bool Fabric::TryDeliverOnce(WorkRequest* wr,
                             const std::shared_ptr<QpState>& qp) {
-  Node& target = nodes_.at(qp->remote);
   if (qp->error) {
     CompleteWr(qp, *wr, WcStatus::kFlushError);
     return true;
@@ -524,7 +541,7 @@ bool Fabric::TryDeliverOnce(WorkRequest* wr,
   if (wr->first_attempt < 0) {
     wr->first_attempt = now;
   }
-  if (!target.alive || IsPartitioned(qp->local, qp->remote)) {
+  if (!nodes_[qp->remote].alive || IsPartitioned(qp->local, qp->remote)) {
     // Unreachable target. Within the NIC retransmission window, keep the WR
     // head-of-line and try again later; past it, report retry-exceeded.
     SimTime interval = params_->rdma.unreachable_retry_interval;
@@ -536,7 +553,8 @@ bool Fabric::TryDeliverOnce(WorkRequest* wr,
       sim_->Schedule(interval, sim::assert_inline(
                                    [this, state = qp,
                                     w = std::move(*wr)]() mutable {
-                                     DeliverInOrder(&w, state);
+                                     state->retrying = false;
+                                     DeliverWr(&w, state);
                                    }));
       return false;
     }
@@ -547,32 +565,31 @@ bool Fabric::TryDeliverOnce(WorkRequest* wr,
     // At least one retry tick happened and the target is reachable again.
     ObsAdd(c_wr_retry_recoveries_);
   }
-  auto region_it = target.regions.find(wr->rkey);
-  if (region_it == target.regions.end() || !region_it->second.valid) {
-    CompleteWr(qp, *wr, WcStatus::kRemoteAccessError);
-    return true;
-  }
-  Region& region = region_it->second;
-  uint64_t len = wr->len;
-  if (!InBounds(wr->remote_offset, len, region.size)) {
+  RegionSlot* slot = FindSlot(region_slots_, qp->remote, wr->rkey);
+  if (slot == nullptr || !slot->region.valid ||
+      !InBounds(wr->remote_offset, wr->len, slot->region.size)) {
     CompleteWr(qp, *wr, WcStatus::kRemoteAccessError);
     return true;
   }
   if (wr->is_read) {
     // The landing buffer itself travels to the poller, out of line.
-    region.Read(wr->remote_offset, len, wr->landing.get());
+    slot->region.Read(wr->remote_offset, wr->len, wr->landing.get());
     CompleteWr(qp, *wr, WcStatus::kSuccess, std::move(wr->landing));
   } else {
     // One-sided write: lands in remote memory with no remote CPU.
-    region.Write(wr->remote_offset, wr->payload());
+    slot->region.Write(wr->remote_offset, wr->payload());
     CompleteWr(qp, *wr, WcStatus::kSuccess);
   }
   return true;
 }
 
-void Fabric::DeliverInOrder(WorkRequest* wr,
-                            const std::shared_ptr<QpState>& qp) {
-  qp->retrying = false;
+void Fabric::DeliverWr(WorkRequest* wr, const std::shared_ptr<QpState>& qp) {
+  if (qp->retrying) {
+    // An earlier WR on this QP is still inside the NIC retransmission
+    // window: queue behind it.
+    qp->stalled.push_back(std::move(*wr));
+    return;
+  }
   bool stalled = false;  // `wr` is the stall queue's front
   for (;;) {
     // false: a retry was scheduled; the WR moved into it and stays
@@ -594,28 +611,16 @@ void Fabric::DeliverInOrder(WorkRequest* wr,
   }
 }
 
-void Fabric::DeliverWr(WorkRequest* wr, const std::shared_ptr<QpState>& qp) {
-  // Executed at the WR's scheduled completion time. If an earlier WR on
-  // this QP is still inside the NIC retransmission window, queue behind it
-  // to preserve send-queue order.
-  if (qp->retrying) {
-    qp->stalled.push_back(std::move(*wr));
-    return;
-  }
-  DeliverInOrder(wr, qp);
-}
-
 QueuePair::QueuePair(Fabric* fabric, NodeId local, NodeId remote, bool warm)
-    : fabric_(fabric), local_(local), remote_(remote) {
-  state_ = std::make_shared<Fabric::QpState>();
-  state_->local = local;
-  state_->remote = remote;
+    : fabric_(fabric),
+      remote_(remote),
+      // A QP toward an unreachable node starts in the error state.
+      state_(std::make_shared<Fabric::QpState>(
+          local, remote,
+          !fabric->IsAlive(remote) || fabric->IsPartitioned(local, remote))) {
   // QP handshake cost; skipped when piggybacking on a warm connection.
   if (!warm) {
     fabric_->sim_->Advance(fabric_->params_->rdma.connect_latency);
-  }
-  if (!fabric_->IsAlive(remote) || fabric_->IsPartitioned(local, remote)) {
-    state_->error = true;
   }
 }
 
@@ -662,7 +667,6 @@ std::vector<uint64_t> QueuePair::PostWriteBatch(
 
 uint64_t QueuePair::EnqueueWrite(const WriteOp& op) {
   Fabric::WorkRequest wr;
-  wr.wr_id = state_->next_wr_id++;
   wr.is_read = false;
   wr.rkey = op.rkey;
   wr.remote_offset = op.remote_offset;
@@ -675,72 +679,50 @@ uint64_t QueuePair::EnqueueWrite(const WriteOp& op) {
     wr.bytes = op.data.data();
     wr.len = op.data.size();
   }
-  const uint64_t bytes = op.data.size();
-
-  ObsAdd(fabric_->c_writes_posted_);
-  ObsAdd(fabric_->c_write_bytes_, bytes);
-  wr.posted_at = fabric_->sim_->Now();
-
-  // Latency/bandwidth separation: the WR holds the send queue only while
-  // it is issued and serialized onto the wire; fabric propagation overlaps
-  // with later WRs. Completion times stay monotone per QP because the
-  // occupancy of WR i plus the serialization of WR i+1 is always positive,
-  // so SQ completion ordering is preserved.
-  SimTime now = fabric_->sim_->Now();
-  SimTime start = std::max(now, state_->busy_until);
-  state_->busy_until = start + fabric_->params_->RdmaWrOccupancy(bytes);
-  SimTime done =
-      DeliveryTime(start + fabric_->params_->RdmaWriteLatency(bytes));
-  state_->outstanding++;
-  auto state = state_;
-  Fabric* fabric = fabric_;
-  uint64_t id = wr.wr_id;
-  fabric_->sim_->ScheduleAt(
-      done, sim::assert_inline([fabric, state, w = std::move(wr)]() mutable {
-        fabric->DeliverWr(&w, state);
-      }));
-  return id;
-}
-
-SimTime QueuePair::DeliveryTime(SimTime modeled) {
-  // SQ order under delay faults: a WR posted after a link delay was
-  // cleared or shortened still lands after every WR posted under it.
-  SimTime extra = fabric_->LinkDelay(local_, remote_);
-  SimTime done = std::max(modeled + extra, state_->delivery_floor);
-  if (extra > 0) {
-    state_->delivery_floor = done;
-  }
-  return done;
+  return Submit(std::move(wr));
 }
 
 uint64_t QueuePair::PostRead(RKey rkey, uint64_t remote_offset, uint64_t len,
                              std::string landing) {
+  ObsAdd(fabric_->c_doorbells_);
+  fabric_->sim_->Advance(fabric_->params_->rdma.post_overhead);
   Fabric::WorkRequest wr;
-  wr.wr_id = state_->next_wr_id++;
   wr.is_read = true;
   wr.rkey = rkey;
   wr.remote_offset = remote_offset;
   wr.landing = std::make_unique<std::string>(std::move(landing));
   wr.len = len;
+  return Submit(std::move(wr));
+}
 
-  ObsAdd(fabric_->c_reads_posted_);
-  ObsAdd(fabric_->c_read_bytes_, len);
-  ObsAdd(fabric_->c_doorbells_);
-  fabric_->sim_->Advance(fabric_->params_->rdma.post_overhead);
-  wr.posted_at = fabric_->sim_->Now();
+uint64_t QueuePair::Submit(Fabric::WorkRequest&& wr) {
+  const SimParams& params = *fabric_->params_;
+  const uint64_t id = wr.wr_id = state_->next_wr_id++;
+  ObsAdd(wr.is_read ? fabric_->c_reads_posted_ : fabric_->c_writes_posted_);
+  ObsAdd(wr.is_read ? fabric_->c_read_bytes_ : fabric_->c_write_bytes_,
+         wr.len);
+  const SimTime now = fabric_->sim_->Now();
+  wr.posted_at = now;
 
-  // Same pipelined model as EnqueueWrite: the read request occupies the SQ
-  // for issue + response serialization; the round-trip base overlaps.
-  SimTime now = fabric_->sim_->Now();
-  SimTime start = std::max(now, state_->busy_until);
-  state_->busy_until = start + fabric_->params_->RdmaWrOccupancy(len);
-  SimTime done = DeliveryTime(start + fabric_->params_->RdmaReadLatency(len));
+  // Latency/bandwidth separation: the WR holds the send queue only while
+  // it is issued and serialized onto the wire; the propagation (a WRITE's
+  // one way, a READ's round trip) overlaps with later WRs.
+  const SimTime start = std::max(now, state_->busy_until);
+  state_->busy_until = start + params.RdmaWrOccupancy(wr.len);
+  const SimTime modeled =
+      start + (wr.is_read ? params.RdmaReadLatency(wr.len)
+                          : params.RdmaWriteLatency(wr.len));
+  // RC order, the one rule: a WR never lands before the WR posted ahead
+  // of it, even a cheaper one (a WRITE behind a READ) or one posted after
+  // a link delay was cleared. Ties land in post order (FIFO sim events).
+  const SimTime done =
+      std::max(modeled + fabric_->LinkDelay(state_->local, remote_),
+               state_->delivery_floor);
+  state_->delivery_floor = done;
   state_->outstanding++;
-  auto state = state_;
-  Fabric* fabric = fabric_;
-  uint64_t id = wr.wr_id;
   fabric_->sim_->ScheduleAt(
-      done, sim::assert_inline([fabric, state, w = std::move(wr)]() mutable {
+      done, sim::assert_inline([fabric = fabric_, state = state_,
+                                w = std::move(wr)]() mutable {
         fabric->DeliverWr(&w, state);
       }));
   return id;

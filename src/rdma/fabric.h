@@ -5,8 +5,11 @@
 // correctness depends on:
 //   * memory regions with rkeys; access fails once an rkey is invalidated
 //     (peer crash, revocation, deregistration);
-//   * queue pairs with send-queue ordering: work requests complete on the
-//     remote memory in post order (§4.4 relies on this);
+//   * RC queue-pair order, one rule for READs and WRITEs alike: a WR never
+//     executes on the remote memory before the WR posted ahead of it on the
+//     same QP, whatever their kinds, sizes or the link delays in force when
+//     each was posted, and a completion never surfaces before the one ahead
+//     of it (§4.4 relies on this);
 //   * one-sided WRITE/READ that need no CPU at the target node;
 //   * a queue pair enters an error state after a failed WR and flushes all
 //     subsequent WRs with errors (standard ibverbs behaviour);
@@ -14,10 +17,7 @@
 //     invalidate rkeys; partitions make WRs fail with retry-exceeded after
 //     a timeout;
 //   * in-flight WRs posted before an *initiator* crash still land on the
-//     target (this produces the divergent-peer states of Fig 7);
-//   * delay faults never reorder a QP: a WR posted after a link delay is
-//     cleared lands after the WRs posted under it, and a completion never
-//     surfaces before one a completion delay still holds.
+//     target (this produces the divergent-peer states of Fig 7).
 //
 // Latencies come from SimParams and accrue on the owning Simulation's
 // virtual clock.
@@ -30,7 +30,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -78,7 +77,6 @@ class Fabric {
   // async spans "fabric.wr.write" / "fabric.wr.read" spanning post to
   // completion in sim time.
   Fabric(Simulation* sim, const SimParams* params, ObsContext obs = {});
-  ~Fabric();
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -225,7 +223,23 @@ class Fabric {
   struct Node {
     std::string name;
     bool alive = true;
-    std::unordered_map<RKey, Region> regions;
+  };
+
+  // One entry of the region table. An rkey is (index + 1) << 32 | the
+  // slot's generation, so none is 0; the generation moves on whenever the
+  // rkey dies (deregistration, crash, recycle), so a stale one never matches.
+  struct RegionSlot {
+    Region region{0};
+    NodeId node = kInvalidNode;  // owner; kInvalidNode while the slot is free
+    uint32_t generation = 0;
+  };
+
+  // Injected faults on one link, either direction.
+  struct LinkFaults {
+    bool partitioned = false;
+    SimTime delay = 0;             // SetLinkDelay
+    SimTime completion_delay = 0;  // SetCompletionDelay
+    bool operator==(const LinkFaults&) const = default;
   };
 
   struct QpState;
@@ -278,19 +292,27 @@ class Fabric {
     std::string_view payload() const { return {bytes, len}; }
   };
 
-  uint64_t PartitionKey(NodeId a, NodeId b) const;
+  Status CheckAlive(NodeId id) const;
+  // The link's faults (none: all clear).
+  LinkFaults Faults(NodeId a, NodeId b) const;
+  // Sets one fault of the link; a link left with none loses its entry.
+  template <typename T>
+  void SetLinkFault(NodeId a, NodeId b, T LinkFaults::*fault, T value);
+
+  // A `size`-byte region in a free slot on a live `node`, charging `cost`.
+  Result<RKey> CreateRegion(NodeId node, uint64_t size, SimTime cost);
+  // Frees the slot: its region's memory is dropped and its rkey dies.
+  void FreeSlot(RegionSlot* slot);
   // The valid region `rkey` on a live `node`, or the error local access
   // reports.
   Result<Region*> LocalRegion(NodeId node, RKey rkey);
   Result<const Region*> LocalRegion(NodeId node, RKey rkey) const;
-  // The delivery path works on a WR in place: `wr` is owned by the
-  // scheduled closure that calls in (or by the QP's stalled queue), and is
-  // moved only when it must outlive that owner — into the stalled queue
-  // behind a retrying WR, or into its own retry closure.
+  // Delivers `wr` at its scheduled time and then the WRs stalled behind it
+  // while it retried; behind a WR still retrying, stalls it instead. `wr`
+  // is worked on in place: owned by the closure that calls in (or by the
+  // stalled queue), it moves only to outlive that owner — into the stalled
+  // queue, or into its own retry closure.
   void DeliverWr(WorkRequest* wr, const std::shared_ptr<QpState>& qp);
-  // Delivers `wr` and then drains any WRs that queued up behind it while it
-  // was retrying (send-queue order is preserved across retries).
-  void DeliverInOrder(WorkRequest* wr, const std::shared_ptr<QpState>& qp);
   // One delivery attempt. Returns false if a NIC retry was scheduled (the
   // WR, moved into the retry closure, stays head-of-line), true once a
   // completion was produced.
@@ -316,10 +338,9 @@ class Fabric {
   Simulation* sim_;
   const SimParams* params_;
   std::vector<Node> nodes_;
-  std::unordered_set<uint64_t> partitions_;
-  std::unordered_map<uint64_t, SimTime> link_delays_;
-  std::unordered_map<uint64_t, SimTime> completion_delays_;
-  RKey next_rkey_ = 1;
+  std::unordered_map<uint64_t, LinkFaults> link_faults_;  // faulty links
+  std::vector<RegionSlot> region_slots_;
+  std::vector<uint32_t> free_slots_;  // indexes into region_slots_
 
   PayloadArena payload_arenas_[2] = {{kPayloadBlockBytes[0], {}, nullptr},
                                      {kPayloadBlockBytes[1], {}, nullptr}};
@@ -342,8 +363,8 @@ class Fabric {
 };
 
 // A queue pair connecting a local node to one remote node. One-sided
-// operations execute against remote memory regions with no remote CPU.
-// Completion order on the remote equals post order (SQ ordering).
+// operations execute against remote memory regions with no remote CPU,
+// in post order, and complete in post order.
 class QueuePair {
  public:
   // Establishing the QP charges the connection-handshake latency unless
@@ -427,21 +448,17 @@ class QueuePair {
 
  private:
   friend class Fabric;
-  struct Impl;
 
-  // Appends one WRITE WQE to the send queue: stats, SQ-ordered completion
-  // scheduling. Charges no posting overhead — the caller has already paid
-  // for the doorbell (once per chain under doorbell coalescing). The
-  // payload is referenced through `op.owner` when set, else copied into
-  // the payload arena.
+  // Submits one WRITE. Charges no posting overhead: the caller paid the
+  // doorbell (once per chain under doorbell coalescing). The payload is
+  // referenced through `op.owner` when set, else copied into the arena.
   uint64_t EnqueueWrite(const WriteOp& op);
-  // The delivery time of a WR whose modeled fabric time ends at `modeled`:
-  // plus the link's delay spike, and never before a WR posted earlier on
-  // this QP under a delay spike.
-  SimTime DeliveryTime(SimTime modeled);
+  // The one submit path for READs and WRITEs: assigns the wr_id, occupies
+  // the send queue, and schedules delivery under RC order — never before
+  // the WR posted ahead of it on this QP.
+  uint64_t Submit(Fabric::WorkRequest&& wr);
 
   Fabric* fabric_;
-  NodeId local_;
   NodeId remote_;
   std::shared_ptr<Fabric::QpState> state_;
 };

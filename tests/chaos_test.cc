@@ -170,6 +170,29 @@ TEST_F(ChaosFabricTest, ClearedCompletionDelayKeepsCqOrderAtATie) {
   EXPECT_EQ(second.wr_id, ids[1]);
 }
 
+// The same, when the clock has passed the held completion's due time
+// without running events (synchronous work such as posting overhead): a
+// WR landing then, with no delay in force, still surfaces behind it.
+TEST_F(ChaosFabricTest, HeldCompletionKeepsCqOrderPastItsDueTime) {
+  auto rkey = fabric_.RegisterRegion(peer_, 64);
+  ASSERT_TRUE(rkey.ok());
+  QueuePair qp(&fabric_, app_, peer_);
+  fabric_.SetCompletionDelay(app_, peer_, Micros(5));
+  uint64_t held = qp.PostWrite(*rkey, 0, "one");
+  sim_.RunUntil(sim_.Now() + params_.RdmaWriteLatency(3));
+  Completion c;
+  ASSERT_FALSE(qp.PollCq(&c));  // landed, its completion held
+  fabric_.SetCompletionDelay(app_, peer_, 0);
+  uint64_t later = qp.PostWrite(*rkey, 8, "two");
+  // Past the held completion's due time and the later WR's delivery,
+  // neither of which has run.
+  sim_.Advance(Micros(10));
+  Completion first = WaitCompletion(&qp);
+  Completion second = WaitCompletion(&qp);
+  EXPECT_EQ(first.wr_id, held);
+  EXPECT_EQ(second.wr_id, later);
+}
+
 TEST_F(ChaosFabricTest, NicRetryWindowSurvivesHealedPartition) {
   params_.rdma.unreachable_retry_timeout = Millis(2);
   auto rkey = fabric_.RegisterRegion(peer_, 64);

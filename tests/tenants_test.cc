@@ -362,6 +362,44 @@ TEST_F(TenantsTest, SharedLaneReadLandsInItsOwnBufferBesideWrites) {
   EXPECT_EQ(pool.flush_rewrites(), 1u);
 }
 
+TEST_F(TenantsTest, SharedLaneReadThenWriteExecutesInPostOrder) {
+  // Two handles pinned to one lane: a READ posted by one handle and then a
+  // WRITE to the same bytes posted by the other ride one QP, so RC order
+  // executes the READ first — it returns the old bytes, and its completion
+  // surfaces before the WRITE's.
+  NclPoolOptions one_lane;
+  one_lane.qps_per_peer = 1;
+  NclConnectionPool pool(&fabric_, app_node_, one_lane);
+  const NodeId remote = fabric_.AddNode("remote");
+  auto region = fabric_.RegisterRegion(remote, 4096);
+  ASSERT_TRUE(region.ok());
+  ASSERT_TRUE(fabric_.WriteRegion(remote, *region, 64, "old").ok());
+  auto reader = pool.Connect(remote);
+  auto writer = pool.Connect(remote);
+
+  uint64_t rd = reader->PostRead(*region, 64, 3);
+  uint64_t wr = writer->PostWrite(*region, 64, "new");
+  std::vector<std::string> order;
+  Completion c;
+  while (order.size() < 2 && sim_.RunOne()) {
+    if (reader->PollCq(&c)) {
+      EXPECT_EQ(c.wr_id, rd);
+      ASSERT_EQ(c.status, WcStatus::kSuccess);
+      ASSERT_NE(c.read_data, nullptr);
+      EXPECT_EQ(*c.read_data, "old");
+      order.push_back("read");
+    }
+    if (writer->PollCq(&c)) {
+      EXPECT_EQ(c.wr_id, wr);
+      EXPECT_EQ(c.status, WcStatus::kSuccess);
+      order.push_back("write");
+    }
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"read", "write"}));
+  EXPECT_EQ(*fabric_.ReadRegion(remote, *region, 64, 3), "new");
+  EXPECT_EQ(pool.open_qps(), 1u);
+}
+
 TEST_F(TenantsTest, BurstDrainsLanesAtMostOncePerCompletion) {
   // A lane is drained only after a completion landed on it, so 32 tenants
   // sharing lanes cost at most one drain per completion — not one per
