@@ -1,6 +1,7 @@
 #include "src/apps/kvstore/sstable.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/bytes.h"
 #include "src/common/crc32c.h"
@@ -10,11 +11,18 @@ namespace splitft {
 Status SstableBuilder::Write(SplitFile* file,
                              const std::vector<SstEntry>& entries) {
   size_t data_bytes = 0;
+  size_t max_key = 0;
   for (const auto& [key, value] : entries) {
     data_bytes += 8 + key.size() + value.size();
+    max_key = std::max(max_key, key.size());
   }
+  // Every block but the last holds at least kSstableBlockBytes, which
+  // bounds the index. The data buffer reserves room for the index and the
+  // footer too and is handed to the file, so the later appends land in its
+  // tail and the dfs keeps it as the table's bytes without a copy.
+  const size_t max_blocks = data_bytes / kSstableBlockBytes + 1;
   std::string data;
-  data.reserve(data_bytes);
+  data.reserve(data_bytes + 4 + max_blocks * (16 + max_key) + 20);
   std::string index;
   uint32_t block_count = 0;
   std::string index_body;
@@ -55,7 +63,7 @@ Status SstableBuilder::Write(SplitFile* file,
   PutFixed32(&footer, MaskCrc(Crc32c(index)));
   PutFixed32(&footer, kSstableMagic);
 
-  RETURN_IF_ERROR(file->Append(data));
+  RETURN_IF_ERROR(file->Append(std::move(data)));
   RETURN_IF_ERROR(file->Append(index));
   RETURN_IF_ERROR(file->Append(footer));
   // Compaction/flush writes are large background writes (§3).

@@ -780,6 +780,8 @@ Status Redis::MaybeRewriteAof() {
   if (!rdb.ok()) {
     return rdb.status();
   }
+  // The snapshot is handed over: the dfs keeps its buffer as the dirty
+  // range rather than copying it (DESIGN.md §10).
   RETURN_IF_ERROR((*rdb)->Append(SerializeRdb()));
   SyncOptions sync_options;
   sync_options.background = true;

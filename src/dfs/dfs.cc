@@ -301,8 +301,15 @@ SimTime DfsClient::FlushDirty(FileState* st, CowBuffer* content,
     if (overwrote != nullptr && offset < content->size()) {
       *overwrote = true;
     }
-    content->Write(offset, data);
     cluster_->AddStripeShares(offset, data.size(), &shares);
+    // A file's first bytes (an sstable, a snapshot) keep the buffer their
+    // writer handed over; one grown by appends copies out of its slack.
+    if (offset == 0 && content->size() == 0 &&
+        data.capacity() - data.size() <= data.size() / 8) {
+      content->Assign(std::move(data));
+    } else {
+      content->Write(offset, data);
+    }
   }
   ObsAdd(cluster_->c_bytes_written_, st->dirty_bytes);
   st->dirty.clear();
@@ -370,10 +377,19 @@ uint64_t DfsFile::DirtyBytes() const {
 }
 
 Status DfsFile::Append(std::string_view data) {
-  return Write(Size(), data);
+  return WriteRange(Size(), data, nullptr);
+}
+
+Status DfsFile::Append(std::string&& data) {
+  return WriteRange(Size(), data, &data);
 }
 
 Status DfsFile::Write(uint64_t offset, std::string_view data) {
+  return WriteRange(offset, data, nullptr);
+}
+
+Status DfsFile::WriteRange(uint64_t offset, std::string_view data,
+                           std::string* owned) {
   RETURN_IF_ERROR(CheckUsable());
   if (data.empty()) {
     return OkStatus();
@@ -443,8 +459,9 @@ Status DfsFile::Write(uint64_t offset, std::string_view data) {
     st.dirty_bytes -= it->second.size();
     it = st.dirty.erase(it);
   }
-  st.dirty.emplace(offset, std::string(data));
   st.dirty_bytes += data.size();
+  st.dirty.emplace(offset,
+                   owned != nullptr ? std::move(*owned) : std::string(data));
   return OkStatus();
 }
 

@@ -229,7 +229,9 @@ class DfsClient {
 
   FileState& GetState(const std::string& path);
   // Applies `st`'s dirty ranges to `content`, clears them, and charges the
-  // write to the servers whose stripes they touch. Returns the time the
+  // write to the servers whose stripes they touch. A range at offset 0 of
+  // an empty file becomes the content without a copy, unless its string's
+  // spare capacity exceeds an eighth of its size. Returns the time the
   // write is durable; *ideal gets its queue-free duration. Sets
   // *overwrote (nullable) when a range rewrote existing bytes.
   SimTime FlushDirty(FileState* st, CowBuffer* content, bool foreground,
@@ -248,6 +250,13 @@ class DfsFile {
  public:
   // Appends at the current logical end (durable size + pending writes).
   Status Append(std::string_view data);
+  // Owned append: when `data` starts a dirty range, its buffer becomes that
+  // range instead of being copied, and a sync of an empty file adopts it as
+  // the file's content (DESIGN.md §10). Charged and counted as the view
+  // overload is.
+  Status Append(std::string&& data);
+  // String literals take the view overload.
+  Status Append(const char* data) { return Append(std::string_view(data)); }
   // Positional write (pwrite).
   Status Write(uint64_t offset, std::string_view data);
   // Pushes all dirty bytes for this file to the backend.
@@ -278,6 +287,10 @@ class DfsFile {
   DfsFile(DfsClient* client, std::string path, bool direct_io, uint64_t epoch);
 
   Status CheckUsable() const;
+  // The one write body: `owned`, when non-null, holds `data`'s bytes and
+  // may be moved into a new dirty range.
+  Status WriteRange(uint64_t offset, std::string_view data,
+                    std::string* owned);
   Status SyncInternal(bool foreground, SimTime* done_at);
   Result<SharedBytes> ReadInternal(uint64_t offset, uint64_t len,
                                    bool foreground);

@@ -40,6 +40,10 @@ class DfsBackedFile : public SplitFile {
   bool ncl_backed() const override { return false; }
 
  private:
+  Status AppendOwned(std::string&& data) override {
+    return file_->Append(std::move(data));
+  }
+
   std::unique_ptr<DfsFile> file_;
 };
 

@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "src/common/annotations.h"
 #include "src/common/shared_bytes.h"
@@ -60,6 +61,12 @@ class SplitFile {
   virtual ~SplitFile() = default;
 
   virtual Status Append(std::string_view data) = 0;
+  // Owned append: hands `data`'s buffer to the backend. A dfs-backed file
+  // keeps it instead of copying it (DfsFile::Append); NCL-backed files copy
+  // it into their log buffer, as the view overload does.
+  Status Append(std::string&& data) { return AppendOwned(std::move(data)); }
+  // String literals take the view overload.
+  Status Append(const char* data) { return Append(std::string_view(data)); }
   virtual Status WriteAt(uint64_t offset, std::string_view data) = 0;
   // Durability barrier. For NCL-backed files this drains the append
   // window — free when every posted append already committed. Returns the
@@ -84,6 +91,12 @@ class SplitFile {
   virtual const std::string& path() const SPLITFT_LIFETIMEBOUND = 0;
   // True when the file is NCL-backed (diagnostics/Table 2).
   virtual bool ncl_backed() const = 0;
+
+ protected:
+  // The owned append's backend hook; the default copies.
+  virtual Status AppendOwned(std::string&& data) {
+    return Append(std::string_view(data));
+  }
 };
 
 class SplitFs {

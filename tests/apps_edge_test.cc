@@ -297,6 +297,39 @@ TEST_F(SstableFormatTest, TruncatedFileDetected) {
   EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
 }
 
+// Each DfsFile::Write is charged the buffered-write base and counted, so the
+// builder's call count is part of every flush's and compaction's virtual
+// time: a table is three appends (data, index, footer) and one background
+// sync, however its bytes are handed to the dfs.
+TEST_F(SstableFormatTest, WriteIsThreeAppendsAndOneBackgroundSync) {
+  auto fs = MakeFs("sst-calls");
+  auto file = fs->Open("/sst-calls", SplitOpenOptions{});
+  ASSERT_TRUE(file.ok());
+  std::map<std::string, std::string> entries;
+  for (int i = 0; i < 300; ++i) {
+    entries["key-" + std::to_string(1000 + i)] = std::string(100 + i, 'v');
+  }
+  const MetricsRegistry& metrics = *cluster_.obs().metrics;
+  const uint64_t writes = metrics.CounterValue("dfs.client.writes");
+  const uint64_t fsyncs = metrics.CounterValue("dfs.client.fsyncs");
+  const uint64_t background =
+      metrics.CounterValue("dfs.client.background_syncs");
+  ASSERT_TRUE(SstableBuilder::Write(file->get(), SortedEntries(entries)).ok());
+  EXPECT_EQ(metrics.CounterValue("dfs.client.writes"), writes + 3);
+  EXPECT_EQ(metrics.CounterValue("dfs.client.fsyncs"), fsyncs);
+  EXPECT_EQ(metrics.CounterValue("dfs.client.background_syncs"),
+            background + 1);
+
+  auto reader = SstableReader::Open(std::move(*file), nullptr);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_GT((*reader)->block_count(), 1u);
+  for (const auto& [key, value] : entries) {
+    auto got = (*reader)->Get(key);
+    ASSERT_TRUE(got.ok()) << key;
+    EXPECT_EQ(*got, value);
+  }
+}
+
 // ------------------------------------------ compaction vs a reference --
 
 // rocksdb-mini's internal value encoding (kv_store.h): a type byte, then

@@ -3,6 +3,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/dfs/dfs.h"
@@ -354,10 +356,14 @@ TEST_F(DfsTest, OverwriteExactlyCoveringRangeReplacesIt) {
 TEST_F(DfsTest, ReadSliceOutlivesOverwriteSyncAndUnlink) {
   auto file = client_.Open("/f");
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE((*file)->Append(std::string(4096, 'a')).ok());
+  // An owned append to an empty file: the sync adopts the handed buffer.
+  std::string handed(4096, 'a');
+  const char* handed_bytes = handed.data();
+  ASSERT_TRUE((*file)->Append(std::move(handed)).ok());
   ASSERT_TRUE((*file)->Sync().ok());
   auto old = (*file)->Read(0, 4096);
   ASSERT_TRUE(old.ok());
+  EXPECT_EQ(old->data(), handed_bytes);
   auto alias = (*file)->Read(100, 10);
   ASSERT_TRUE(alias.ok());
   EXPECT_EQ(alias->data(), old->data() + 100);  // durable reads alias
@@ -377,6 +383,84 @@ TEST_F(DfsTest, ReadSliceOutlivesOverwriteSyncAndUnlink) {
   EXPECT_EQ(*old, std::string(4096, 'a'));
   EXPECT_EQ(*alias, std::string(10, 'a'));
   EXPECT_EQ(*fresh, std::string(8192, 'b'));
+}
+
+// What one write sequence leaves behind, for comparing owned and view
+// appends: the bytes, the size, the write counters and both clocks.
+struct DfsOutcome {
+  std::string bytes;
+  uint64_t size = 0;
+  uint64_t writes = 0;
+  uint64_t write_bytes = 0;
+  uint64_t background_syncs = 0;
+  uint64_t bytes_written = 0;
+  SimTime now = 0;
+  SimTime pipe_busy = 0;
+
+  bool operator==(const DfsOutcome&) const = default;
+};
+
+// An sstable-shaped write (a reserved body, two appends into its tail, a
+// background sync), then an append to the durable file and a foreground
+// sync; `owned` hands each string over instead of passing a view.
+DfsOutcome RunAppends(bool owned) {
+  Simulation sim;
+  SimParams params;
+  DfsCluster cluster(&sim, &params);
+  DfsClient client(&cluster, "app-server");
+  auto file = client.Open("/t");
+  EXPECT_TRUE(file.ok());
+  auto append = [&](std::string data) {
+    EXPECT_TRUE((owned ? (*file)->Append(std::move(data))
+                       : (*file)->Append(std::string_view(data)))
+                    .ok());
+  };
+  std::string body(300000, 'd');
+  body.reserve(body.size() + 64);
+  append(std::move(body));
+  append(std::string(40, 'i'));
+  append(std::string(20, 'f'));
+  EXPECT_TRUE((*file)->Sync(/*foreground=*/false).ok());
+  append(std::string(5000, 't'));
+  EXPECT_TRUE((*file)->Sync().ok());
+
+  DfsOutcome out;
+  auto bytes = (*file)->Read(0, (*file)->Size());
+  EXPECT_TRUE(bytes.ok());
+  out.bytes = std::string(*bytes);
+  out.size = (*file)->Size();
+  const MetricsRegistry& metrics = *cluster.obs().metrics;
+  out.writes = metrics.CounterValue("dfs.client.writes");
+  out.write_bytes = metrics.CounterValue("dfs.client.write_bytes");
+  out.background_syncs = metrics.CounterValue("dfs.client.background_syncs");
+  out.bytes_written = cluster.bytes_written();
+  out.now = sim.Now();
+  out.pipe_busy = cluster.pipe_busy_until();
+  return out;
+}
+
+TEST_F(DfsTest, OwnedAppendMatchesViewAppend) {
+  DfsOutcome view = RunAppends(/*owned=*/false);
+  DfsOutcome owned = RunAppends(/*owned=*/true);
+  EXPECT_EQ(owned, view);
+  EXPECT_EQ(owned.size, 305060u);
+  EXPECT_EQ(owned.writes, 4u);
+  EXPECT_EQ(owned.background_syncs, 1u);
+  EXPECT_GT(owned.now, 0);
+}
+
+TEST_F(DfsTest, SyncCopiesAnOwnedBufferWithLargeSlack) {
+  auto file = client_.Open("/f");
+  ASSERT_TRUE(file.ok());
+  std::string handed(4096, 'a');
+  handed.reserve(1 << 20);
+  const char* handed_bytes = handed.data();
+  ASSERT_TRUE((*file)->Append(std::move(handed)).ok());
+  ASSERT_TRUE((*file)->Sync().ok());
+  auto read = (*file)->Read(0, 4096);
+  ASSERT_TRUE(read.ok());
+  EXPECT_NE(read->data(), handed_bytes);
+  EXPECT_EQ(*read, std::string(4096, 'a'));
 }
 
 TEST_F(DfsTest, AppendBetweenRangesBridgesWithoutDoubleCount) {
