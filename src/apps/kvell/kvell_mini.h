@@ -49,6 +49,7 @@ class KvellMini : public StorageApp {
   Status Delete(std::string_view key);
   bool supports_batching() const override { return false; }
   std::string name() const override { return "kvell-mini"; }
+  ObsContext obs() const override { return fs_->obs(); }
 
   size_t live_records() const { return index_.size(); }
 

@@ -169,7 +169,8 @@ Status KvStore::RecoverExistingState() {
     } else {
       // Older logs should have been deleted at flush time; clean strays.
       file.reset();
-      DiscardStatus(fs_->Unlink(path), "KvStore stray WAL cleanup");
+      DiscardStatus(fs_->obs(), fs_->Unlink(path),
+                    "KvStore stray WAL cleanup");
     }
   }
   if (wal_ != nullptr) {
@@ -362,7 +363,8 @@ Status KvStore::Compact() {
   level1_.clear();
   level1_.push_back(std::move(reader));
   for (const std::string& old : obsolete) {
-    DiscardStatus(fs_->Unlink(old), "KvStore obsolete sstable cleanup");
+    DiscardStatus(fs_->obs(), fs_->Unlink(old),
+                  "KvStore obsolete sstable cleanup");
   }
   return OkStatus();
 }

@@ -64,6 +64,7 @@ class KvStore : public StorageApp {
   bool supports_batching() const override { return true; }
   bool parallel_reads() const override { return true; }
   std::string name() const override { return "rocksdb-mini"; }
+  ObsContext obs() const override { return fs_->obs(); }
 
   // Forces the memtable to an sstable (used by tests).
   Status FlushMemtable();

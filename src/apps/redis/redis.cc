@@ -793,7 +793,8 @@ Status Redis::MaybeRewriteAof() {
   // Older RDBs are superseded.
   for (const std::string& path : fs_->dfs()->List(options_.dir + "/rdb-")) {
     if (path != options_.dir + buf) {
-      DiscardStatus(fs_->Unlink(path), "Redis superseded RDB cleanup");
+      DiscardStatus(fs_->obs(), fs_->Unlink(path),
+                    "Redis superseded RDB cleanup");
     }
   }
   aof_generation_ = gen + 1;

@@ -59,6 +59,7 @@ class Redis : public StorageApp {
   Status ApplyWriteBatch(const std::vector<KvWrite>& batch) override;
   bool supports_batching() const override { return true; }
   std::string name() const override { return "redis-mini"; }
+  ObsContext obs() const override { return fs_->obs(); }
 
   // ---- Data-structure commands -------------------------------------------
   Status Del(std::string_view key);

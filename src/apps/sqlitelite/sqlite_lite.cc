@@ -184,7 +184,7 @@ Result<std::string> SqliteLite::Get(std::string_view key) {
                       ((db_size - 1) / 4096 + 1);
       // The read only charges page-cache-miss latency; its bytes are
       // unused and a failure just means no cache fill.
-      DiscardStatus(db_->Read(page * 4096, 4096),
+      DiscardStatus(fs_->obs(), db_->Read(page * 4096, 4096),
                     "SqliteLite page-cache fill");
     }
     page_cache_->Put(key, std::make_shared<const std::string>(it->second));

@@ -51,6 +51,7 @@ class SqliteLite : public StorageApp {
   Result<std::string> Get(std::string_view key) override;
   bool supports_batching() const override { return false; }
   std::string name() const override { return "sqlite-mini"; }
+  ObsContext obs() const override { return fs_->obs(); }
 
   // Multi-statement transaction: all writes commit atomically in one frame.
   Status ExecTransaction(const std::vector<KvWrite>& writes);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/obs/obs.h"
 #include "src/sim/simulation.h"
 
 namespace splitft {
@@ -64,6 +65,11 @@ class StorageApp {
   virtual bool parallel_reads() const { return false; }
 
   virtual std::string name() const = 0;
+
+  // The observability handle of the simulation the app runs in (its
+  // SplitFs's). The harness counts the app's discarded reads there; the
+  // default, for an app that names none, counts them nowhere.
+  virtual ObsContext obs() const { return {}; }
 };
 
 }  // namespace splitft

@@ -380,7 +380,8 @@ void RunChaosSchedule(uint64_t seed, const CampaignOptions& options,
   // Exercise the release path. Failures are expected when peers stayed
   // crashed; "ncl.client.release_failures" counts them and the delta
   // accumulation below rolls them into the campaign stats.
-  DiscardStatus(rec->Delete(), "chaos campaign post-recovery delete");
+  DiscardStatus(cluster.Obs(), rec->Delete(),
+                "chaos campaign post-recovery delete");
   result->stats.peers_replaced += fresh.peers_replaced();
   Accumulate(&result->stats, ReadClientCounters(cluster.metrics),
              workload_counters);

@@ -1,5 +1,7 @@
 #include "src/common/rng.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 
@@ -82,9 +84,13 @@ std::optional<uint64_t> SeedFromEnv() {
   if (env == nullptr || env[0] == '\0') {
     return std::nullopt;
   }
+  // strtoull alone would take "12abc" as 12, wrap "-1" to 2^64-1 and clamp
+  // an overflow to ULLONG_MAX, each silently replaying the wrong schedule.
   char* end = nullptr;
+  errno = 0;
   uint64_t seed = std::strtoull(env, &end, 0);
-  if (end == env) {
+  if (std::isdigit(static_cast<unsigned char>(env[0])) == 0 || *end != '\0' ||
+      errno == ERANGE) {
     LOG_WARNING << "ignoring unparsable SPLITFT_SEED='" << env << "'";
     return std::nullopt;
   }

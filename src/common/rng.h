@@ -41,7 +41,8 @@ class Rng {
 // The SPLITFT_SEED reproducibility override, which pins a seeded run (the
 // chaos campaign, a bench) to one schedule so a reported violation replays
 // exactly. Parsed with strtoull base 0, so 0x... works. Unset or empty
-// gives nullopt; an unparsable value is warned about and ignored.
+// gives nullopt; a value that is not wholly an unsigned number in range
+// (trailing text, a sign, an overflow) is warned about and ignored.
 std::optional<uint64_t> SeedFromEnv();
 
 }  // namespace splitft

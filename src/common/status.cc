@@ -1,6 +1,5 @@
 #include "src/common/status.h"
 
-#include <cstdint>
 #include <cstdlib>
 
 #include "src/common/logging.h"
@@ -89,48 +88,6 @@ Status TimedOutError(std::string_view msg) {
 }
 Status InternalError(std::string_view msg) {
   return Make(StatusCode::kInternal, msg);
-}
-
-// ---- Deliberate discards ---------------------------------------------------
-
-namespace {
-// Plain globals, not atomics: the simulator is single-threaded and the
-// determinism tests compare counter values across identically-seeded runs.
-StatusDiscardCounts g_discard_counts;
-StatusDiscardSink* g_discard_sink = nullptr;
-uint64_t g_discard_logs_emitted = 0;
-constexpr uint64_t kDiscardLogLimit = 16;
-}  // namespace
-
-StatusDiscardCounts GetStatusDiscardCounts() { return g_discard_counts; }
-
-void ResetStatusDiscardCountsForTest() {
-  g_discard_counts = StatusDiscardCounts();
-  g_discard_logs_emitted = 0;
-}
-
-StatusDiscardSink* SetStatusDiscardSink(StatusDiscardSink* sink) {
-  StatusDiscardSink* previous = g_discard_sink;
-  g_discard_sink = sink;
-  return previous;
-}
-
-void DiscardStatus(const Status& status, std::string_view where) {
-  g_discard_counts.total++;
-  if (!status.ok()) {
-    g_discard_counts.nonok++;
-    if (g_discard_logs_emitted < kDiscardLogLimit) {
-      g_discard_logs_emitted++;
-      LOG_WARNING << "discarded status at " << where << ": "
-                  << status.ToString()
-                  << (g_discard_logs_emitted == kDiscardLogLimit
-                          ? " (further discard logs suppressed)"
-                          : "");
-    }
-  }
-  if (g_discard_sink != nullptr) {
-    g_discard_sink->OnDiscard(status, where);
-  }
 }
 
 namespace status_internal {

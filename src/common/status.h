@@ -128,43 +128,17 @@ class [[nodiscard]] Result {
 // status-discard) because they are invisible to grep, to the logs, and to
 // the metrics.
 //
-//   DiscardStatus(expr, "where")  best-effort paths: the failure is
-//                                 tolerable, but it is logged (rate
-//                                 limited) and counted so a sudden storm
-//                                 of swallowed errors is visible.
-//   CHECK_OK(expr)                must-succeed paths (bench setup, test
-//                                 fixtures): aborts with the status, the
-//                                 expression, and the call site.
-
-// Process-global discard accounting, readable in tests and mirrored into
-// each MetricsRegistry by the obs layer (common.status.discards /
-// common.status.discards_nonok) via the installable sink below.
-struct StatusDiscardCounts {
-  uint64_t total = 0;   // every DiscardStatus call
-  uint64_t nonok = 0;   // ... that dropped a real error
-};
-StatusDiscardCounts GetStatusDiscardCounts();
-void ResetStatusDiscardCountsForTest();
-
-// The obs layer implements this to count discards into a MetricsRegistry.
-// common/ cannot depend on obs/, so the sink is injected at runtime.
-class StatusDiscardSink {
- public:
-  virtual ~StatusDiscardSink() = default;
-  virtual void OnDiscard(const Status& status, std::string_view where) = 0;
-};
-
-// Installs a process-global sink; returns the previous one so scopes can
-// nest (install in a constructor, restore in the destructor).
-StatusDiscardSink* SetStatusDiscardSink(StatusDiscardSink* sink);
-
-// The only sanctioned way to drop a Status on the floor. Non-OK discards
-// are logged at WARNING (first 16 per process, then silently counted).
-void DiscardStatus(const Status& status, std::string_view where);
-template <typename T>
-void DiscardStatus(const Result<T>& result, std::string_view where) {
-  DiscardStatus(result.ok() ? Status() : result.status(), where);
-}
+//   DiscardStatus(obs, expr, "where")  best-effort paths: the failure is
+//                                      tolerable, but it is counted in the
+//                                      simulation's MetricsRegistry and
+//                                      logged (rate limited), so a storm
+//                                      of swallowed errors is visible.
+//                                      Lives in src/obs/obs.h: common/
+//                                      cannot see a registry.
+//   CHECK_OK(expr)                     must-succeed paths (bench setup,
+//                                      test fixtures): aborts with the
+//                                      status, the expression, and the
+//                                      call site.
 
 namespace status_internal {
 inline const Status& AsStatus(const Status& s) { return s; }

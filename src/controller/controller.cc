@@ -232,7 +232,7 @@ void Controller::UpdatePeerMemoryAsync(const std::string& name,
   }
   // Async availability refreshes are fire-and-forget by design; a lost
   // update only skews the allocator's load balancing until the next one.
-  DiscardStatus(registry_.Set(path, SerializePeer(id, bytes, state)),
+  DiscardStatus(obs_, registry_.Set(path, SerializePeer(id, bytes, state)),
                 "Controller::UpdatePeerMemoryAsync");
 }
 

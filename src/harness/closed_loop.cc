@@ -86,12 +86,13 @@ HarnessResult ClosedLoopHarness::Run() {
       case YcsbOpType::kRead: {
         SimTime arrival = next.when;
         // NotFound on un-loaded keys is fine.
-        DiscardStatus(app_->Get(op.key), "closed-loop read");
+        DiscardStatus(app_->obs(), app_->Get(op.key), "closed-loop read");
         Complete(arrival, sim_->Now(), next.client);
         break;
       }
       case YcsbOpType::kReadModifyWrite:
-        DiscardStatus(app_->Get(op.key), "closed-loop rmw read");
+        DiscardStatus(app_->obs(), app_->Get(op.key),
+                      "closed-loop rmw read");
         [[fallthrough]];
       case YcsbOpType::kUpdate:
       case YcsbOpType::kInsert: {

@@ -12,6 +12,10 @@ Testbed::Testbed(TestbedOptions options)
       fabric_(&sim_, &options_.params, obs_),
       controller_(&sim_, &options_.params, obs_),
       cluster_(&sim_, &options_.params, obs_) {
+  // DiscardStatus counts into obs_; the export lists both counters even
+  // when nothing was discarded.
+  metrics_.counter("common.status.discards");
+  metrics_.counter("common.status.discards_nonok");
   app_node_ = fabric_.AddNode("app-server");
   for (int i = 0; i < options_.num_peers; ++i) {
     auto peer = std::make_unique<LogPeer>("peer-" + std::to_string(i),

@@ -94,8 +94,10 @@ class Testbed {
   Simulation* sim() { return &sim_; }
   const SimParams& params() const { return options_.params; }
   // The shared observability handle every layer was constructed with. All
-  // metrics land in one registry keyed "layer.component.metric"; spans (if
-  // options.tracing) land in one tracer.
+  // metrics land in one registry keyed "layer.component.metric", the
+  // DiscardStatus counts of this testbed's components included; spans (if
+  // options.tracing) land in one tracer. Testbeds share no state, so they
+  // may end in any order or run on separate threads.
   const ObsContext& obs() const { return obs_; }
   MetricsRegistry* metrics() { return &metrics_; }
   Tracer* tracer() { return &tracer_; }
@@ -142,9 +144,6 @@ class Testbed {
   TestbedOptions options_;
   Simulation sim_;
   MetricsRegistry metrics_;
-  // Routes DiscardStatus() accounting into metrics_ while this testbed is
-  // the innermost live one (common.status.discards*).
-  StatusDiscardMetrics discard_metrics_{&metrics_};
   Tracer tracer_;
   ObsContext obs_;
   Fabric fabric_;

@@ -403,7 +403,7 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
       if (!slot.alive) {
         // Best effort: maintain the fault-tolerance level. Failure here is
         // tolerable as long as an ack quorum is alive.
-        DiscardStatus(out->ReplaceSlot(&slot),
+        DiscardStatus(obs_, out->ReplaceSlot(&slot),
                       "NclClient recovery slot replacement");
       }
     }
@@ -1397,7 +1397,8 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
   RefreshPeerNames();
   RETURN_IF_ERROR(WriteApMap());
   if (old_peer != nullptr && old_peer->alive()) {
-    DiscardStatus(old_peer->Release(client->config_.app_id, name_),
+    DiscardStatus(client->obs_,
+                  old_peer->Release(client->config_.app_id, name_),
                   "NclFile::MigrateSlot release of source region");
   }
   client->regions_migrated_++;

@@ -153,7 +153,7 @@ Result<LogPeer::Carve> LogPeer::CarveRegion(uint64_t region_bytes) {
 void LogPeer::FreeCarve(RKey rkey, int slab_idx, uint64_t offset,
                         uint64_t len) {
   // Deregistration of an already-dead region may legitimately fail.
-  DiscardStatus(fabric_->DeregisterRegion(node_, rkey),
+  DiscardStatus(obs_, fabric_->DeregisterRegion(node_, rkey),
                 "LogPeer::FreeCarve deregister");
   if (slab_idx < 0 || slab_idx >= static_cast<int>(slabs_.size())) {
     return;
@@ -365,10 +365,11 @@ Status LogPeer::Revoke(const std::string& app, const std::string& file) {
   // credited, so the allocator deprioritizes this peer.
   // Invalidation of a region on a crashed node is a no-op failure; the
   // revoke must still complete so the memory is reclaimed locally.
-  DiscardStatus(fabric_->InvalidateRegion(node_, it->second.rkey),
+  DiscardStatus(obs_, fabric_->InvalidateRegion(node_, it->second.rkey),
                 "LogPeer::Revoke invalidate");
   if (it->second.staged_rkey != 0) {
-    DiscardStatus(fabric_->InvalidateRegion(node_, it->second.staged_rkey),
+    DiscardStatus(obs_,
+                  fabric_->InvalidateRegion(node_, it->second.staged_rkey),
                   "LogPeer::Revoke invalidate staged");
   }
   // The carve's slab extent is NOT returned to the free list either: the

@@ -1,9 +1,29 @@
 #include "src/obs/metrics.h"
 
 #include <cinttypes>
+#include <cstdarg>
 #include <cstdio>
 
 namespace splitft {
+namespace {
+
+// Appends printf-formatted text of any length to *out.
+__attribute__((format(printf, 2, 3))) void AppendFormat(std::string* out,
+                                                        const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list measure;
+  va_copy(measure, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, measure);
+  va_end(measure);
+  const size_t at = out->size();
+  out->resize(at + static_cast<size_t>(n) + 1);
+  std::vsnprintf(out->data() + at, static_cast<size_t>(n) + 1, fmt, args);
+  out->resize(at + static_cast<size_t>(n));
+  va_end(args);
+}
+
+}  // namespace
 
 Counter* MetricsRegistry::counter(const std::string& name) {
   auto& slot = counters_[name];
@@ -52,50 +72,26 @@ uint64_t MetricsRegistry::CounterValue(const std::string& name) const {
 
 std::string MetricsRegistry::ToJson() const {
   std::string out = "{";
-  char buf[160];
-  bool first = true;
+  const char* sep = "";
   for (const auto& [name, c] : counters_) {
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": %" PRIu64, first ? "" : ", ",
-                  name.c_str(), c->value());
-    out += buf;
-    first = false;
+    AppendFormat(&out, "%s\"%s\": %" PRIu64, sep, name.c_str(), c->value());
+    sep = ", ";
   }
   for (const auto& [name, g] : gauges_) {
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": %" PRId64, first ? "" : ", ",
-                  name.c_str(), g->value());
-    out += buf;
-    first = false;
+    AppendFormat(&out, "%s\"%s\": %" PRId64, sep, name.c_str(), g->value());
+    sep = ", ";
   }
   for (const auto& [name, h] : histograms_) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s\"%s\": {\"count\": %" PRIu64
-                  ", \"mean\": %.1f, \"p50\": %.1f, \"p95\": %.1f, "
-                  "\"p99\": %.1f, \"max\": %" PRId64 "}",
-                  first ? "" : ", ", name.c_str(), h->count(), h->Mean(),
-                  h->P50(), h->Percentile(0.95), h->P99(), h->max());
-    out += buf;
-    first = false;
+    AppendFormat(&out,
+                 "%s\"%s\": {\"count\": %" PRIu64
+                 ", \"mean\": %.1f, \"p50\": %.1f, \"p95\": %.1f, "
+                 "\"p99\": %.1f, \"max\": %" PRId64 "}",
+                 sep, name.c_str(), h->count(), h->Mean(), h->P50(),
+                 h->Percentile(0.95), h->P99(), h->max());
+    sep = ", ";
   }
   out += "}";
   return out;
-}
-
-StatusDiscardMetrics::StatusDiscardMetrics(MetricsRegistry* registry)
-    : c_discards_(registry->counter("common.status.discards")),
-      c_discards_nonok_(registry->counter("common.status.discards_nonok")),
-      previous_(SetStatusDiscardSink(this)) {}
-
-StatusDiscardMetrics::~StatusDiscardMetrics() {
-  SetStatusDiscardSink(previous_);
-}
-
-// The discard context goes to the log line, not the metric key space.
-void StatusDiscardMetrics::OnDiscard(const Status& status,
-                                     std::string_view /*where*/) {
-  c_discards_->Add(1);
-  if (!status.ok()) {
-    c_discards_nonok_->Add(1);
-  }
 }
 
 }  // namespace splitft

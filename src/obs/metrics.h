@@ -19,10 +19,8 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "src/common/histogram.h"
-#include "src/common/status.h"
 
 namespace splitft {
 
@@ -106,27 +104,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-// Mirrors DiscardStatus() accounting into a MetricsRegistry as
-// "common.status.discards" (every deliberate discard) and
-// "common.status.discards_nonok" (discards that dropped a real error).
-// Installs itself as the process-global sink on construction and restores
-// the previous sink on destruction, so nested testbeds stack correctly.
-class StatusDiscardMetrics : public StatusDiscardSink {
- public:
-  explicit StatusDiscardMetrics(MetricsRegistry* registry);
-  ~StatusDiscardMetrics() override;
-
-  StatusDiscardMetrics(const StatusDiscardMetrics&) = delete;
-  StatusDiscardMetrics& operator=(const StatusDiscardMetrics&) = delete;
-
-  void OnDiscard(const Status& status, std::string_view where) override;
-
- private:
-  Counter* c_discards_;
-  Counter* c_discards_nonok_;
-  StatusDiscardSink* previous_;
 };
 
 }  // namespace splitft

@@ -575,7 +575,8 @@ TEST_F(EdgeTest, FineGrainedRandomInterleavingFuzz) {
     // Cleanup for the shared dfs namespace.
     ASSERT_TRUE(fs->Unlink("/blob").ok());
     // The journal only exists for fine-grained runs of this loop.
-    DiscardStatus(fs->Unlink("/blob.ncl-journal"), "edge-test cleanup");
+    DiscardStatus(fs->obs(), fs->Unlink("/blob.ncl-journal"),
+                  "edge-test cleanup");
   }
 }
 

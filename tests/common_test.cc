@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -315,51 +318,26 @@ TEST(RngTest, ExponentialMeanRoughlyCorrect) {
   EXPECT_NEAR(mean, 100.0, 5.0);
 }
 
+TEST(RngTest, SeedFromEnvTakesOnlyWholeUnsignedNumbers) {
+  const struct {
+    const char* value;
+    std::optional<uint64_t> seed;
+  } kCases[] = {
+      {"12345", 12345},
+      {"0x1F", 31},
+      {"12abc", std::nullopt},
+      {"-1", std::nullopt},
+      {"99999999999999999999", std::nullopt},
+  };
+  for (const auto& c : kCases) {
+    ASSERT_EQ(setenv("SPLITFT_SEED", c.value, 1), 0);
+    EXPECT_EQ(SeedFromEnv(), c.seed) << "SPLITFT_SEED=" << c.value;
+  }
+  unsetenv("SPLITFT_SEED");
+  EXPECT_EQ(SeedFromEnv(), std::nullopt);
+}
+
 // ---------------------------------------------------------------- Discard --
-
-class CountingSink : public StatusDiscardSink {
- public:
-  void OnDiscard(const Status& status, std::string_view where) override {
-    calls++;
-    last_code = status.code();
-    last_where = std::string(where);
-  }
-  int calls = 0;
-  StatusCode last_code = StatusCode::kOk;
-  std::string last_where;
-};
-
-TEST(StatusDiscardTest, CountsTotalAndNonOkSeparately) {
-  ResetStatusDiscardCountsForTest();
-  DiscardStatus(OkStatus(), "test ok");
-  DiscardStatus(UnavailableError("peer down"), "test bad");
-  DiscardStatus(Result<int>(NotFoundError("gone")), "test result");
-  DiscardStatus(Result<int>(7), "test ok result");
-  StatusDiscardCounts counts = GetStatusDiscardCounts();
-  EXPECT_EQ(counts.total, 4u);
-  EXPECT_EQ(counts.nonok, 2u);
-}
-
-TEST(StatusDiscardTest, SinkSeesEveryDiscardAndRestores) {
-  CountingSink outer;
-  StatusDiscardSink* prev = SetStatusDiscardSink(&outer);
-  DiscardStatus(AbortedError("race"), "outer scope");
-  EXPECT_EQ(outer.calls, 1);
-  EXPECT_EQ(outer.last_code, StatusCode::kAborted);
-  EXPECT_EQ(outer.last_where, "outer scope");
-  {
-    CountingSink inner;
-    StatusDiscardSink* was = SetStatusDiscardSink(&inner);
-    EXPECT_EQ(was, &outer);
-    DiscardStatus(OkStatus(), "inner scope");
-    EXPECT_EQ(inner.calls, 1);
-    EXPECT_EQ(outer.calls, 1);  // only the installed sink sees it
-    SetStatusDiscardSink(was);
-  }
-  DiscardStatus(OkStatus(), "outer again");
-  EXPECT_EQ(outer.calls, 2);
-  SetStatusDiscardSink(prev);
-}
 
 TEST(StatusDiscardTest, CheckOkPassesThroughOkValues) {
   CHECK_OK(OkStatus());

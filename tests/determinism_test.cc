@@ -89,9 +89,10 @@ RunArtifacts RunSeededChaosScenario(uint64_t seed, bool ec = false) {
     std::string payload(rng.UniformRange(1, 256),
                         static_cast<char>('a' + (k % 26)));
     // Failures under injected faults are part of the scenario.
-    DiscardStatus((*file)->Append(payload), "determinism append");
+    DiscardStatus(testbed.obs(), (*file)->Append(payload),
+                  "determinism append");
     if (k % 16 == 15) {
-      DiscardStatus((*file)->Sync(), "determinism sync");
+      DiscardStatus(testbed.obs(), (*file)->Sync(), "determinism sync");
     }
     testbed.sim()->RunUntil(testbed.sim()->Now() + Millis(2));
   }
@@ -160,7 +161,8 @@ RunArtifacts RunBucketBoundaryScenario(uint64_t seed) {
   for (int k = 0; k < 40; ++k) {
     std::string payload(rng.UniformRange(1, 128),
                         static_cast<char>('a' + (k % 26)));
-    DiscardStatus((*file)->Append(payload), "rollover append");
+    DiscardStatus(testbed.obs(), (*file)->Append(payload),
+                  "rollover append");
     // Step exactly to the next bucket edge, to one edge ± 1, or clear past
     // the full wheel horizon (forcing overflow migration + cursor sync).
     SimTime now = sim->Now();
@@ -246,14 +248,14 @@ PooledRun RunPooledTenantsScenario(uint64_t seed) {
       for (int k = 0; k < 3; ++k) {
         std::string payload(rng.UniformRange(1, 200),
                             static_cast<char>('a' + (f + k) % 26));
-        DiscardStatus(files[f]->AppendAsync(payload), "pooled append");
+        DiscardStatus(obs, files[f]->AppendAsync(payload), "pooled append");
       }
       if (static_cast<int>(f) == crash_at) {
         testbed.peer(0)->Crash();
       }
     }
     for (const auto& file : files) {
-      DiscardStatus(file->Drain(), "pooled drain");
+      DiscardStatus(obs, file->Drain(), "pooled drain");
     }
   };
   round(-1);

@@ -137,7 +137,7 @@ void RunEpisode(uint64_t seed) {
       if (peer != nullptr && peer->alive()) {
         if (rng.Bernoulli(0.3)) {
           // NotFound when the peer never held the region is expected.
-          DiscardStatus(peer->Revoke("fuzz-app", "/fuzz-log"),
+          DiscardStatus(ObsContext{}, peer->Revoke("fuzz-app", "/fuzz-log"),
                         "fuzz revoke");
           crashes_since_op = 1;
         } else if (alive > 4 || rng.Bernoulli(0.5)) {

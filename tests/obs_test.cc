@@ -11,6 +11,8 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "src/controller/controller.h"
@@ -27,6 +29,66 @@
 
 namespace splitft {
 namespace {
+
+// Consumes one value of the shapes MetricsRegistry::ToJson emits (an object
+// of "key": value members, or a number) at text[*at].
+bool ConsumeJsonValue(const std::string& text, size_t* at) {
+  auto peek = [&](char c) { return *at < text.size() && text[*at] == c; };
+  auto skip_spaces = [&] {
+    while (peek(' ')) {
+      ++*at;
+    }
+  };
+  skip_spaces();
+  if (!peek('{')) {
+    const size_t start = *at;
+    while (*at < text.size() &&
+           std::string_view("0123456789+-.eE").find(text[*at]) !=
+               std::string_view::npos) {
+      ++*at;
+    }
+    return *at > start;
+  }
+  ++*at;
+  skip_spaces();
+  if (peek('}')) {
+    ++*at;
+    return true;
+  }
+  while (true) {
+    if (!peek('"')) {
+      return false;
+    }
+    const size_t close = text.find('"', *at + 1);
+    if (close == std::string::npos) {
+      return false;
+    }
+    *at = close + 1;
+    skip_spaces();
+    if (!peek(':')) {
+      return false;
+    }
+    ++*at;
+    if (!ConsumeJsonValue(text, at)) {
+      return false;
+    }
+    skip_spaces();
+    if (peek('}')) {
+      ++*at;
+      return true;
+    }
+    if (!peek(',')) {
+      return false;
+    }
+    ++*at;
+    skip_spaces();
+  }
+}
+
+bool ParsesAsJson(const std::string& text) {
+  size_t at = 0;
+  return ConsumeJsonValue(text, &at) && at == text.size();
+}
 
 // ------------------------------------------------------- MetricsRegistry --
 
@@ -79,18 +141,130 @@ TEST(MetricsRegistryTest, ToJsonCoversAllInstrumentKinds) {
   EXPECT_NE(json.find("\"count\": 100"), std::string::npos);
 }
 
+TEST(MetricsRegistryTest, ToJsonKeepsLongNamesAndHugeValues) {
+  MetricsRegistry registry;
+  const std::string name = "obs.test." + std::string(160, 'n');
+  registry.counter(name)->Add(7);
+  registry.histogram("obs.test.huge")->Add(40'000'000'000'000);
+  std::string json = registry.ToJson();
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
+  EXPECT_NE(json.find("\"" + name + "\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"max\": 40000000000000}}"), std::string::npos);
+}
+
 TEST(MetricsRegistryTest, StatusDiscardsCountIntoTheRegistry) {
   MetricsRegistry registry;
-  {
-    StatusDiscardMetrics mirror(&registry);
-    DiscardStatus(OkStatus(), "obs test ok");
-    DiscardStatus(TimedOutError("slow"), "obs test bad");
-    EXPECT_EQ(registry.CounterValue("common.status.discards"), 2u);
-    EXPECT_EQ(registry.CounterValue("common.status.discards_nonok"), 1u);
-  }
-  // Sink uninstalled with the mirror: later discards don't touch it.
-  DiscardStatus(TimedOutError("slow"), "after mirror");
+  ObsContext obs{&registry, nullptr};
+  DiscardStatus(obs, OkStatus(), "obs test ok");
+  DiscardStatus(obs, TimedOutError("slow"), "obs test bad");
   EXPECT_EQ(registry.CounterValue("common.status.discards"), 2u);
+  EXPECT_EQ(registry.CounterValue("common.status.discards_nonok"), 1u);
+  // A discard without a registry counts nowhere.
+  DiscardStatus(ObsContext{}, TimedOutError("slow"), "no registry");
+  EXPECT_EQ(registry.CounterValue("common.status.discards"), 2u);
+}
+
+TEST(StatusDiscardTest, CountsTotalAndNonOkSeparately) {
+  MetricsRegistry registry;
+  ObsContext obs{&registry, nullptr};
+  DiscardStatus(obs, OkStatus(), "test ok");
+  DiscardStatus(obs, UnavailableError("peer down"), "test bad");
+  DiscardStatus(obs, Result<int>(NotFoundError("gone")), "test result");
+  DiscardStatus(obs, Result<int>(7), "test ok result");
+  EXPECT_EQ(registry.CounterValue("common.status.discards"), 4u);
+  EXPECT_EQ(registry.CounterValue("common.status.discards_nonok"), 2u);
+}
+
+TEST(StatusDiscardTest, LogLimitComesFromTheRegistry) {
+  MetricsRegistry registry;
+  ObsContext obs{&registry, nullptr};
+  testing::internal::CaptureStderr();
+  for (int i = 0; i < 20; ++i) {
+    DiscardStatus(obs, AbortedError("race"), "log limit");
+  }
+  std::string logged = testing::internal::GetCapturedStderr();
+  size_t lines = 0;
+  for (size_t at = logged.find("log limit"); at != std::string::npos;
+       at = logged.find("log limit", at + 1)) {
+    lines++;
+  }
+  EXPECT_EQ(lines, 16u);
+  EXPECT_NE(logged.find("(further discard logs suppressed)"),
+            std::string::npos);
+  EXPECT_EQ(registry.CounterValue("common.status.discards_nonok"), 20u);
+}
+
+// A small NCL workload on `testbed`: appends to an NCL-backed log, each
+// result discarded, then `misses` unlinks of an absent file, each a
+// deliberate non-OK discard.
+void RunDiscardingWorkload(Testbed* testbed, int misses) {
+  auto server = testbed->MakeServer("discard-app");
+  CHECK_OK(server->start_status);
+  SplitOpenOptions opts;
+  opts.oncl = true;
+  opts.ncl_capacity = 1 << 20;
+  auto file = server->fs->Open("/discard-log", opts);
+  CHECK_OK(file.status());
+  for (int k = 0; k < 16; ++k) {
+    DiscardStatus(testbed->obs(), (*file)->Append("record"),
+                  "workload append");
+  }
+  for (int k = 0; k < misses; ++k) {
+    DiscardStatus(testbed->obs(), server->fs->Unlink("/absent"),
+                  "workload miss");
+  }
+}
+
+TEST(StatusDiscardTest, TestbedsMayEndInAnyOrder) {
+  auto first = std::make_unique<Testbed>();
+  auto second = std::make_unique<Testbed>();
+  // A fresh testbed's export lists both discard counters at 0.
+  std::string json = second->metrics()->ToJson();
+  EXPECT_NE(json.find("\"common.status.discards\": 0"), std::string::npos);
+  EXPECT_NE(json.find("\"common.status.discards_nonok\": 0"),
+            std::string::npos);
+
+  RunDiscardingWorkload(first.get(), 3);
+  const uint64_t first_total =
+      first->metrics()->CounterValue("common.status.discards");
+  EXPECT_EQ(first->metrics()->CounterValue("common.status.discards_nonok"),
+            3u);
+  EXPECT_EQ(second->metrics()->CounterValue("common.status.discards"), 0u);
+  // The first testbed ends before the second, against construction order.
+  first.reset();
+  RunDiscardingWorkload(second.get(), 5);
+  EXPECT_EQ(second->metrics()->CounterValue("common.status.discards"),
+            first_total + 2);
+  EXPECT_EQ(second->metrics()->CounterValue("common.status.discards_nonok"),
+            5u);
+  second.reset();
+  // With both gone, a discard has no registry to reach.
+  DiscardStatus(ObsContext{}, InternalError("late"), "after both testbeds");
+}
+
+TEST(StatusDiscardTest, TestbedsOnTwoThreadsCountTheirOwnDiscards) {
+  auto run = [](int misses) {
+    Testbed testbed;
+    RunDiscardingWorkload(&testbed, misses);
+    return testbed.metrics()->ToJson();
+  };
+  const std::string serial_a = run(3);
+  const std::string serial_b = run(5);
+  ASSERT_NE(serial_a, serial_b);
+  std::string a;
+  std::string b;
+  std::thread thread_a([&] { a = run(3); });
+  std::thread thread_b([&] { b = run(5); });
+  thread_a.join();
+  thread_b.join();
+  // Two simulations on two threads share nothing: each export is the one
+  // its workload gives when run alone.
+  EXPECT_EQ(a, serial_a);
+  EXPECT_EQ(b, serial_b);
+  EXPECT_NE(a.find("\"common.status.discards_nonok\": 3,"),
+            std::string::npos);
+  EXPECT_NE(b.find("\"common.status.discards_nonok\": 5,"),
+            std::string::npos);
 }
 
 // ----------------------------------------------------------------- Tracer --

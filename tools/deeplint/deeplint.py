@@ -17,7 +17,8 @@ DESIGN.md §17, tools/deeplint/rules.py, tools/deeplint/textrules.py):
   raw-random        no randomness outside splitft::Rng (src/common/rng.*)
   unordered-iter    no range-for over an unordered container
   metric-name       metric/span name literals follow layer.component.metric
-  status-discard    no bare (void) cast of a call; use DiscardStatus
+  status-discard    no bare (void) cast of a call; use
+                    DiscardStatus(obs, expr, "where") or CHECK_OK(expr)
   stale-allow       a suppression whose rule no longer fires on that line
                     is itself a finding
 

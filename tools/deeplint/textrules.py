@@ -24,7 +24,7 @@ same text findings.
                     need >= 2. Only direct string literals are checked.
     status-discard  a bare `(void)` / `static_cast<void>` cast of a call.
                     [[nodiscard]] Status makes dropped errors loud; use
-                    DiscardStatus(expr, "where") or CHECK_OK(expr).
+                    DiscardStatus(obs, expr, "where") or CHECK_OK(expr).
 """
 
 import os
@@ -107,7 +107,7 @@ def check_status_discard(file_ir, ctx):
     return _first_match_per_line(
         file_ir, _VOID_DISCARD, "status-discard",
         "bare void cast discards a call result; use "
-        "DiscardStatus(expr, \"where\") or CHECK_OK(expr)")
+        "DiscardStatus(obs, expr, \"where\") or CHECK_OK(expr)")
 
 
 def _unordered_names(file_ir):
