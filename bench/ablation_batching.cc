@@ -22,9 +22,11 @@ HarnessResult Run(bench::Reporter* reporter, DurabilityMode mode,
   std::string id = "ab-batch-" + std::string(DurabilityModeName(mode)) +
                    (batching ? "-b" : "-nb") + "-w" +
                    std::to_string(ncl_window);
-  auto server = testbed.MakeServer(id, {.mode = mode,
-                                        .ncl_capacity = 32ull << 20,
-                                        .ncl_window = ncl_window});
+  ServerOptions server_options{.mode = mode, .ncl_capacity = 32ull << 20};
+  if (ncl_window > 0) {  // 0: a dfs mode, which never appends to NCL
+    server_options.ncl.inflight_window = ncl_window;
+  }
+  auto server = testbed.MakeServer(id, server_options);
   KvStoreOptions options;
   options.mode = mode;
   auto store = testbed.StartKvStore(server.get(), options);

@@ -30,9 +30,9 @@ CatchupCost Run(bool diff_mode, double stale_fraction) {
   const uint64_t kLog = bench::SmokeFromEnv() ? 4ull << 20 : 16ull << 20;
   std::string lagging_peer;
   {
-    auto server = testbed.MakeServer(app);
-    NclConfig& config = const_cast<NclConfig&>(server->fs->ncl()->config());
-    config.eager_peer_replacement = false;  // keep the lagging peer
+    // Not replacing failed peers eagerly keeps the lagging peer.
+    auto server =
+        testbed.MakeServer(app, {.ncl = {.eager_peer_replacement = false}});
     SplitOpenOptions opts;
     opts.oncl = true;
     opts.ncl_capacity = kLog + (1 << 20);
@@ -70,9 +70,7 @@ CatchupCost Run(bool diff_mode, double stale_fraction) {
 
   uint64_t w0 = testbed.metrics()->CounterValue("fabric.wr.write_bytes");
   uint64_t r0 = testbed.metrics()->CounterValue("fabric.wr.read_bytes");
-  auto server = testbed.MakeServer(app);
-  const_cast<NclConfig&>(server->fs->ncl()->config()).diff_catchup =
-      diff_mode;
+  auto server = testbed.MakeServer(app, {.ncl = {.diff_catchup = diff_mode}});
   SplitOpenOptions opts;
   opts.oncl = true;
   auto before = testbed.tracer()->Snapshot();

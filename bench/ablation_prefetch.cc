@@ -32,9 +32,8 @@ double ConsumeLog(uint64_t log_bytes, uint64_t read_size, bool prefetch) {
     testbed.CrashServer(server.get());
   }
   testbed.sim()->RunUntilIdle();
-  auto server = testbed.MakeServer(app);
-  const_cast<NclConfig&>(server->fs->ncl()->config()).prefetch_on_recovery =
-      prefetch;
+  auto server =
+      testbed.MakeServer(app, {.ncl = {.prefetch_on_recovery = prefetch}});
   SimTime t0 = testbed.sim()->Now();
   SplitOpenOptions opts;
   opts.oncl = true;

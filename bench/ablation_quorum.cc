@@ -15,11 +15,11 @@ namespace {
 void RunBudget(bench::Reporter* reporter, int f) {
   TestbedOptions testbed_options;
   testbed_options.num_peers = 2 * f + 3;
-  testbed_options.fault_budget = f;
   Testbed testbed(testbed_options);
 
   auto server = testbed.MakeServer(
-      "ab-quorum-" + std::to_string(f), {.ncl_capacity = 32ull << 20});
+      "ab-quorum-" + std::to_string(f),
+      {.ncl_capacity = 32ull << 20, .ncl = {.fault_budget = f}});
   KvStoreOptions options;
   options.mode = DurabilityMode::kSplitFt;
   auto store = testbed.StartKvStore(server.get(), options);

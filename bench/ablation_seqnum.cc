@@ -25,8 +25,7 @@ int main() {
     // (the pipelined overlap is ablated separately in ablation_batching).
     auto server = testbed.MakeServer(
         "ab-seq",
-        {.ncl_capacity = 64ull << 20,
-         .ncl_window = /*ncl_window=*/1});
+        {.ncl_capacity = 64ull << 20, .ncl = {.inflight_window = 1}});
     SplitOpenOptions opts;
     opts.oncl = true;
     opts.ncl_capacity = 16 << 20;

@@ -1,16 +1,20 @@
 // Chaos campaign driver: sweeps N seeded random fault schedules against the
 // replication protocol and reports the fault/retry/recovery accounting plus
 // any invariant violations. SPLITFT_SEED=<n> replays one schedule;
-// SPLITFT_CHAOS_RUNS=<n> overrides the run count;
+// SPLITFT_CHAOS_RUNS=<n> overrides the run count (anything but a whole
+// number in [1, INT_MAX] exits 2 before running);
 // SPLITFT_CHAOS_RECONFIG=1 mixes a seeded planned-reconfiguration schedule
 // (peer drains, live region migration, re-activations) into every run;
 // SPLITFT_CHAOS_EC=1 runs erasure-coded (k=2,m=2) regions instead of
 // replication — the nightly campaign runs all three flavours.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "src/chaos/campaign.h"
+#include "src/common/rng.h"
 
 int main() {
   using namespace splitft;
@@ -21,9 +25,16 @@ int main() {
   // Full mode is nightly scale: 10x the 200-seed tier-1 sweep. The scale
   // is what makes the calendar-queue scheduler's throughput load-bearing.
   options.runs = reporter.smoke() ? 3 : 2000;
-  const char* runs_env = std::getenv("SPLITFT_CHAOS_RUNS");
-  if (runs_env != nullptr && runs_env[0] != '\0') {
-    options.runs = std::atoi(runs_env);
+  Result<std::optional<uint64_t>> runs = UnsignedFromEnv("SPLITFT_CHAOS_RUNS");
+  if (!runs.ok() || (*runs && (**runs == 0 || **runs > INT_MAX))) {
+    // A sweep of no (or of a wrapped number of) schedules passes vacuously.
+    std::fprintf(stderr,
+                 "SPLITFT_CHAOS_RUNS must be a whole number in [1, %d]\n",
+                 INT_MAX);
+    return 2;
+  }
+  if (*runs) {
+    options.runs = static_cast<int>(**runs);
   }
   const char* reconfig_env = std::getenv("SPLITFT_CHAOS_RECONFIG");
   if (reconfig_env != nullptr && reconfig_env[0] != '\0' &&

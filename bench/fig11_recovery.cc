@@ -85,9 +85,8 @@ void SectionA(bench::Reporter* reporter) {
         testbed.CrashServer(server.get());
       }
       testbed.sim()->RunUntilIdle();
-      auto server = testbed.MakeServer(app);
-      NclConfig& config = const_cast<NclConfig&>(server->fs->ncl()->config());
-      config.prefetch_on_recovery = prefetch;
+      auto server =
+          testbed.MakeServer(app, {.ncl = {.prefetch_on_recovery = prefetch}});
       SplitOpenOptions opts;
       opts.oncl = true;
       auto file = server->fs->Open("/log", opts);

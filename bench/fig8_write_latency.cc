@@ -83,8 +83,7 @@ SeriesResult NclSeries(Testbed* testbed, uint64_t size, uint64_t max_ops,
       std::to_string(size) + "-w" + std::to_string(ncl_window);
   auto server = testbed->MakeServer(
       "fig8-ncl-" + tag,
-      {.ncl_capacity = 64ull << 20,
-       .ncl_window = ncl_window});
+      {.ncl_capacity = 64ull << 20, .ncl = {.inflight_window = ncl_window}});
   SplitOpenOptions opts;
   opts.oncl = true;
   opts.ncl_capacity = ops * size + (1 << 20);

@@ -9,6 +9,9 @@
 namespace splitft {
 namespace {
 
+// L0 table count past which writes stall on the dfs backend.
+constexpr int kL0StallTrigger = 12;
+
 // Parses the trailing integer id out of "/kv/wal-000042" style paths.
 bool ParseTrailingId(const std::string& path, const std::string& prefix,
                      uint64_t* id) {
@@ -281,7 +284,7 @@ Status KvStore::MaybeFlushAndCompact() {
   if (memtable_bytes_ >= options_.memtable_bytes) {
     // Write stall: too many L0 files while the dfs backend is still busy
     // with earlier flushes — the writer must wait (§5.2).
-    if (static_cast<int>(level0_.size()) >= options_.l0_stall_trigger) {
+    if (static_cast<int>(level0_.size()) >= kL0StallTrigger) {
       sim_->AdvanceTo(fs_->dfs()->cluster()->pipe_busy_until());
     }
     RETURN_IF_ERROR(FlushMemtable());

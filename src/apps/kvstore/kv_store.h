@@ -39,8 +39,6 @@ struct KvStoreOptions {
   uint64_t block_cache_bytes = 8 << 20;
   // L0 table count that triggers compaction into L1.
   int l0_compaction_trigger = 4;
-  // L0 table count past which writes stall on the dfs backend.
-  int l0_stall_trigger = 12;
   // Content capacity for WAL files (NCL region size in SplitFT mode).
   uint64_t wal_capacity = 8 << 20;
 };

@@ -79,22 +79,31 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-std::optional<uint64_t> SeedFromEnv() {
-  const char* env = std::getenv("SPLITFT_SEED");
+Result<std::optional<uint64_t>> UnsignedFromEnv(const char* name) {
+  const char* env = std::getenv(name);
   if (env == nullptr || env[0] == '\0') {
-    return std::nullopt;
+    return std::optional<uint64_t>();
   }
   // strtoull alone would take "12abc" as 12, wrap "-1" to 2^64-1 and clamp
-  // an overflow to ULLONG_MAX, each silently replaying the wrong schedule.
+  // an overflow to ULLONG_MAX, each silently running the wrong setting.
   char* end = nullptr;
   errno = 0;
-  uint64_t seed = std::strtoull(env, &end, 0);
+  uint64_t value = std::strtoull(env, &end, 0);
   if (std::isdigit(static_cast<unsigned char>(env[0])) == 0 || *end != '\0' ||
       errno == ERANGE) {
-    LOG_WARNING << "ignoring unparsable SPLITFT_SEED='" << env << "'";
+    return InvalidArgumentError(std::string("unparsable ") + name + "='" +
+                                env + "'");
+  }
+  return std::optional<uint64_t>(value);
+}
+
+std::optional<uint64_t> SeedFromEnv() {
+  Result<std::optional<uint64_t>> seed = UnsignedFromEnv("SPLITFT_SEED");
+  if (!seed.ok()) {
+    LOG_WARNING << "ignoring " << seed.status().message();
     return std::nullopt;
   }
-  return seed;
+  return *seed;
 }
 
 }  // namespace splitft

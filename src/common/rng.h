@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <optional>
 
+#include "src/common/status.h"
+
 namespace splitft {
 
 class Rng {
@@ -38,11 +40,15 @@ class Rng {
   uint64_t s_[4];
 };
 
+// Reads the environment variable `name` as an unsigned 64-bit number,
+// parsed with strtoull base 0, so 0x... works. Unset or empty gives
+// nullopt; a value that is not wholly an unsigned number in range
+// (trailing text, a sign, an overflow) gives kInvalidArgument.
+Result<std::optional<uint64_t>> UnsignedFromEnv(const char* name);
+
 // The SPLITFT_SEED reproducibility override, which pins a seeded run (the
 // chaos campaign, a bench) to one schedule so a reported violation replays
-// exactly. Parsed with strtoull base 0, so 0x... works. Unset or empty
-// gives nullopt; a value that is not wholly an unsigned number in range
-// (trailing text, a sign, an overflow) is warned about and ignored.
+// exactly. A value UnsignedFromEnv rejects is warned about and ignored.
 std::optional<uint64_t> SeedFromEnv();
 
 }  // namespace splitft

@@ -6,6 +6,9 @@
 
 namespace splitft {
 
+// Request/response network time between client and app server (eRPC).
+constexpr SimTime kClientRtt = Micros(10);
+
 ClosedLoopHarness::ClosedLoopHarness(Simulation* sim, StorageApp* app,
                                      YcsbWorkload* workload,
                                      HarnessOptions options)
@@ -24,7 +27,7 @@ void ClosedLoopHarness::Complete(SimTime arrival, SimTime done, int client) {
   }
   // The client issues its next request after the response travels back.
   client_op_[client] = workload_->Next();
-  arrivals_.push(Arrival{done + options_.client_rtt, client});
+  arrivals_.push(Arrival{done + kClientRtt, client});
 }
 
 void ClosedLoopHarness::CommitPendingWrites() {
@@ -72,7 +75,7 @@ HarnessResult ClosedLoopHarness::Run() {
     // Stagger initial arrivals slightly for determinism without phase
     // artifacts.
     arrivals_.push(
-        Arrival{start_time_ + options_.client_rtt + c * 100, c});
+        Arrival{start_time_ + kClientRtt + c * 100, c});
   }
 
   bool batching = options_.batching && app_->supports_batching();

@@ -26,8 +26,6 @@ namespace splitft {
 
 struct HarnessOptions {
   int num_clients = 12;
-  // Request/response network time between client and app server (eRPC).
-  SimTime client_rtt = Micros(10);
   // Group commit across queued writes (disable for the no-batching
   // ablation; SQLite never batches regardless).
   bool batching = true;

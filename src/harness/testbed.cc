@@ -5,6 +5,9 @@
 
 namespace splitft {
 
+// Spare memory each log peer lends to the pool.
+constexpr uint64_t kPeerLendBytes = 4ull << 30;
+
 Testbed::Testbed(TestbedOptions options)
     : options_(std::move(options)),
       tracer_(&sim_, options_.tracing),
@@ -20,8 +23,7 @@ Testbed::Testbed(TestbedOptions options)
   for (int i = 0; i < options_.num_peers; ++i) {
     auto peer = std::make_unique<LogPeer>("peer-" + std::to_string(i),
                                           &fabric_, &controller_,
-                                          options_.peer_memory, obs_,
-                                          options_.peer_options);
+                                          kPeerLendBytes, obs_);
     // A fresh peer registering with a healthy controller cannot fail; a
     // failure here would silently shrink the cluster under every test.
     CHECK_OK(peer->Start());
@@ -63,23 +65,14 @@ std::unique_ptr<AppServer> Testbed::MakeServer(const std::string& app_id,
   auto server = std::make_unique<AppServer>();
   server->app_id = app_id;
   server->dfs = std::make_unique<DfsClient>(&cluster_, app_id);
-  NclConfig config;
-  config.app_id = app_id;
-  config.fault_budget = options_.fault_budget;
-  config.default_capacity = options.ncl_capacity;
-  config.pool = options.pool;
-  config.ec_enabled = options.ncl_ec;
-  if (options.ncl_ec) {
-    config.ec = options.ncl_ec_geometry;
-    // f follows the parity width: EC tolerates exactly m shard losses.
-    config.fault_budget = static_cast<int>(config.ec.m);
+  options.ncl.app_id = app_id;
+  options.ncl.default_capacity = options.ncl_capacity;
+  if (options.ncl.ec_enabled) {
+    options.ncl.fault_budget = static_cast<int>(options.ncl.ec.m);
   }
-  if (options.ncl_window > 0) {
-    config.inflight_window = options.ncl_window;
-  }
-  server->fs = std::make_unique<SplitFs>(config, server->dfs.get(), &fabric_,
-                                         &controller_, &directory_, app_node_,
-                                         obs_);
+  server->fs = std::make_unique<SplitFs>(
+      std::move(options.ncl), server->dfs.get(), &fabric_, &controller_,
+      &directory_, app_node_, obs_);
   // Surfaced, not dropped: a failed Start (lease conflict, controller
   // outage) used to be silently ignored here, letting a second instance of
   // an app run leaseless. Callers check start_status when they care.

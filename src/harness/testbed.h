@@ -16,7 +16,7 @@
 #include "src/controller/controller.h"
 #include "src/dfs/dfs.h"
 #include "src/ncl/connection_pool.h"
-#include "src/ncl/ec.h"
+#include "src/ncl/ncl_client.h"
 #include "src/ncl/peer.h"
 #include "src/ncl/peer_directory.h"
 #include "src/obs/metrics.h"
@@ -31,41 +31,26 @@ namespace splitft {
 
 struct TestbedOptions {
   int num_peers = 4;
-  uint64_t peer_memory = 4ull << 30;
-  int fault_budget = 1;
   // Enables the sim-time span tracer. Counters/histograms are always on
   // (they are cheap); span collection is opt-in so perf experiments can
   // verify the zero-overhead-when-disabled guarantee.
   bool tracing = false;
-  // Slab-pool tuning applied to every log peer. EC experiments set
-  // carve_align to the shard-region grain so shard carves never fragment
-  // the extent maps (src/ncl/peer.h).
-  LogPeerOptions peer_options = {};
-  SimParams params;
+  SimParams params = {};
 };
 
-// Per-server construction knobs for Testbed::MakeServer. Replaces the old
-// positional (mode, capacity, window) argument list; C++20 designated
+// Per-server construction knobs for Testbed::MakeServer. C++20 designated
 // initializers keep call sites self-describing:
-//   testbed.MakeServer("app", {.ncl_capacity = 1 << 20, .ncl_window = 8});
+//   testbed.MakeServer("app", {.ncl_capacity = 1 << 20,
+//                              .ncl = {.inflight_window = 1}});
 struct ServerOptions {
   DurabilityMode mode = DurabilityMode::kSplitFt;
   // Content capacity for NCL-backed files created by this server.
   uint64_t ncl_capacity = 64ull << 20;
-  // NCL in-flight append window. 0 keeps the NclConfig default; 1 forces
-  // the fully synchronous path (the ablation baseline).
-  int ncl_window = 0;
-  // Shared client-side connection pool (DESIGN.md §14). nullptr keeps the
-  // historical private-pool-per-server layout; pass testbed.shared_pool()
-  // to co-locate many tenants on pooled QPs carving per-tenant windows
-  // from one in-flight budget.
-  NclConnectionPool* pool = nullptr;
-  // Erasure-coded NCL regions (DESIGN.md §16): appends are striped across
-  // ncl_ec.k data + ncl_ec.m parity shard peers instead of being fully
-  // replicated on 2f+1. Tolerates f = ncl_ec.m failures at (k+m)/k× peer
-  // memory.
-  bool ncl_ec = false;
-  EcGeometry ncl_ec_geometry = {};
+  // The server's NCL client settings (src/ncl/ncl_client.h). MakeServer
+  // overrides three: app_id becomes its app_id argument, default_capacity
+  // becomes ncl_capacity, and with ec_enabled, fault_budget becomes ec.m
+  // (EC tolerates exactly m shard losses).
+  NclConfig ncl = {};
 };
 
 // One application-server process: its dfs mount, SplitFs instance, and the
@@ -114,7 +99,7 @@ class Testbed {
   NodeId app_node() const { return app_node_; }
 
   // The testbed-owned connection pool rooted at app_node(), constructed
-  // lazily on first use. Servers built with `.pool = testbed.shared_pool()`
+  // lazily on first use. Servers built with `.ncl = {.pool = shared_pool()}`
   // multiplex their peer QPs and share its in-flight budget — the
   // multi-tenant layout benched by fig14 (DESIGN.md §14).
   NclConnectionPool* shared_pool();

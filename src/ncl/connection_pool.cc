@@ -19,9 +19,6 @@ NclConnectionPool::NclConnectionPool(Fabric* fabric, NodeId local,
   if (options_.qps_per_peer < 1) {
     options_.qps_per_peer = 1;
   }
-  if (options_.shared_inflight_budget < 1) {
-    options_.shared_inflight_budget = 1;
-  }
 }
 
 NclConnectionPool::~NclConnectionPool() = default;
@@ -40,7 +37,7 @@ void NclConnectionPool::UnregisterClient() {
 
 int NclConnectionPool::per_client_window() const {
   int clients = clients_ < 1 ? 1 : clients_;
-  int window = options_.shared_inflight_budget / clients;
+  int window = kSharedInflightBudget / clients;
   return window < 1 ? 1 : window;
 }
 

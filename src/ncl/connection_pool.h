@@ -51,14 +51,15 @@ struct NclPoolOptions {
   // assigns handles round-robin across them; lanes are created lazily, so
   // a remote only ever contacted by one tenant holds one QP.
   int qps_per_peer = 4;
-  // Shared in-flight append budget across every registered client on this
-  // node. Each client's effective pipelining window is
-  // shared_inflight_budget / clients (floored at 1) — the fairness carve.
-  int shared_inflight_budget = 64;
 };
 
 class NclConnectionPool {
  public:
+  // Shared in-flight append budget across every registered client on this
+  // node. Each client's effective pipelining window is
+  // kSharedInflightBudget / clients (floored at 1) — the fairness carve.
+  static constexpr int kSharedInflightBudget = 64;
+
   // `local` is the application node every pooled QP originates from. `obs`
   // (optional) wires the "ncl.pool.*" instruments into a shared registry.
   NclConnectionPool(Fabric* fabric, NodeId local, NclPoolOptions options = {},
@@ -80,7 +81,7 @@ class NclConnectionPool {
   void RegisterClient();
   void UnregisterClient();
   int clients() const { return clients_; }
-  // max(1, shared_inflight_budget / clients): the per-tenant append window
+  // max(1, kSharedInflightBudget / clients): the per-tenant append window
   // carve. Clients cap their own inflight_window with this.
   int per_client_window() const;
 

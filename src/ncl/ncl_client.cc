@@ -14,6 +14,9 @@ namespace {
 // controller's availability is a hint; peers may reject).
 constexpr int kAllocationAttempts = 8;
 
+// Peers the NclConfig::test_crash_at_seq append reaches before its crash.
+constexpr int kTestCrashPostedPeers = 1;
+
 // The fabric's spare buffer key of `app_id`'s log `file`.
 std::string SpareKey(const std::string& app_id, const std::string& file) {
   return app_id + '\0' + file;
@@ -638,6 +641,7 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
   const uint64_t header_bytes = geo().header_bytes();
   char header[kNclMaxHeaderBytes];
 
+  const bool crash_here = seq_ == config.test_crash_at_seq;
   int posted = 0;
   for (PeerSlot& slot : slots_) {
     if (!slot.alive || slot.suspect) {
@@ -645,8 +649,7 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
       // individual appends (their QP is down between attempts).
       continue;
     }
-    if (config.test_crash_after_posting >= 0 &&
-        posted >= config.test_crash_after_posting) {
+    if (crash_here && posted == kTestCrashPostedPeers) {
       break;
     }
     // One WR chain per peer, one doorbell: the slot's bytes for the write,
@@ -684,7 +687,7 @@ Status NclFile::RecordAsync(uint64_t offset, std::string_view data) {
     }
     posted++;
   }
-  if (config.test_crash_after_posting >= 0) {
+  if (crash_here) {
     return AbortedError("test hook: simulated crash mid-replication");
   }
 

@@ -76,7 +76,7 @@ struct NclConfig {
   // header-only). The geometry is validated against fault_budget and the
   // registered-peer count at client construction; see NclClient::status().
   bool ec_enabled = false;
-  EcGeometry ec;
+  EcGeometry ec = {};
   // The redundancy geometry these settings select.
   NclGeometry geometry() const {
     return ec_enabled ? NclGeometry::Striped(ec)
@@ -100,7 +100,7 @@ struct NclConfig {
   // kTimedOut controller RPCs (outage windows), and retries unreachable
   // setup-process lookups — only after exhaustion is a peer demoted to
   // dead and replaced.
-  RetryPolicy retry;
+  RetryPolicy retry = {};
   // Seed for the client's deterministic RNG (backoff jitter). Campaigns
   // derive it from the schedule seed so failures reproduce exactly.
   uint64_t rng_seed = 0xC1A05EEDull;
@@ -111,10 +111,10 @@ struct NclConfig {
   // ordering bug lives in the model checker: McConfig::bug_seq_before_data.)
   bool unsafe_apmap_before_catchup = false;
   bool unsafe_skip_recovery_catchup = false;
-  // Test hook: when >= 0, Record posts WRs to at most this many peers and
-  // then returns kAborted without waiting — simulating the application
-  // crashing mid-replication (the Fig 7i divergence).
-  int test_crash_after_posting = -1;
+  // Test hook: when nonzero, the append with this seq posts WRs to one peer
+  // only and returns kAborted without waiting — the application crashing
+  // mid-replication (the Fig 7i divergence).
+  uint64_t test_crash_at_seq = 0;
   // Test hook: with unsafe_apmap_before_catchup, makes ReplaceSlot stop
   // right after the ap-map update — the application crash window that
   // produces the Fig 7(iii) data loss.

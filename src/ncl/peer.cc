@@ -8,10 +8,11 @@
 namespace splitft {
 
 namespace {
-// Default slab granularity: big enough that the paper's common 64 MiB
-// region costs the same one-time registration as the seed's per-region MR
-// setup, while thousands of small tenant regions amortize onto it.
-constexpr uint64_t kDefaultSlabBytes = 64ull << 20;
+// Slab granularity (capped at lend_bytes; a slab still grows to the region
+// being carved): big enough that the paper's common 64 MiB region costs the
+// same one-time registration as the seed's per-region MR setup, while
+// thousands of small tenant regions amortize onto it.
+constexpr uint64_t kSlabBytes = 64ull << 20;
 }  // namespace
 
 LogPeer::LogPeer(std::string name, Fabric* fabric, Controller* controller,
@@ -113,11 +114,8 @@ Result<LogPeer::Carve> LogPeer::CarveRegion(uint64_t region_bytes) {
   if (slab_idx < 0) {
     // No extent fits: pin + register a fresh slab, paying the expensive MR
     // setup once for every carve that will land in it.
-    uint64_t grain = options_.slab_bytes;
-    if (grain == 0) {
-      grain = std::min(lend_bytes_, kDefaultSlabBytes);
-    }
-    uint64_t slab_bytes = std::max(grain, extent_bytes);
+    uint64_t slab_bytes =
+        std::max(std::min(lend_bytes_, kSlabBytes), extent_bytes);
     uint64_t lendable = lend_bytes_ - std::min(lend_bytes_, slab_bytes_total_);
     slab_bytes = std::min(slab_bytes, lendable);
     if (slab_bytes < extent_bytes) {

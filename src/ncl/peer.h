@@ -36,11 +36,6 @@ enum class LogPeerState : int {
 
 // Tuning for the peer-side slab pool (multi-tenant region carving).
 struct LogPeerOptions {
-  // Slab granularity: the peer pins + registers memory with the NIC in
-  // slabs of this size and carves tenant regions out of them with cheap
-  // memory-window binds. 0 picks min(lend_bytes, 64 MiB); a slab always
-  // grows to at least the region being carved.
-  uint64_t slab_bytes = 0;
   // Carve alignment: extents are rounded up to a multiple of this before
   // being cut from (or returned to) a slab; 0 disables rounding. EC
   // deployments set this to the shard-region grain so the k+m shard

@@ -43,14 +43,11 @@ NclClient* ReconfigEngine::Ncl() const {
 }
 
 bool ReconfigEngine::SafeToDrain(const LogPeer* target) const {
-  // After the drain, replication still needs full width (2f+1) among
-  // non-draining peers, and the migration needs one destination outside
-  // the file's current membership — so at least `width` active peers must
-  // remain once the target stops counting.
-  int width = 3;
-  if (Ncl() != nullptr) {
-    width = 2 * Ncl()->config().fault_budget + 1;
-  }
+  // After the drain, a file still needs its full width (2f+1 replicas, or
+  // k+m shards) among non-draining peers, and the migration needs one
+  // destination outside the file's current membership — so at least
+  // `width` active peers must remain once the target stops counting.
+  const int width = Ncl() != nullptr ? Ncl()->config().geometry().n() : 3;
   int active = 0;
   for (const LogPeer* p : t_.peers) {
     if (p != target && p->alive() && !p->draining()) {

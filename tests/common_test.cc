@@ -337,6 +337,48 @@ TEST(RngTest, SeedFromEnvTakesOnlyWholeUnsignedNumbers) {
   EXPECT_EQ(SeedFromEnv(), std::nullopt);
 }
 
+TEST(RngTest, UnsignedFromEnvRejectsWhatIsNotAWholeNumber) {
+  const char* kVar = "SPLITFT_TEST_UNSIGNED";
+  unsetenv(kVar);
+  Result<std::optional<uint64_t>> unset = UnsignedFromEnv(kVar);
+  ASSERT_TRUE(unset.ok());
+  EXPECT_EQ(*unset, std::nullopt);
+  ASSERT_EQ(setenv(kVar, "", 1), 0);
+  Result<std::optional<uint64_t>> empty = UnsignedFromEnv(kVar);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(*empty, std::nullopt);
+
+  const struct {
+    const char* value;
+    std::optional<uint64_t> parsed;  // nullopt: rejected
+  } kCases[] = {
+      {"0", 0},
+      {"7", 7},
+      {"0x10", 16},
+      {"abc", std::nullopt},
+      {"2k", std::nullopt},
+      {"-1", std::nullopt},
+      {"+3", std::nullopt},
+      {" 3", std::nullopt},
+      {"99999999999999999999", std::nullopt},
+  };
+  for (const auto& c : kCases) {
+    ASSERT_EQ(setenv(kVar, c.value, 1), 0);
+    Result<std::optional<uint64_t>> got = UnsignedFromEnv(kVar);
+    if (c.parsed.has_value()) {
+      ASSERT_TRUE(got.ok()) << c.value << ": " << got.status().ToString();
+      EXPECT_EQ(*got, c.parsed) << c.value;
+    } else {
+      ASSERT_FALSE(got.ok()) << c.value;
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+      // The message names the variable and the rejected text.
+      EXPECT_NE(got.status().message().find(kVar), std::string::npos);
+      EXPECT_NE(got.status().message().find(c.value), std::string::npos);
+    }
+  }
+  unsetenv(kVar);
+}
+
 // ---------------------------------------------------------------- Discard --
 
 TEST(StatusDiscardTest, CheckOkPassesThroughOkValues) {

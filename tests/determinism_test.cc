@@ -59,9 +59,7 @@ RunArtifacts RunSeededChaosScenario(uint64_t seed, bool ec = false) {
     options.num_peers = 6;  // k+m members + spares for repair churn
   }
   Testbed testbed(options);
-  ServerOptions server_options;
-  server_options.ncl_ec = ec;
-  auto server = testbed.MakeServer("det-app", server_options);
+  auto server = testbed.MakeServer("det-app", {.ncl = {.ec_enabled = ec}});
   CHECK_OK(server->start_status);
   SplitOpenOptions opts;
   opts.oncl = true;

@@ -186,5 +186,56 @@ TEST(MakeServerTest, LeaseConflictSurfacesInStartStatus) {
   EXPECT_TRUE(third->start_status.ok()) << third->start_status.ToString();
 }
 
+TEST(MakeServerTest, ClientIsBuiltWithTheCallersNclSettings) {
+  // Every NCL setting is fixed when the client is built. MakeServer passes
+  // the caller's through and overrides only app_id, default_capacity and,
+  // for EC, fault_budget.
+  Testbed testbed({.num_peers = 5});
+  NclConnectionPool* pool = testbed.shared_pool();
+  auto replicated = testbed.MakeServer(
+      "knobs-rep", {.ncl_capacity = 1 << 20,
+                    .ncl = {.app_id = "overridden",
+                            .fault_budget = 2,
+                            .default_capacity = 5,
+                            .prefetch_on_recovery = false,
+                            .diff_catchup = true,
+                            .eager_peer_replacement = false,
+                            .inflight_window = 3,
+                            .pool = pool}});
+  const NclClient* rep = replicated->fs->ncl();
+  EXPECT_TRUE(rep->status().ok()) << rep->status().ToString();
+  EXPECT_EQ(rep->config().app_id, "knobs-rep");
+  EXPECT_EQ(rep->config().default_capacity, 1u << 20);
+  EXPECT_EQ(rep->config().fault_budget, 2);
+  EXPECT_FALSE(rep->config().prefetch_on_recovery);
+  EXPECT_TRUE(rep->config().diff_catchup);
+  EXPECT_FALSE(rep->config().eager_peer_replacement);
+  EXPECT_EQ(rep->config().inflight_window, 3);
+  EXPECT_FALSE(rep->config().ec_enabled);
+  EXPECT_EQ(rep->config().pool, pool);
+  EXPECT_EQ(rep->pool(), pool);
+  EXPECT_EQ(rep->config().geometry().n(), 5);
+
+  // With EC, fault_budget follows the parity width m, whatever was passed.
+  auto striped = testbed.MakeServer(
+      "knobs-ec",
+      {.ncl = {.fault_budget = 2,
+               .ec_enabled = true,
+               .ec = {.k = 3, .m = 1, .stripe_unit = 128}}});
+  const NclClient* ec = striped->fs->ncl();
+  EXPECT_TRUE(ec->status().ok()) << ec->status().ToString();
+  EXPECT_EQ(ec->config().app_id, "knobs-ec");
+  EXPECT_EQ(ec->config().default_capacity, ServerOptions{}.ncl_capacity);
+  EXPECT_EQ(ec->config().fault_budget, 1);
+  EXPECT_TRUE(ec->config().ec_enabled);
+  EXPECT_EQ(ec->config().ec.k, 3u);
+  EXPECT_EQ(ec->config().ec.m, 1u);
+  EXPECT_EQ(ec->config().ec.stripe_unit, 128u);
+  EXPECT_EQ(ec->config().geometry().n(), 4);
+  // No pool was passed, so the client built its own.
+  EXPECT_EQ(ec->config().pool, nullptr);
+  EXPECT_NE(ec->pool(), pool);
+}
+
 }  // namespace
 }  // namespace splitft

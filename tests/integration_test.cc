@@ -147,12 +147,12 @@ TEST(IntegrationTest, FaultBudgetTwoEndToEnd) {
   // simultaneous peer crashes plus an app crash.
   TestbedOptions options;
   options.num_peers = 7;
-  options.fault_budget = 2;
   Testbed testbed(options);
+  const ServerOptions f2 = {.ncl = {.fault_budget = 2}};
   KvStoreOptions kv_options;
   kv_options.mode = DurabilityMode::kSplitFt;
   {
-    auto server = testbed.MakeServer("f2-app");
+    auto server = testbed.MakeServer("f2-app", f2);
     auto kv = testbed.StartKvStore(server.get(), kv_options);
     ASSERT_TRUE(kv.ok());
     for (int i = 0; i < 100; ++i) {
@@ -164,7 +164,7 @@ TEST(IntegrationTest, FaultBudgetTwoEndToEnd) {
     testbed.CrashServer(server.get());
   }
   testbed.sim()->RunUntilIdle();
-  auto server = testbed.MakeServer("f2-app");
+  auto server = testbed.MakeServer("f2-app", f2);
   auto kv = testbed.StartKvStore(server.get(), kv_options);
   ASSERT_TRUE(kv.ok());
   for (int i = 0; i < 100; i += 9) {

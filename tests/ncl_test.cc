@@ -550,14 +550,14 @@ TEST_F(NclTest, RecoverPicksMaximumSequenceNumber) {
   config.app_id = "test-app";
   config.default_capacity = 1 << 20;
   {
-    auto client = MakeClient(config);
+    // Crash mid-replication of "b", the second append: its WRs reach one
+    // peer only.
+    NclConfig crashing = config;
+    crashing.test_crash_at_seq = 2;
+    auto client = MakeClient(crashing);
     auto file = client->Create("/wal/1");
     ASSERT_TRUE(file.ok());
     ASSERT_TRUE((*file)->Append("a").ok());
-    // Crash mid-replication of "b": WRs posted to one peer only.
-    auto& mutable_config =
-        const_cast<NclConfig&>(client->config());
-    mutable_config.test_crash_after_posting = 1;
     EXPECT_EQ((*file)->Append("b").code(), StatusCode::kAborted);
   }
   sim_.RunUntilIdle();  // in-flight WRs land on the one peer
@@ -597,12 +597,12 @@ TEST_F(NclTest, SkippingRecoveryCatchUpIsUnsafe) {
   config.default_capacity = 1 << 20;
   config.unsafe_skip_recovery_catchup = true;
   {
-    auto client = MakeClient(config);
+    NclConfig crashing = config;
+    crashing.test_crash_at_seq = 2;
+    auto client = MakeClient(crashing);
     auto file = client->Create("/wal/1");
     ASSERT_TRUE(file.ok());
     ASSERT_TRUE((*file)->Append("a").ok());
-    auto& mutable_config = const_cast<NclConfig&>(client->config());
-    mutable_config.test_crash_after_posting = 1;
     EXPECT_EQ((*file)->Append("b").code(), StatusCode::kAborted);
   }
   sim_.RunUntilIdle();

@@ -491,8 +491,10 @@ TEST(ReconfigEngineTest, DrainMigratesPooledCoTenants) {
   // that holds regions for both must migrate both, not just the primary
   // client named in targets.fs.
   Testbed testbed(Options(5));
-  auto s1 = testbed.MakeServer("tenant-a", {.pool = testbed.shared_pool()});
-  auto s2 = testbed.MakeServer("tenant-b", {.pool = testbed.shared_pool()});
+  auto s1 =
+      testbed.MakeServer("tenant-a", {.ncl = {.pool = testbed.shared_pool()}});
+  auto s2 =
+      testbed.MakeServer("tenant-b", {.ncl = {.pool = testbed.shared_pool()}});
   ASSERT_TRUE(s1->start_status.ok());
   ASSERT_TRUE(s2->start_status.ok());
   SplitOpenOptions oncl;
@@ -554,6 +556,51 @@ TEST(ReconfigEngineTest, DrainMigratesPooledCoTenants) {
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(*r1, "a0a1");
   EXPECT_EQ(*r2, "b0b1");
+}
+
+TEST(ReconfigEngineTest, DrainOfAnEcMemberLeavesKPlusMActivePeers) {
+  // k=m=2 striping spans 4 peers and MakeServer sets f = m = 2. On 5 peers,
+  // draining a member leaves the 4 the file needs, with the one non-member
+  // as the migration destination; a 2f+1 = 5 width would refuse the drain.
+  Testbed testbed(Options(5));
+  auto server = testbed.MakeServer("ec-app", {.ncl = {.ec_enabled = true}});
+  ASSERT_TRUE(server->start_status.ok());
+  SplitOpenOptions oncl;
+  oncl.oncl = true;
+  auto file = server->fs->Open("wal", oncl);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Append("e0").ok());
+
+  ReconfigTargets targets;
+  targets.sim = testbed.sim();
+  targets.controller = testbed.controller();
+  for (int i = 0; i < testbed.num_peers(); ++i) {
+    targets.peers.push_back(testbed.peer(i));
+  }
+  targets.fs = server->fs.get();
+  ReconfigEngine engine(targets, testbed.obs());
+
+  auto before = testbed.controller()->GetApMap("ec-app", "wal");
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->peers.size(), 4u);
+  const std::string victim_name = before->peers.front();
+  int victim = std::stoi(victim_name.substr(std::string("peer-").size()));
+
+  engine.Execute(Event(0, ReconfigKind::kPeerDrain, victim));
+  EXPECT_EQ(engine.ops_skipped(), 0);
+  EXPECT_EQ(engine.ops_failed(), 0);
+  EXPECT_EQ(engine.ops_completed(), 1);
+  EXPECT_EQ(server->fs->ncl()->regions_migrated(), 1);
+
+  auto after = testbed.controller()->GetApMap("ec-app", "wal");
+  ASSERT_TRUE(after.ok());
+  for (const std::string& p : after->peers) {
+    EXPECT_NE(p, victim_name);
+  }
+  ASSERT_TRUE((*file)->Append("e1").ok());
+  auto contents = (*file)->Read(0, (*file)->Size());
+  ASSERT_TRUE(contents.ok());
+  EXPECT_EQ(*contents, "e0e1");
 }
 
 TEST(ReconfigEngineTest, QuiesceRetiresOutstandingOperations) {

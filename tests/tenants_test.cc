@@ -80,7 +80,7 @@ class TenantsTest : public ::testing::Test {
 
 TEST_F(TenantsTest, SharedBudgetCarvesPerTenantWindows) {
   StartPeers(3);
-  const int budget = pool_->options().shared_inflight_budget;
+  const int budget = NclConnectionPool::kSharedInflightBudget;
   EXPECT_EQ(pool_->clients(), 0);
   EXPECT_EQ(pool_->per_client_window(), budget);
 
@@ -438,12 +438,12 @@ TEST_F(TenantsTest, BurstDrainsLanesAtMostOncePerCompletion) {
 
 TEST(TenantsTestbedTest, ServersShareTheTestbedPool) {
   Testbed testbed;
-  auto s1 = testbed.MakeServer("tenant-kv",
-                               {.ncl_capacity = 1 << 20,
-                                .pool = testbed.shared_pool()});
-  auto s2 = testbed.MakeServer("tenant-redis",
-                               {.ncl_capacity = 1 << 20,
-                                .pool = testbed.shared_pool()});
+  auto s1 = testbed.MakeServer(
+      "tenant-kv",
+      {.ncl_capacity = 1 << 20, .ncl = {.pool = testbed.shared_pool()}});
+  auto s2 = testbed.MakeServer(
+      "tenant-redis",
+      {.ncl_capacity = 1 << 20, .ncl = {.pool = testbed.shared_pool()}});
   EXPECT_EQ(testbed.shared_pool()->clients(), 2);
 
   SplitOpenOptions opts;
