@@ -6,7 +6,8 @@
 // SPLITFT_CHAOS_RECONFIG=1 mixes a seeded planned-reconfiguration schedule
 // (peer drains, live region migration, re-activations) into every run;
 // SPLITFT_CHAOS_EC=1 runs erasure-coded (k=2,m=2) regions instead of
-// replication — the nightly campaign runs all three flavours.
+// replication — the nightly campaign runs all three flavours. Either
+// switch set to anything but unset, empty, 0 or 1 exits 2 before running.
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -36,15 +37,20 @@ int main() {
   if (*runs) {
     options.runs = static_cast<int>(**runs);
   }
-  const char* reconfig_env = std::getenv("SPLITFT_CHAOS_RECONFIG");
-  if (reconfig_env != nullptr && reconfig_env[0] != '\0' &&
-      reconfig_env[0] != '0') {
+  Result<bool> with_reconfig = FlagFromEnv("SPLITFT_CHAOS_RECONFIG");
+  Result<bool> with_ec = FlagFromEnv("SPLITFT_CHAOS_EC");
+  for (const Result<bool>* flag : {&with_reconfig, &with_ec}) {
+    if (!flag->ok()) {
+      std::fprintf(stderr, "%s\n", flag->status().message().c_str());
+      return 2;
+    }
+  }
+  if (*with_reconfig) {
     options.with_reconfig = true;
     std::printf("  (mixed mode: planned reconfiguration composed with "
                 "faults)\n");
   }
-  const char* ec_env = std::getenv("SPLITFT_CHAOS_EC");
-  if (ec_env != nullptr && ec_env[0] != '\0' && ec_env[0] != '0') {
+  if (*with_ec) {
     options.with_ec = true;
     // k+m members plus spares so replacements stay possible under crashes.
     options.num_peers = 7;

@@ -4,6 +4,8 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <string>
+#include <string_view>
 
 #include "src/common/logging.h"
 
@@ -95,6 +97,18 @@ Result<std::optional<uint64_t>> UnsignedFromEnv(const char* name) {
                                 env + "'");
   }
   return std::optional<uint64_t>(value);
+}
+
+Result<bool> FlagFromEnv(const char* name) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || env[0] == '\0' || std::string_view(env) == "0") {
+    return false;
+  }
+  if (std::string_view(env) == "1") {
+    return true;
+  }
+  return InvalidArgumentError(std::string(name) + "='" + env +
+                              "' is neither 0 nor 1");
 }
 
 std::optional<uint64_t> SeedFromEnv() {

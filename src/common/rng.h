@@ -46,6 +46,11 @@ class Rng {
 // (trailing text, a sign, an overflow) gives kInvalidArgument.
 Result<std::optional<uint64_t>> UnsignedFromEnv(const char* name);
 
+// Reads the environment variable `name` as an on/off switch: unset, empty
+// or "0" is off and "1" is on. Anything else ("no", "true", "01") gives
+// kInvalidArgument, so a mistyped switch is refused rather than guessed.
+Result<bool> FlagFromEnv(const char* name);
+
 // The SPLITFT_SEED reproducibility override, which pins a seeded run (the
 // chaos campaign, a bench) to one schedule so a reported violation replays
 // exactly. A value UnsignedFromEnv rejects is warned about and ignored.

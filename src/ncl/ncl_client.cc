@@ -368,9 +368,10 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
   }
 
   // Phase 4: catch every reachable peer up with the recovered state via
-  // the atomic staged-region switch, then replace unreachable peers, then
-  // record the new ap-map. Only after this is it safe to let the
-  // application act on the recovered data (§4.5.1).
+  // the atomic staged-region switch (all peers stage at once, the images
+  // go out one slot after another, all peers switch at once), then replace
+  // unreachable peers, then record the new ap-map. Only after this is it
+  // safe to let the application act on the recovered data (§4.5.1).
   {
     ObsSpan phase(obs_.tracer, "ncl.recover.sync_peers");
     auto epoch = RetryControllerRpc(
@@ -380,15 +381,7 @@ Result<std::unique_ptr<NclFile>> NclClient::Recover(const std::string& file) {
     }
     out->epoch_ = *epoch;
     if (!config_.unsafe_skip_recovery_catchup) {
-      for (NclFile::PeerSlot& slot : out->slots_) {
-        if (!slot.alive) {
-          continue;
-        }
-        Status st = out->CatchUpViaStagedRegion(&slot);
-        if (!st.ok()) {
-          slot.alive = false;
-        }
-      }
+      out->CatchUpViaStagedRegions();
       if (out->alive_peers() < geometry_.ack_quorum()) {
         return UnavailableError("peers failed during recovery catch-up");
       }
@@ -1160,58 +1153,94 @@ std::vector<DiffRange> ComputeDiffRanges(std::string_view a,
 
 }  // namespace
 
-Status NclFile::CatchUpViaStagedRegion(PeerSlot* slot) {
-  ObsSpan span(client_->obs_.tracer, "ncl.catchup.staged");
+void NclFile::CatchUpViaStagedRegions() {
+  const ObsContext& obs = client_->obs_;
+  Simulation* sim = client_->fabric_->sim();
   const std::string& app = client_->config_.app_id;
-  LogPeer* peer = slot->peer;
-  if (peer == nullptr) {
-    return UnavailableError("peer process unreachable: " + slot->peer_name);
+  const bool diff = client_->config_.diff_catchup;
+  std::vector<PeerSlot*> live;
+  for (PeerSlot& slot : slots_) {
+    if (slot.alive) {
+      live.push_back(&slot);
+    }
   }
-  RKey staged_rkey = 0;
-  if (client_->config_.diff_catchup) {
-    // §4.5.1 optimization: clone the peer's current region locally on the
-    // peer and ship only the bytewise difference of the slot image.
-    const uint64_t header_bytes = geo().header_bytes();
-    SharedBytes local =
-        geo().SlotSlice(slot->role, buffer_, geo().FullRange(length_));
-    // First read the peer's current image so we can diff against it.
-    std::vector<WrWait> remote;
-    if (!local.empty()) {
-      remote.push_back(
-          {slot, slot->qp->PostRead(slot->rkey, header_bytes, local.size())});
-      RETURN_IF_ERROR(AwaitWrs(&remote));
-    }
-    auto staged = peer->CloneRegionForCatchup(app, name_, epoch_);
-    if (!staged.ok()) {
-      return staged.status();
-    }
-    std::vector<QueuePair::WriteOp> ops;
-    for (const DiffRange& r : ComputeDiffRanges(
-             remote.empty() ? std::string_view() : remote[0].data, local)) {
-      ops.push_back(QueuePair::WriteOp{staged->rkey, header_bytes + r.offset,
-                                       local.Slice(r.offset, r.len)});
-    }
-    char header[kNclMaxHeaderBytes];
-    EncodeHeader(slot->role, header);
-    ops.push_back(QueuePair::WriteOp{staged->rkey, 0,
-                                     std::string_view(header, header_bytes)});
-    RETURN_IF_ERROR(PostAndAwait(slot, ops));
-    staged_rkey = staged->rkey;
-  } else {
-    auto staged = peer->AllocateCatchupRegion(
-        app, name_, geo().SlotRegionBytes(capacity_), epoch_);
-    if (!staged.ok()) {
-      return staged.status();
-    }
-    RETURN_IF_ERROR(BulkCatchUp(slot, staged->rkey));
-    staged_rkey = staged->rkey;
+  // live[i]'s staged region; reset when one of its steps fails.
+  std::vector<std::optional<RKey>> staged(live.size());
+  {
+    // The peers stage side by side, so a cold peer's slab registration
+    // overlaps the others' instead of queueing behind them.
+    ObsSpan span(obs.tracer, "ncl.catchup.stage");
+    sim->Overlap(live.size(), [&](size_t i) {
+      LogPeer* peer = live[i]->peer;
+      if (peer == nullptr) {
+        return;  // peer process unreachable
+      }
+      Result<AllocationGrant> grant =
+          diff ? peer->CloneRegionForCatchup(app, name_, epoch_)
+               : peer->AllocateCatchupRegion(
+                     app, name_, geo().SlotRegionBytes(capacity_), epoch_);
+      if (grant.ok()) {
+        staged[i] = grant->rkey;
+      }
+    });
   }
-  RETURN_IF_ERROR(peer->SwitchRegion(app, name_, staged_rkey));
-  slot->rkey = staged_rkey;
-  slot->acked_seq = seq_;
+  // The images go one slot after another: every WRITE leaves through the
+  // client's one link.
+  for (size_t i = 0; i < live.size(); ++i) {
+    if (staged[i] && !WriteStagedImage(live[i], *staged[i]).ok()) {
+      staged[i].reset();
+    }
+  }
+  {
+    ObsSpan span(obs.tracer, "ncl.catchup.switch");
+    sim->Overlap(live.size(), [&](size_t i) {
+      if (staged[i] &&
+          !live[i]->peer->SwitchRegion(app, name_, *staged[i]).ok()) {
+        staged[i].reset();
+      }
+    });
+  }
+  for (size_t i = 0; i < live.size(); ++i) {
+    PeerSlot* slot = live[i];
+    if (!staged[i]) {
+      slot->alive = false;
+      continue;
+    }
+    slot->rkey = *staged[i];
+    slot->acked_seq = seq_;
+    slot->inflight.clear();
+  }
   watermark_dirty_ = true;
-  slot->inflight.clear();
-  return OkStatus();
+}
+
+Status NclFile::WriteStagedImage(PeerSlot* slot, RKey staged) {
+  if (!client_->config_.diff_catchup) {
+    return BulkCatchUp(slot, staged);
+  }
+  ObsSpan span(client_->obs_.tracer, "ncl.catchup.bulk");
+  // §4.5.1 optimization: the staged region is a peer-local clone of the
+  // slot's current one, so read it back and ship only the bytewise
+  // difference of the slot image.
+  const uint64_t header_bytes = geo().header_bytes();
+  SharedBytes local =
+      geo().SlotSlice(slot->role, buffer_, geo().FullRange(length_));
+  std::vector<WrWait> remote;
+  if (!local.empty()) {
+    remote.push_back(
+        {slot, slot->qp->PostRead(staged, header_bytes, local.size())});
+    RETURN_IF_ERROR(AwaitWrs(&remote));
+  }
+  std::vector<QueuePair::WriteOp> ops;
+  for (const DiffRange& r : ComputeDiffRanges(
+           remote.empty() ? std::string_view() : remote[0].data, local)) {
+    ops.push_back(QueuePair::WriteOp{staged, header_bytes + r.offset,
+                                     local.Slice(r.offset, r.len)});
+  }
+  char header[kNclMaxHeaderBytes];
+  EncodeHeader(slot->role, header);
+  ops.push_back(
+      QueuePair::WriteOp{staged, 0, std::string_view(header, header_bytes)});
+  return PostAndAwait(slot, ops);
 }
 
 Result<NclFile::PeerSlot> NclFile::AllocateSuccessor(

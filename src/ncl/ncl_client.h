@@ -491,10 +491,14 @@ class NclFile {
   // Bulk-writes the current slot image + header into (rkey on slot's QP)
   // and waits for completion.
   Status BulkCatchUp(PeerSlot* slot, RKey rkey);
-  // Recovery catch-up (§4.5.1): stages a fresh (or cloned, in diff mode)
-  // region on the peer, fills it with the recovered contents, and commits
-  // it with the atomic mr-map switch.
-  Status CatchUpViaStagedRegion(PeerSlot* slot);
+  // Recovery catch-up (§4.5.1) of every live slot: stages a fresh (or
+  // cloned, in diff mode) region on all their peers at once, fills each
+  // with its slot image one slot after another, then commits them all at
+  // once with the atomic mr-map switch. A slot whose step fails is dead.
+  void CatchUpViaStagedRegions();
+  // Fills `slot`'s staged region with its image: the whole image, or in
+  // diff mode only the bytes where the staged clone differs.
+  Status WriteStagedImage(PeerSlot* slot, RKey staged);
   Status WriteApMap();
   void RefreshPeerNames();
 

@@ -348,14 +348,15 @@ class EventQueue {
   }
 
   // With the ring and the current bucket empty there is nothing the cursor
-  // could skip, so it may follow the clock; keeps fresh short-delay
-  // inserts in the ring after big AdvanceTo jumps.
+  // could skip, so it may follow the clock: forward, which keeps fresh
+  // short-delay inserts in the ring after big AdvanceTo jumps, and back,
+  // which keeps a Simulation::Overlap rewind from leaving the cursor ahead
+  // of the clock (every insert behind the cursor lands in incur_, exact
+  // but a heap push each). Overflow entries stay valid either way: they
+  // are compared by (when, seq), never by bucket.
   void SyncCursor(SimTime now) {
     if (wheel_count_ == 0 && drain_pos_ >= drain_.size() && incur_.empty()) {
-      int64_t abs = now >> kBucketWidthBits;
-      if (abs > cursor_) {
-        cursor_ = abs;
-      }
+      cursor_ = now >> kBucketWidthBits;
     }
   }
 
@@ -651,7 +652,8 @@ class EventQueue {
   std::vector<std::vector<HeapEntry>> buckets_;
   std::vector<uint64_t> bitmap_;
   // Absolute bucket index of the current (ready) bucket: every ring
-  // resident's bucket index is strictly greater. Only ever advances.
+  // resident's bucket index is strictly greater. Moves back only while
+  // the ring and the current bucket are empty (SyncCursor).
   int64_t cursor_ = 0;
   size_t wheel_count_ = 0;  // live ring residents (excludes ready_)
   size_t size_ = 0;         // live events across all three tiers

@@ -1,5 +1,9 @@
 #include "src/sim/simulation.h"
 
+#include <cstdlib>
+
+#include "src/common/logging.h"
+
 namespace splitft {
 
 using sim_internal::EventNode;
@@ -14,6 +18,13 @@ void Simulation::Cancel(uint64_t token) {
     return;  // already fired/cancelled (generation bumped) or never existed
   }
   queue_.CancelNode(n, &arena_);
+}
+
+void Simulation::RejectRunInBranch() {
+  // A branch models one actor's synchronous work; running events there
+  // would fire them on a clock its sibling branches have already left.
+  LOG_ERROR << "Simulation: events cannot run inside an Overlap branch";
+  std::abort();
 }
 
 void Simulation::AdvanceTo(SimTime when) {

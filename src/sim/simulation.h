@@ -13,6 +13,7 @@
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -104,6 +105,9 @@ class Simulation {
   // Returns false if no events are pending. Defined here (not in the .cc)
   // so benches and run loops inline the whole pop→fire→recycle path.
   bool RunOne() {
+    if (in_branch_) [[unlikely]] {
+      RejectRunInBranch();
+    }
     sim_internal::EventNode* n = queue_.PopEarliest(&arena_);
     if (n == nullptr) {
       return false;
@@ -114,6 +118,9 @@ class Simulation {
 
   // Runs events until the queue is empty.
   void RunUntilIdle() {
+    if (in_branch_) {
+      RejectRunInBranch();
+    }
     while (sim_internal::EventNode* n = queue_.PopEarliest(&arena_)) {
       FireNode(n);
     }
@@ -122,6 +129,9 @@ class Simulation {
   // Runs all events with timestamp <= `when`, then advances the clock to
   // `when` (even if idle earlier).
   void RunUntil(SimTime when) {
+    if (in_branch_) {
+      RejectRunInBranch();
+    }
     for (;;) {
       sim_internal::EventNode* n = queue_.Peek(&arena_);
       if (n == nullptr || n->when > when) {
@@ -155,12 +165,38 @@ class Simulation {
   void AdvanceTo(SimTime when);
   void Advance(SimTime delta) { AdvanceTo(now_ + delta); }
 
+  // Fork-join over `branches` pieces of synchronous work done at the same
+  // time by independent actors (say, one setup RPC on each of several
+  // peers). Each branch(i) starts at the instant Overlap is called and may
+  // only Advance the clock; afterwards the clock stands at the latest
+  // branch end, so the caller pays the slowest branch, not the sum. No
+  // event runs inside a branch: a Run* call there aborts. An event a
+  // branch schedules is stamped on that branch's clock and fires in
+  // (when, seq) order with everything else queued. A tracer span opened
+  // inside a branch would overlap its siblings', so callers bracket the
+  // whole Overlap in one span instead.
+  template <typename F>
+  void Overlap(size_t branches, F&& branch) {
+    const SimTime start = now_;
+    SimTime end = start;
+    const bool outer = in_branch_;
+    in_branch_ = true;
+    for (size_t i = 0; i < branches; ++i) {
+      SetClock(start);
+      branch(i);
+      end = std::max(end, now_);
+    }
+    in_branch_ = outer;
+    SetClock(end);
+  }
+
   size_t pending_events() const { return queue_.size(); }
 
   // Arena/scheduler introspection for benches and regression tests (the
   // no-unbounded-growth and zero-alloc-steady-state contracts).
   struct SchedulerStats {
     size_t pending = 0;         // live scheduled events
+    size_t ready = 0;           // of which in the current bucket
     size_t arena_slabs = 0;     // slabs ever allocated (monotone)
     size_t arena_capacity = 0;  // nodes across all slabs
     size_t arena_free = 0;      // nodes on the freelist
@@ -170,6 +206,7 @@ class Simulation {
   SchedulerStats scheduler_stats() const {
     SchedulerStats s;
     s.pending = queue_.size();
+    s.ready = queue_.ready_size();
     s.arena_slabs = arena_.slabs();
     s.arena_capacity = arena_.capacity();
     s.arena_free = arena_.free_nodes();
@@ -193,6 +230,15 @@ class Simulation {
     arena_.Recycle(n);
   }
 
+  // Moves the clock to `when`, backwards too (an Overlap rewind), and lets
+  // the calendar cursor follow it wherever nothing queued pins it.
+  void SetClock(SimTime when) {
+    now_ = when;
+    queue_.SyncCursor(now_);
+  }
+
+  [[noreturn]] static void RejectRunInBranch();
+
   template <typename F>
   sim_internal::EventNode* ScheduleNode(SimTime when, F&& fn) {
     if (when < now_) {
@@ -210,6 +256,7 @@ class Simulation {
   }
 
   SimTime now_ = 0;
+  bool in_branch_ = false;  // inside an Overlap branch: running is refused
   uint64_t next_seq_ = 0;
   uint64_t heap_callables_ = 0;
   sim_internal::EventArena arena_;

@@ -379,6 +379,42 @@ TEST(RngTest, UnsignedFromEnvRejectsWhatIsNotAWholeNumber) {
   unsetenv(kVar);
 }
 
+TEST(RngTest, FlagFromEnvAcceptsOnlyZeroAndOne) {
+  const char* kVar = "SPLITFT_TEST_FLAG";
+  unsetenv(kVar);
+  Result<bool> unset = FlagFromEnv(kVar);
+  ASSERT_TRUE(unset.ok());
+  EXPECT_FALSE(*unset);
+
+  const struct {
+    const char* value;
+    std::optional<bool> parsed;  // nullopt: rejected
+  } kCases[] = {
+      {"", false},
+      {"0", false},
+      {"1", true},
+      {"no", std::nullopt},
+      {"false", std::nullopt},
+      {"true", std::nullopt},
+      {"01", std::nullopt},
+      {"2", std::nullopt},
+      {" 1", std::nullopt},
+  };
+  for (const auto& c : kCases) {
+    ASSERT_EQ(setenv(kVar, c.value, 1), 0);
+    Result<bool> got = FlagFromEnv(kVar);
+    if (c.parsed.has_value()) {
+      ASSERT_TRUE(got.ok()) << c.value << ": " << got.status().ToString();
+      EXPECT_EQ(*got, *c.parsed) << c.value;
+    } else {
+      ASSERT_FALSE(got.ok()) << c.value;
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(got.status().message().find(kVar), std::string::npos);
+    }
+  }
+  unsetenv(kVar);
+}
+
 // ---------------------------------------------------------------- Discard --
 
 TEST(StatusDiscardTest, CheckOkPassesThroughOkValues) {

@@ -448,7 +448,7 @@ TEST(DeterminismTest, ExportsMatchPinnedDigests) {
   EXPECT_EQ(Digest(RunSeededChaosScenario(1234, /*ec=*/true)), 0x6f1c6dd1u);
   EXPECT_EQ(Digest(RunBucketBoundaryScenario(77)), 0x973b53c2u);
   EXPECT_EQ(Digest(RunPooledTenantsScenario(99).artifacts), 0xa42cb439u);
-  EXPECT_EQ(Digest(RunKvStoreScenario(5)), 0x4a8ede9cu);
+  EXPECT_EQ(Digest(RunKvStoreScenario(5)), 0xbd521b87u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -99,6 +100,97 @@ TEST(SimulationTest, EventBeforeAdvancedClockRunsAtCurrentTime) {
   sim.Advance(Micros(100));  // actor did synchronous CPU work past the event
   sim.RunUntilIdle();
   EXPECT_EQ(observed, Micros(100));
+}
+
+TEST(SimulationTest, OverlapBranchesShareAStartAndJoinAtTheLatestEnd) {
+  Simulation sim;
+  sim.Advance(Micros(100));
+  const SimTime kWork[] = {Millis(3), Millis(65), 0, Millis(7)};
+  std::vector<SimTime> starts;
+  sim.Overlap(std::size(kWork), [&](size_t i) {
+    starts.push_back(sim.Now());
+    sim.Advance(kWork[i]);
+  });
+  EXPECT_EQ(starts, std::vector<SimTime>(std::size(kWork), Micros(100)));
+  EXPECT_EQ(sim.Now(), Micros(100) + Millis(65));
+  // No branches, or only idle ones, leave the clock where it was.
+  sim.Overlap(0, [&](size_t) { sim.Advance(Millis(1)); });
+  sim.Overlap(2, [](size_t) {});
+  EXPECT_EQ(sim.Now(), Micros(100) + Millis(65));
+}
+
+TEST(SimulationTest, EventScheduledInABranchFiresOnItsBranchClock) {
+  Simulation sim;
+  std::vector<std::pair<char, SimTime>> fired;
+  auto record = [&](char name) {
+    return [&fired, &sim, name] { fired.emplace_back(name, sim.Now()); };
+  };
+  // Already queued: one in the near ring, one past the ring's horizon.
+  sim.Schedule(Micros(5), record('q'));
+  sim.Schedule(Millis(40), record('r'));
+  sim.Overlap(3, [&](size_t i) {
+    switch (i) {
+      case 0:  // the long branch: the join lands at 30 ms
+        sim.Advance(Millis(30));
+        sim.Schedule(Micros(1), record('a'));  // due at 30 ms + 1 us
+        break;
+      case 1:  // rewound to 0: due before 'q' and the join
+        sim.Schedule(Micros(2), record('b'));
+        sim.Schedule(Millis(35), record('c'));  // due after the join
+        break;
+      default:  // rewound again, then a short advance
+        sim.Advance(Micros(3));
+        sim.Schedule(Millis(45), record('d'));
+        break;
+    }
+  });
+  EXPECT_EQ(sim.Now(), Millis(30));
+  sim.RunUntilIdle();
+  // Events due before the join fire at the join, in (when, seq) order;
+  // later ones fire at exactly their branch-relative time.
+  const std::vector<std::pair<char, SimTime>> kWant = {
+      {'b', Millis(30)},
+      {'q', Millis(30)},
+      {'a', Millis(30) + Micros(1)},
+      {'c', Millis(35)},
+      {'r', Millis(40)},
+      {'d', Micros(3) + Millis(45)},
+  };
+  EXPECT_EQ(fired, kWant);
+}
+
+TEST(SimulationTest, RewindKeepsTheCalendarCursorBehindTheClock) {
+  // With nothing queued the calendar cursor follows a branch far ahead;
+  // the rewind must bring it back, or the next branch's short-delay events
+  // would all queue in the late-event heap instead of the ring.
+  Simulation sim;
+  sim.Overlap(2, [&](size_t i) {
+    if (i == 0) {
+      sim.Advance(Millis(65));
+      return;
+    }
+    for (int k = 1; k <= 4; ++k) {
+      sim.Schedule(Micros(10 * k), [] {});
+    }
+  });
+  Simulation::SchedulerStats stats = sim.scheduler_stats();
+  EXPECT_EQ(stats.pending, 4u);
+  EXPECT_EQ(stats.ready, 0u) << "branch events landed behind the cursor";
+  sim.RunUntilIdle();
+  EXPECT_EQ(sim.Now(), Millis(65));
+}
+
+TEST(SimulationDeathTest, RunningEventsInsideABranchIsRejected) {
+  Simulation sim;
+  sim.Schedule(Micros(1), [] {});
+  EXPECT_DEATH(sim.Overlap(1, [&](size_t) { sim.RunOne(); }),
+               "inside an Overlap branch");
+  EXPECT_DEATH(sim.Overlap(1, [&](size_t) { sim.RunUntilIdle(); }),
+               "inside an Overlap branch");
+  EXPECT_DEATH(sim.Overlap(1, [&](size_t) { sim.RunUntil(Micros(2)); }),
+               "inside an Overlap branch");
+  // Outside a branch the same simulation runs normally.
+  EXPECT_TRUE(sim.RunOne());
 }
 
 TEST(SimParamsTest, DfsSmallWriteMatchesPaperFig1d) {
