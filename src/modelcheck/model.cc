@@ -35,13 +35,14 @@ struct State {
   // Set while a replacement was recorded in the ap-map but not caught up
   // (only reachable with bug_apmap_before_catchup): index+1 of that peer.
   int8_t pending_catchup = 0;
-  // Planned migration in progress: source member and target spare
+  // A successor join in progress (replacement of a dead member, or the
+  // planned migration of a live one): source member and target spare
   // (index+1, 0 = none) plus the write count captured by the snapshot
   // copy. The target holds the snapshot prefix but is *not* a member
   // until cutover.
-  int8_t mig_src = 0;
-  int8_t mig_dst = 0;
-  int8_t mig_snapshot = 0;
+  int8_t join_src = 0;
+  int8_t join_dst = 0;
+  int8_t join_snapshot = 0;
   int8_t migrations = 0;
 
   std::string Encode() const {
@@ -63,9 +64,9 @@ struct State {
     out.push_back(static_cast<char>(peer_crashes));
     out.push_back(static_cast<char>(app_crashes));
     out.push_back(static_cast<char>(pending_catchup));
-    out.push_back(static_cast<char>(mig_src));
-    out.push_back(static_cast<char>(mig_dst));
-    out.push_back(static_cast<char>(mig_snapshot));
+    out.push_back(static_cast<char>(join_src));
+    out.push_back(static_cast<char>(join_dst));
+    out.push_back(static_cast<char>(join_snapshot));
     out.push_back(static_cast<char>(migrations));
     return out;
   }
@@ -117,18 +118,34 @@ class Checker {
     }
   }
 
-  // Abandons an in-flight migration: the target's snapshot region is
-  // reclaimed (epoch GC) and it returns to the spare pool.
-  static void AbortMigration(State* t) {
-    if (t->mig_dst != 0) {
-      Peer& dst = t->peers[t->mig_dst - 1];
+  // Abandons an in-flight join: the target's snapshot region is reclaimed
+  // (epoch GC) and it returns to the spare pool.
+  static void AbortJoin(State* t) {
+    if (t->join_dst != 0) {
+      Peer& dst = t->peers[t->join_dst - 1];
       if (dst.alive && !dst.member) {
         dst.holds = false;
         dst.complete_prefix = true;
         dst.base = dst.data_upto = dst.seq_upto = 0;
       }
     }
-    t->mig_src = t->mig_dst = t->mig_snapshot = 0;
+    t->join_src = t->join_dst = t->join_snapshot = 0;
+  }
+
+  // Starts a join of spare `j` as the successor of member `i`: the target
+  // is snapshot-copied up to the writes issued so far.
+  void StartJoin(const State& s, size_t i, size_t j) {
+    State t = s;
+    AbortJoin(&t);  // a newer join's epoch bump supersedes an older one
+    Peer& np = t.peers[j];
+    np.holds = true;
+    np.complete_prefix = true;
+    np.base = np.data_upto = np.seq_upto = s.issued;
+    t.join_src = static_cast<int8_t>(i) + 1;
+    t.join_dst = static_cast<int8_t>(j) + 1;
+    t.join_snapshot = s.issued;
+    result_.transitions++;
+    Push(std::move(t));
   }
 
   void Violate(const std::string& what) {
@@ -218,39 +235,33 @@ class Checker {
         if (t.pending_catchup == static_cast<int8_t>(i) + 1) {
           t.pending_catchup = 0;
         }
-        if (t.mig_src == static_cast<int8_t>(i) + 1 ||
-            t.mig_dst == static_cast<int8_t>(i) + 1) {
-          // Crash of either endpoint mid-copy supersedes the migration
-          // (the real client detects this at cutover and aborts).
-          AbortMigration(&t);
+        if (t.join_src == static_cast<int8_t>(i) + 1 ||
+            t.join_dst == static_cast<int8_t>(i) + 1) {
+          // Crash of either endpoint mid-copy supersedes the join (the
+          // real client detects this at cutover and stands down).
+          AbortJoin(&t);
         }
         result_.transitions++;
         Push(std::move(t));
       }
     }
 
-    // --- 4. The app replaces a crashed member with a spare. --------------
+    // --- 4. The app replaces a crashed member with a spare. Safe
+    // protocol: a join with a dead source — the spare is snapshot-copied
+    // now and cut over later (4d), after the suffix issued meanwhile. It
+    // supersedes a join already in progress for another member.
     if (s.app_alive) {
       for (size_t i = 0; i < s.peers.size(); ++i) {
-        if (!s.peers[i].member || s.peers[i].alive) {
-          continue;  // replace only dead members
+        if (!s.peers[i].member || s.peers[i].alive ||
+            s.join_src == static_cast<int8_t>(i) + 1) {
+          continue;  // replace only dead members not already joining
         }
         for (size_t j = 0; j < s.peers.size(); ++j) {
           if (s.peers[j].member || !s.peers[j].alive || s.peers[j].holds) {
             continue;  // spare: alive, not a member, no stale region
           }
           if (!config_.bug_apmap_before_catchup) {
-            // Safe: the new peer is caught up (from the app's local
-            // buffer, i.e. every issued write) before the ap-map changes.
-            State t = s;
-            t.peers[i].member = false;
-            Peer& np = t.peers[j];
-            np.member = true;
-            np.holds = true;
-            np.complete_prefix = true;
-            np.base = np.data_upto = np.seq_upto = s.issued;
-            result_.transitions++;
-            Push(std::move(t));
+            StartJoin(s, i, j);
           } else if (s.pending_catchup == 0) {
             // BUG: membership changes first; catch-up is a separate later
             // step the app may crash before.
@@ -260,12 +271,9 @@ class Checker {
             np.member = true;
             np.holds = true;
             np.complete_prefix = s.issued == 0;  // empty region
-            np.base = s.issued;
-            np.data_upto = np.seq_upto = s.issued;
             // Region content is empty: it *claims* nothing yet (seq 0 in
             // the real system); writes after this point do land.
-            np.data_upto = np.seq_upto = s.issued;
-            np.base = s.issued;
+            np.base = np.data_upto = np.seq_upto = s.issued;
             t.pending_catchup = static_cast<int8_t>(j) + 1;
             result_.transitions++;
             Push(std::move(t));
@@ -286,11 +294,10 @@ class Checker {
       Push(std::move(t));
     }
 
-    // --- 4c. Start a planned migration (drain): snapshot-copy the region
-    // onto a spare. The target holds the prefix issued so far but is not a
-    // member; writes issued from here on are the suffix the cutover must
+    // --- 4c. Start a planned migration (drain): a join with a live
+    // source. Writes issued from here on are the suffix the cutover must
     // catch up.
-    if (s.app_alive && s.mig_src == 0 && s.pending_catchup == 0 &&
+    if (s.app_alive && s.join_src == 0 && s.pending_catchup == 0 &&
         s.migrations < config_.max_migrations) {
       for (size_t i = 0; i < s.peers.size(); ++i) {
         if (!s.peers[i].member || !s.peers[i].alive) {
@@ -300,36 +307,36 @@ class Checker {
           if (s.peers[j].member || !s.peers[j].alive || s.peers[j].holds) {
             continue;  // target: alive spare without a stale region
           }
-          State t = s;
-          Peer& np = t.peers[j];
-          np.holds = true;
-          np.complete_prefix = true;
-          np.base = np.data_upto = np.seq_upto = s.issued;
-          t.mig_src = static_cast<int8_t>(i) + 1;
-          t.mig_dst = static_cast<int8_t>(j) + 1;
-          t.mig_snapshot = s.issued;
-          result_.transitions++;
-          Push(std::move(t));
+          StartJoin(s, i, j);
           break;  // one spare choice suffices (spares are symmetric)
         }
       }
     }
 
-    // --- 4d. Cut a migration over: the target replaces the source in the
+    // --- 4d. Cut a join over: the target replaces the source in the
     // ap-map. Safe protocol: the suffix issued since the snapshot is caught
     // up (from the app's local buffer) *before* the membership change. The
-    // injected bug cuts over with the stale snapshot prefix.
-    if (s.app_alive && s.mig_src != 0) {
+    // injected bugs cut over with the stale snapshot prefix: a migration's
+    // target keeps claiming the snapshot, and a replacement's target is
+    // marked caught up to every issued write while it holds only the
+    // snapshot prefix (a hole where the suffix belongs).
+    if (s.app_alive && s.join_src != 0) {
       State t = s;
-      if (!config_.bug_migrate_stale_cutover) {
-        Peer& np = t.peers[t.mig_dst - 1];
+      Peer& np = t.peers[t.join_dst - 1];
+      const bool migration = t.peers[t.join_src - 1].alive;
+      if (!migration && config_.bug_replace_stale_cutover) {
+        np.complete_prefix = s.join_snapshot == s.issued;
+        np.base = np.data_upto = np.seq_upto = s.issued;
+      } else if (!migration || !config_.bug_migrate_stale_cutover) {
         np.complete_prefix = true;
         np.base = np.data_upto = np.seq_upto = s.issued;
       }
-      t.peers[t.mig_src - 1].member = false;
-      t.peers[t.mig_dst - 1].member = true;
-      t.mig_src = t.mig_dst = t.mig_snapshot = 0;
-      t.migrations++;
+      t.peers[t.join_src - 1].member = false;
+      np.member = true;
+      t.join_src = t.join_dst = t.join_snapshot = 0;
+      if (migration) {
+        t.migrations++;
+      }
       result_.transitions++;
       Push(std::move(t));
     }
@@ -340,9 +347,9 @@ class Checker {
       t.app_alive = false;
       t.app_crashes++;
       t.pending_catchup = 0;
-      // An in-flight migration dies with the app; the target region is
-      // not in the ap-map, so recovery ignores it and the GC frees it.
-      AbortMigration(&t);
+      // An in-flight join dies with the app; the target region is not in
+      // the ap-map, so recovery ignores it and the GC frees it.
+      AbortJoin(&t);
       if (ec() && config_.ec_drain_on_crash) {
         // Laggard delivery: every issued write was posted to every member,
         // and one-sided WRs outlive the initiator, so queued deliveries to

@@ -22,7 +22,11 @@
 //   * bug_migrate_stale_cutover — a planned migration cuts the ap-map over
 //                                 to the target with only the snapshot-copy
 //                                 prefix, skipping the suffix catch-up
-//                                 (DESIGN.md §13's fencing argument).
+//                                 (DESIGN.md §13's fencing argument);
+//   * bug_replace_stale_cutover — a replacement marks its target caught up
+//                                 to every issued write while it holds
+//                                 only the snapshot prefix (an append
+//                                 racing the copy never reaches it).
 #ifndef SRC_MODELCHECK_MODEL_H_
 #define SRC_MODELCHECK_MODEL_H_
 
@@ -62,6 +66,7 @@ struct McConfig {
   bool bug_apmap_before_catchup = false;
   bool bug_skip_recovery_catchup = false;
   bool bug_migrate_stale_cutover = false;
+  bool bug_replace_stale_cutover = false;
   // EC mutant: acknowledge a write at k-1 shard headers instead of k. One
   // short of reconstructable — the checker must report externalized-write
   // loss (the bug_ec_ack_below_k theorem test).

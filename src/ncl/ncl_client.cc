@@ -185,43 +185,38 @@ Result<DeleteReport> NclClient::DeleteWithReport(const std::string& file) {
   if (!apmap.ok()) {
     return apmap.status();
   }
-  DeleteReport report;
+  std::vector<LogPeer*> holders;
   for (const std::string& name : apmap->peers) {
     LogPeer* peer = LookupPeerWithRetry(name);
     if (peer != nullptr && peer->alive()) {
-      report.peers_attempted++;
-      Status released = peer->Release(config_.app_id, file);
-      if (released.ok()) {
-        report.peers_released++;
-      } else {
-        // The region leaks until the peer's epoch GC reclaims it; that is
-        // tolerable, silently losing the signal is not.
-        report.release_failures++;
-        ObsAdd(c_release_failures_);
-        LOG_WARNING << "release of " << file << " on " << name
-                    << " failed: " << released.message();
-      }
+      holders.push_back(peer);
     }
   }
-  RETURN_IF_ERROR(RetryControllerRpc(
-      [&] { return controller_->DeleteApMap(config_.app_id, file); }));
-  fabric_->DropSpareBuffer(SpareKey(config_.app_id, file));
-  return report;
+  return DeleteOn(file, holders);
 }
 
-Status NclClient::Delete(const std::string& file) {
-  auto report = DeleteWithReport(file);
-  if (!report.ok()) {
-    return report.status();
+Result<DeleteReport> NclClient::DeleteOn(const std::string& file,
+                                         const std::vector<LogPeer*>& holders) {
+  DeleteReport report;
+  for (LogPeer* peer : holders) {
+    report.peers_attempted++;
+    Status released = peer->Release(config_.app_id, file);
+    if (released.ok()) {
+      report.peers_released++;
+      continue;
+    }
+    // The region leaks until the peer's epoch GC reclaims it; that is
+    // tolerable, silently losing the signal is not.
+    report.release_failures++;
+    ObsAdd(c_release_failures_);
+    LOG_WARNING << "release of " << file << " on " << peer->name()
+                << " failed: " << released.message();
   }
-  if (report->AllReleasesFailed()) {
-    // Non-fatal warning: the file is gone from the ap-map but every region
-    // release failed, so peer memory leaks until the epoch GC runs.
-    return UnavailableError("deleted " + file + " but all " +
-                            std::to_string(report->peers_attempted) +
-                            " peer releases failed; regions leak until GC");
-  }
-  return OkStatus();
+  Status removed = RetryControllerRpc(
+      [&] { return controller_->DeleteApMap(config_.app_id, file); });
+  fabric_->DropSpareBuffer(SpareKey(config_.app_id, file));
+  RETURN_IF_ERROR(removed);
+  return report;
 }
 
 std::vector<std::string> NclClient::ListFiles() {
@@ -729,17 +724,7 @@ Status NclFile::WaitFor(uint64_t seq) {
       // holders): writes block until replacements are caught up
       // (§4.5.2). Replace just enough to regain an ack quorum; the rest
       // are replaced off the critical path below.
-      for (PeerSlot& slot : slots_) {
-        if (alive_peers() >= geo().ack_quorum()) {
-          break;
-        }
-        if (!slot.alive) {
-          Status replaced = ReplaceSlot(&slot);
-          if (replaced.code() == StatusCode::kAborted) {
-            return replaced;  // test hook: simulated app crash
-          }
-        }
-      }
+      RETURN_IF_ERROR(ReplaceDeadSlots(geo().ack_quorum()));
       if (alive_peers() < geo().ack_quorum()) {
         return UnavailableError("fewer than " +
                                 std::to_string(geo().ack_quorum()) + " of " +
@@ -770,14 +755,7 @@ Status NclFile::WaitFor(uint64_t seq) {
     // Whether any suspect resurrected is irrelevant here; the loop below
     // replaces whatever is still down.
     MaybeRetrySuspects();
-    for (PeerSlot& slot : slots_) {
-      if (!slot.alive) {
-        Status replaced = ReplaceSlot(&slot);
-        if (replaced.code() == StatusCode::kAborted) {
-          return replaced;  // test hook: simulated app crash
-        }
-      }
-    }
+    RETURN_IF_ERROR(ReplaceDeadSlots(geo().n()));
     AdvanceCommitWatermark();
   }
   return OkStatus();
@@ -859,10 +837,10 @@ void NclFile::PruneWindow() {
       min_acked = std::min(min_acked, slot.acked_seq);
     }
   }
-  if (migrating_) {
-    // A migration target (not yet a member, so not in slots_) is being
+  for (const PeerSlot* successor : joining_) {
+    // A joining successor (not yet a member, so not in slots_) is being
     // caught up by suffix rounds; keep its gap coverable too.
-    min_acked = std::min(min_acked, migrate_acked_floor_);
+    min_acked = std::min(min_acked, successor->acked_seq);
   }
   size_t cap = std::max<size_t>(
       32, 4 * static_cast<size_t>(
@@ -1265,11 +1243,98 @@ Result<NclFile::PeerSlot> NclFile::AllocateSuccessor(
   return MakeSlot(peer->name(), slot.role, peer, grant.rkey);
 }
 
+Status NclFile::JoinSuccessor(PeerSlot* slot,
+                              const std::set<std::string>& exclude) {
+  const NclConfig& config = client_->config_;
+  const std::string source_name = slot->peer_name;
+  const bool source_alive = slot->alive;
+  // Bump-then-write (§4.5.1): the new epoch fences the outgoing membership
+  // — a straggling ap-map write carrying the old peer set is rejected by
+  // the controller once the cutover lands.
+  ASSIGN_OR_RETURN(PeerSlot fresh, AllocateSuccessor(*slot, exclude));
+  const uint64_t my_epoch = epoch_;
+  if (!source_alive && geo().striped()) {
+    // Background repair of a lost shard: it is re-encoded from the local
+    // buffer onto the successor.
+    ObsAdd(client_->c_ec_repairs_);
+  }
+  joining_.push_back(&fresh);
+  struct JoinGuard {
+    NclFile* file;
+    const PeerSlot* successor;
+    ~JoinGuard() {
+      std::erase(file->joining_, successor);
+      file->watermark_dirty_ = true;
+    }
+  } guard{this, &fresh};
+  // The cutover: from here on the slot and the ap-map name the successor.
+  auto cut_over = [&] {
+    *slot = std::move(fresh);
+    watermark_dirty_ = true;
+    ever_used_.insert(slot->peer_name);
+    RefreshPeerNames();
+    return WriteApMap();
+  };
+
+  PeerSlot* target = &fresh;
+  if (config.unsafe_apmap_before_catchup) {
+    // BUG (for §4.6 validation): recording the successor before it is
+    // caught up makes the Fig 7(iii) data loss possible.
+    RETURN_IF_ERROR(cut_over());
+    if (config.test_crash_after_apmap_update) {
+      return AbortedError("test hook: simulated crash after ap-map update");
+    }
+    target = slot;
+  }
+
+  // Snapshot copy from the local buffer. Appends re-entering through
+  // simulation events while the copy is in flight land on the current
+  // members only, so nothing is lost; the successor falls behind the tail
+  // and holds exactly the snapshot.
+  uint64_t snapshot = seq_;
+  RETURN_IF_ERROR(BulkCatchUp(target, target->rkey));
+  target->acked_seq = snapshot;
+  watermark_dirty_ = true;
+
+  // Suffix rounds. Each ships only (acked, seq_] from the window history
+  // (joining_ keeps it coverable), so the gap shrinks toward the per-round
+  // append arrival rate — this bounds the cutover window under sustained
+  // traffic. A gap pruned past the history falls back to another snapshot
+  // copy. With no append racing the copy this runs zero rounds.
+  for (int round = 0; target->acked_seq < seq_; ++round) {
+    if (round >= 64) {
+      return UnavailableError("catch-up of " + name_ + "'s successor on " +
+                              target->peer_name + " did not converge");
+    }
+    if (PostSuffix(target)) {
+      RETURN_IF_ERROR(AwaitSlotDrain(target));
+    } else {
+      snapshot = seq_;
+      RETURN_IF_ERROR(BulkCatchUp(target, target->rkey));
+      target->acked_seq = snapshot;
+    }
+    watermark_dirty_ = true;
+  }
+  if (target == slot) {
+    return OkStatus();  // cut over before the catch-up (unsafe ordering)
+  }
+
+  // A join may have nested in ours (it runs from a re-entrant WaitFor, or
+  // from a scheduled drain): it bumped the epoch and rewrote the
+  // membership. Our cutover would then be an unbumped write — exactly what
+  // the controller fences — so stand down. A source that died mid-copy
+  // supersedes a migration the same way.
+  if (epoch_ != my_epoch || slot->peer_name != source_name ||
+      slot->alive != source_alive) {
+    return AbortedError("successor of " + source_name + " for " + name_ +
+                        " superseded by a concurrent membership change");
+  }
+  return cut_over();
+}
+
 Status NclFile::ReplaceSlot(PeerSlot* slot) {
   NclClient* client = client_;
-  const NclConfig& config = client->config_;
   ObsSpan span(client->obs_.tracer, "ncl.replace_slot");
-
   // Exclude only the file's *other* current members. Any other peer —
   // including one used in the past, or this failed slot's own peer after a
   // restart/revocation — is safe to reuse: Allocate replaces any stale
@@ -1281,43 +1346,26 @@ Status NclFile::ReplaceSlot(PeerSlot* slot) {
       exclude.insert(s.peer_name);
     }
   }
-  ASSIGN_OR_RETURN(PeerSlot fresh, AllocateSuccessor(*slot, exclude));
-  // For a striped file this IS background repair: the lost shard is
-  // re-encoded from the local buffer onto a fresh peer.
-  if (geo().striped()) {
-    ObsAdd(client->c_ec_repairs_);
-  }
-
-  if (config.unsafe_apmap_before_catchup) {
-    // BUG (for §4.6 validation): recording the new peer before it is caught
-    // up makes the Fig 7(iii) data loss possible.
-    *slot = std::move(fresh);
-    watermark_dirty_ = true;
-    ever_used_.insert(slot->peer_name);
-    RefreshPeerNames();
-    RETURN_IF_ERROR(WriteApMap());
-    if (config.test_crash_after_apmap_update) {
-      return AbortedError("test hook: simulated crash after ap-map update");
-    }
-    RETURN_IF_ERROR(BulkCatchUp(slot, slot->rkey));
-    slot->acked_seq = seq_;
-    watermark_dirty_ = true;
-    client->peers_replaced_++;
-    ObsAdd(client->c_peers_replaced_);
-    return OkStatus();
-  }
-
-  // Safe order: catch the new peer up from the local buffer, then update
-  // the ap-map (§4.5.2).
-  RETURN_IF_ERROR(BulkCatchUp(&fresh, fresh.rkey));
-  fresh.acked_seq = seq_;
-  *slot = std::move(fresh);
-  watermark_dirty_ = true;
-  ever_used_.insert(slot->peer_name);
-  RefreshPeerNames();
-  RETURN_IF_ERROR(WriteApMap());
+  RETURN_IF_ERROR(JoinSuccessor(slot, exclude));
   client->peers_replaced_++;
   ObsAdd(client->c_peers_replaced_);
+  return OkStatus();
+}
+
+Status NclFile::ReplaceDeadSlots(int want) {
+  for (PeerSlot& slot : slots_) {
+    if (slot.alive) {
+      continue;
+    }
+    if (alive_peers() >= want) {
+      break;
+    }
+    Status replaced = ReplaceSlot(&slot);
+    if (replaced.code() == StatusCode::kAborted &&
+        client_->config_.test_crash_after_apmap_update) {
+      return replaced;  // test hook: simulated app crash
+    }
+  }
   return OkStatus();
 }
 
@@ -1343,94 +1391,23 @@ Status NclFile::MigrateSlot(PeerSlot* slot) {
   if (deleted_) {
     return FailedPreconditionError("ncl file was deleted: " + name_);
   }
-  if (migrating_) {
-    return FailedPreconditionError("a migration is already in progress for " +
-                                   name_);
-  }
   if (!slot->alive) {
     return FailedPreconditionError(
         "cannot migrate a dead slot; ReplaceSlot handles failures");
   }
-  const std::string source_name = slot->peer_name;
-  migrating_ = true;
-  migrate_acked_floor_ = 0;
-  watermark_dirty_ = true;
-  struct MigrationGuard {
-    NclFile* file;
-    ~MigrationGuard() {
-      file->migrating_ = false;
-      file->migrate_acked_floor_ = 0;
-      file->watermark_dirty_ = true;
-    }
-  } guard{this};
-
-  // Bump-then-write (§4.5.1): the new epoch fences the outgoing membership
-  // — a straggling ap-map write carrying the old peer set is rejected by
-  // the controller once the cutover lands. The target must be outside the
-  // current membership entirely (including the source: the point is to
-  // move the region elsewhere), and takes over exactly the source's role.
+  // The target must be outside the current membership entirely, including
+  // the source: the point is to move the region elsewhere.
   std::set<std::string> exclude;
   for (const PeerSlot& s : slots_) {
     exclude.insert(s.peer_name);
   }
-  ASSIGN_OR_RETURN(PeerSlot fresh, AllocateSuccessor(*slot, exclude));
-  const uint64_t my_epoch = epoch_;
-
-  // Phase 1: snapshot copy. Appends re-entering through simulation events
-  // while the copy is in flight keep landing on the *old* membership, so
-  // nothing is lost; the target just falls behind the tail.
-  uint64_t snapshot = seq_;
-  Status copied = BulkCatchUp(&fresh, fresh.rkey);
-  if (!copied.ok()) {
-    return copied;  // target region leaks until the epoch GC reclaims it
-  }
-  fresh.acked_seq = snapshot;
-  migrate_acked_floor_ = fresh.acked_seq;
-  watermark_dirty_ = true;
-
-  // Phase 2: suffix catch-up rounds. Each round ships only (acked, seq_]
-  // from the window history (the PruneWindow floor keeps it coverable), so
-  // the remaining gap shrinks toward the per-round append arrival rate —
-  // this is what bounds the cutover window under sustained traffic. A
-  // pruned-past-the-gap straggler falls back to another snapshot copy.
-  for (int round = 0; fresh.acked_seq < seq_; ++round) {
-    if (round >= 64) {
-      return UnavailableError("migration catch-up on " + name_ +
-                              " did not converge");
-    }
-    if (PostSuffix(&fresh)) {
-      RETURN_IF_ERROR(AwaitSlotDrain(&fresh));
-    } else {
-      snapshot = seq_;
-      RETURN_IF_ERROR(BulkCatchUp(&fresh, fresh.rkey));
-      fresh.acked_seq = snapshot;
-    }
-    migrate_acked_floor_ = fresh.acked_seq;
-    watermark_dirty_ = true;
-  }
-
-  // A crash-driven ReplaceSlot may have interleaved with the copy (it runs
-  // from re-entrant WaitFor calls): it bumped the epoch and rewrote the
-  // membership. Our cutover would then be an unbumped write — exactly what
-  // the controller fences — so detect the supersession and stand down. The
-  // abandoned target region is reclaimed by the epoch GC.
-  if (epoch_ != my_epoch || slot->peer_name != source_name || !slot->alive) {
-    return AbortedError("migration of " + name_ + " off " + source_name +
-                        " superseded by a concurrent membership change");
-  }
-
-  // Phase 3: atomic cutover. From here on the ap-map names the target; the
-  // old region is released (its rkey dies with the recycle), so any stale
-  // write to the old peer fails at the fabric.
-  LogPeer* old_peer = slot->peer;
-  *slot = std::move(fresh);
-  watermark_dirty_ = true;
-  ever_used_.insert(slot->peer_name);
-  RefreshPeerNames();
-  RETURN_IF_ERROR(WriteApMap());
-  if (old_peer != nullptr && old_peer->alive()) {
+  LogPeer* source = slot->peer;
+  RETURN_IF_ERROR(JoinSuccessor(slot, exclude));
+  // The ap-map names the target now. Releasing the source region kills its
+  // rkey, so any stale write to the old peer fails at the fabric.
+  if (source != nullptr && source->alive()) {
     DiscardStatus(client->obs_,
-                  old_peer->Release(client->config_.app_id, name_),
+                  source->Release(client->config_.app_id, name_),
                   "NclFile::MigrateSlot release of source region");
   }
   client->regions_migrated_++;
@@ -1472,24 +1449,15 @@ Status NclFile::Delete() {
   if (deleted_) {
     return FailedPreconditionError("ncl file already deleted: " + name_);
   }
-  for (PeerSlot& slot : slots_) {
+  std::vector<LogPeer*> holders;
+  for (const PeerSlot& slot : slots_) {
     if (slot.alive && slot.peer != nullptr) {
-      Status released = slot.peer->Release(client_->config_.app_id, name_);
-      if (!released.ok()) {
-        // The region leaks until the peer's epoch GC reclaims it; that is
-        // tolerable, silently losing the signal is not.
-        ObsAdd(client_->c_release_failures_);
-        LOG_WARNING << "release of " << name_ << " on " << slot.peer_name
-                    << " failed: " << released.message();
-      }
+      holders.push_back(slot.peer);
     }
   }
-  Status st = client_->RetryControllerRpc([&] {
-    return client_->controller_->DeleteApMap(client_->config_.app_id, name_);
-  });
-  client_->fabric_->DropSpareBuffer(SpareKey(client_->config_.app_id, name_));
+  Result<DeleteReport> report = client_->DeleteOn(name_, holders);
   deleted_ = true;
-  return st;
+  return report.status();
 }
 
 }  // namespace splitft

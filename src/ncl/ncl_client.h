@@ -115,7 +115,7 @@ struct NclConfig {
   // only and returns kAborted without waiting — the application crashing
   // mid-replication (the Fig 7i divergence).
   uint64_t test_crash_at_seq = 0;
-  // Test hook: with unsafe_apmap_before_catchup, makes ReplaceSlot stop
+  // Test hook: with unsafe_apmap_before_catchup, makes a replacement stop
   // right after the ap-map update — the application crash window that
   // produces the Fig 7(iii) data loss.
   bool test_crash_after_apmap_update = false;
@@ -173,13 +173,6 @@ class NclClient {
   // outage past the retry budget).
   Result<DeleteReport> DeleteWithReport(const std::string& file);
 
-  // Status shim over DeleteWithReport. Partial Release failures stay OK
-  // (they are best effort), but when *every* reachable peer refused the
-  // Release the caller gets a non-fatal kUnavailable warning — the ap-map
-  // entry is gone and the file deleted either way; the regions leak until
-  // the epoch GC.
-  Status Delete(const std::string& file);
-
   // ncl files this application had before a crash (from the controller).
   std::vector<std::string> ListFiles();
 
@@ -221,6 +214,12 @@ class NclClient {
   Result<std::pair<LogPeer*, AllocationGrant>> AllocateOnFreshPeer(
       const std::string& file, uint64_t region_bytes, uint64_t epoch,
       const std::set<std::string>& exclude);
+
+  // Releases `file`'s region on each of `holders` (best effort: a failed
+  // release is counted and warned about, and the region leaks until the
+  // peer's epoch GC), then removes the ap-map entry and the spare buffer.
+  Result<DeleteReport> DeleteOn(const std::string& file,
+                                const std::vector<LogPeer*>& holders);
 
   // Directory lookup that retries (under config.retry) while the peer's
   // setup process is momentarily unreachable, instead of treating the
@@ -470,20 +469,29 @@ class NclFile {
   SimTime NextSuspectRetryAt() const;
 
   // Bumps the epoch and allocates a successor for `slot` (same role) on a
-  // fresh peer outside `exclude`; the caller catches it up.
+  // fresh peer outside `exclude`; JoinSuccessor catches it up.
   Result<PeerSlot> AllocateSuccessor(const PeerSlot& slot,
                                      const std::set<std::string>& exclude);
-  // Replaces a dead slot with a freshly allocated, caught-up peer and
-  // updates the ap-map (§4.5.2). On success the slot is alive and fully
-  // caught up.
+  // The one successor catch-up (§4.5.2, DESIGN.md §6 and §13), for
+  // replacement and migration alike: allocates a successor for `slot` on a
+  // fresh peer outside `exclude`, bulk-copies the snapshot taken before
+  // the copy, ships the suffix appended meanwhile in rounds (PostSuffix on
+  // the not-yet-member successor) until it acked the tail, then cuts the
+  // slot and the ap-map over to it. Appends may keep arriving from
+  // simulation events throughout. Returns kAborted when a concurrent
+  // membership change superseded the join (the epoch moved, or the slot
+  // changed under it); the abandoned region is left to the epoch GC.
+  Status JoinSuccessor(PeerSlot* slot, const std::set<std::string>& exclude);
+  // Replaces a dead slot through JoinSuccessor (§4.5.2). On success the
+  // slot is alive and fully caught up.
   Status ReplaceSlot(PeerSlot* slot);
-  // Planned migration of a *live* slot's region to a fresh peer while
-  // appends keep flowing: epoch bump, snapshot bulk copy, suffix catch-up
-  // rounds (PostSuffix on the not-yet-member target) until the target acked
-  // the current tail, then the atomic ap-map cutover. Returns kAborted if
-  // a concurrent membership change (crash-driven replacement) superseded
-  // the migration — the abandoned target region is reclaimed by the epoch
-  // GC.
+  // Replaces dead slots until `want` slots are alive. Returns only the
+  // test hook's simulated app crash: a replacement that fails or is
+  // superseded leaves its slot dead for a later turn.
+  Status ReplaceDeadSlots(int want);
+  // Planned migration of a *live* slot's region to a fresh peer through
+  // JoinSuccessor, then the release of the source region. Returns kAborted
+  // when a concurrent membership change superseded it.
   Status MigrateSlot(PeerSlot* slot);
   // Waits out `slot`'s inflight WRs and advances its acked_seq;
   // kUnavailable on a WR failure or a stalled fabric.
@@ -534,15 +542,15 @@ class NclFile {
   // from the recovery peer instead of the local buffer (Fig 11a variant).
   bool serve_reads_locally_ = true;
   int recovery_slot_ = -1;
-  // A slot migration is in progress: PruneWindow keeps history down to
-  // migrate_acked_floor_ (the target's acked tail) so the catch-up rounds
-  // can ship suffixes instead of full-state reposts while appends race.
-  bool migrating_ = false;
-  uint64_t migrate_acked_floor_ = 0;
+  // Successors JoinSuccessor is catching up (not yet in slots_), innermost
+  // last: PruneWindow keeps history down to each one's acked_seq so its
+  // catch-up rounds can ship suffixes instead of full-state reposts while
+  // appends race.
+  std::vector<const PeerSlot*> joining_;
 
   // Set by every change to an input of the commit watermark, the degraded
   // lag or PruneWindow: a slot's acked_seq or alive flag, the membership,
-  // seq_/window_, or the migration floor. Starts set; cleared by
+  // seq_/window_, or a joining successor's acked_seq. Starts set; cleared by
   // AdvanceCommitWatermark once it recomputed them.
   bool watermark_dirty_ = true;
   // Scratch for ComputeCommittedSeq, one entry per slot.

@@ -1,6 +1,7 @@
 #include "src/ncl/peer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/ncl/region_format.h"
@@ -148,20 +149,19 @@ Result<LogPeer::Carve> LogPeer::CarveRegion(uint64_t region_bytes) {
   return Carve{*rkey, slab_idx, offset};
 }
 
-void LogPeer::FreeCarve(RKey rkey, int slab_idx, uint64_t offset,
-                        uint64_t len) {
+void LogPeer::FreeCarve(const Carve& carve, uint64_t len) {
   // Deregistration of an already-dead region may legitimately fail.
-  DiscardStatus(obs_, fabric_->DeregisterRegion(node_, rkey),
+  DiscardStatus(obs_, fabric_->DeregisterRegion(node_, carve.rkey),
                 "LogPeer::FreeCarve deregister");
-  if (slab_idx < 0 || slab_idx >= static_cast<int>(slabs_.size())) {
+  if (carve.slab < 0 || carve.slab >= static_cast<int>(slabs_.size())) {
     return;
   }
   // Return the full aligned extent the carve occupied, not just the
   // requested bytes, or the rounding slack would leak from the free map.
   len = CarveExtentBytes(len);
-  Slab& slab = slabs_[slab_idx];
+  Slab& slab = slabs_[carve.slab];
   slab.used -= std::min(slab.used, len);
-  auto [it, inserted] = slab.free.emplace(offset, len);
+  auto [it, inserted] = slab.free.emplace(carve.offset, len);
   if (!inserted) {
     return;  // double free; the extent is already on the list
   }
@@ -178,6 +178,15 @@ void LogPeer::FreeCarve(RKey rkey, int slab_idx, uint64_t offset,
       prev->second += it->second;
       slab.free.erase(it);
     }
+  }
+}
+
+void LogPeer::FreeEntry(const MrEntry& entry) {
+  FreeCarve(entry.region, entry.region_bytes);
+  available_bytes_ += entry.region_bytes;
+  if (entry.staged.rkey != 0) {
+    FreeCarve(entry.staged, entry.region_bytes);
+    available_bytes_ += entry.region_bytes;
   }
 }
 
@@ -210,14 +219,7 @@ Result<AllocationGrant> LogPeer::AllocateInternal(
                                   " is draining; no new regions");
   } else if (it != mr_map_.end()) {
     // Fresh creation over a stale entry: free the old region first.
-    FreeCarve(it->second.rkey, it->second.slab, it->second.slab_offset,
-              it->second.region_bytes);
-    available_bytes_ += it->second.region_bytes;
-    if (it->second.staged_rkey != 0) {
-      FreeCarve(it->second.staged_rkey, it->second.staged_slab,
-                it->second.staged_offset, it->second.region_bytes);
-      available_bytes_ += it->second.region_bytes;
-    }
+    FreeEntry(it->second);
     mr_map_.erase(it);
     it = mr_map_.end();
   }
@@ -241,31 +243,27 @@ Result<AllocationGrant> LogPeer::AllocateInternal(
 
   if (staging || clone_existing) {
     MrEntry& entry = mr_map_[key];
-    if (entry.staged_rkey != 0) {
+    if (entry.staged.rkey != 0) {
       // Abandoned previous staging attempt; best-effort cleanup.
-      FreeCarve(entry.staged_rkey, entry.staged_slab, entry.staged_offset,
-                entry.region_bytes);
+      FreeCarve(entry.staged, entry.region_bytes);
       available_bytes_ += entry.region_bytes;
     }
-    entry.staged_rkey = carve->rkey;
-    entry.staged_slab = carve->slab;
-    entry.staged_offset = carve->offset;
+    entry.staged = *carve;
     if (clone_existing) {
       // Local memcpy of the current contents into the staging region; the
       // application then ships only the bytewise diff.
-      RETURN_IF_ERROR(fabric_->CopyRegion(node_, entry.rkey, carve->rkey));
+      RETURN_IF_ERROR(
+          fabric_->CopyRegion(node_, entry.region.rkey, carve->rkey));
     }
     UpdateGauges();
     return AllocationGrant{carve->rkey, region_bytes};
   }
 
   MrEntry entry;
-  entry.rkey = carve->rkey;
+  entry.region = *carve;
   entry.region_bytes = region_bytes;
   entry.epoch = epoch;
   entry.allocated_at = fabric_->sim()->Now();
-  entry.slab = carve->slab;
-  entry.slab_offset = carve->offset;
   mr_map_[key] = entry;
   UpdateGauges();
   return AllocationGrant{carve->rkey, region_bytes};
@@ -303,7 +301,7 @@ Result<AllocationGrant> LogPeer::LookupForRecovery(const std::string& app,
     // the recovering application does not count us toward its quorum.
     return NotFoundError("peer " + name_ + " does not hold " + file);
   }
-  return AllocationGrant{it->second.rkey, it->second.region_bytes};
+  return AllocationGrant{it->second.region.rkey, it->second.region_bytes};
 }
 
 Status LogPeer::Release(const std::string& app, const std::string& file) {
@@ -313,14 +311,7 @@ Status LogPeer::Release(const std::string& app, const std::string& file) {
   if (it == mr_map_.end()) {
     return NotFoundError("peer " + name_ + " does not hold " + file);
   }
-  FreeCarve(it->second.rkey, it->second.slab, it->second.slab_offset,
-            it->second.region_bytes);
-  available_bytes_ += it->second.region_bytes;
-  if (it->second.staged_rkey != 0) {
-    FreeCarve(it->second.staged_rkey, it->second.staged_slab,
-              it->second.staged_offset, it->second.region_bytes);
-    available_bytes_ += it->second.region_bytes;
-  }
+  FreeEntry(it->second);
   mr_map_.erase(it);
   UpdateGauges();
   UpdateAvailabilityOnController();
@@ -332,20 +323,14 @@ Status LogPeer::SwitchRegion(const std::string& app, const std::string& file,
   RETURN_IF_ERROR(CheckAlive());
   ChargeRpc();
   auto it = mr_map_.find(MrKey{app, file});
-  if (it == mr_map_.end() || it->second.staged_rkey != staged_rkey) {
+  if (it == mr_map_.end() || it->second.staged.rkey != staged_rkey) {
     return FailedPreconditionError("no matching staged region for " + file);
   }
   // The switch is the atomic commit point: recovery lookups now return the
   // caught-up region; the old region's extent goes back to the slab pool.
-  FreeCarve(it->second.rkey, it->second.slab, it->second.slab_offset,
-            it->second.region_bytes);
+  FreeCarve(it->second.region, it->second.region_bytes);
   available_bytes_ += it->second.region_bytes;
-  it->second.rkey = staged_rkey;
-  it->second.slab = it->second.staged_slab;
-  it->second.slab_offset = it->second.staged_offset;
-  it->second.staged_rkey = 0;
-  it->second.staged_slab = -1;
-  it->second.staged_offset = 0;
+  it->second.region = std::exchange(it->second.staged, Carve{});
   it->second.allocated_at = fabric_->sim()->Now();
   UpdateGauges();
   return OkStatus();
@@ -363,11 +348,12 @@ Status LogPeer::Revoke(const std::string& app, const std::string& file) {
   // credited, so the allocator deprioritizes this peer.
   // Invalidation of a region on a crashed node is a no-op failure; the
   // revoke must still complete so the memory is reclaimed locally.
-  DiscardStatus(obs_, fabric_->InvalidateRegion(node_, it->second.rkey),
+  DiscardStatus(obs_,
+                fabric_->InvalidateRegion(node_, it->second.region.rkey),
                 "LogPeer::Revoke invalidate");
-  if (it->second.staged_rkey != 0) {
+  if (it->second.staged.rkey != 0) {
     DiscardStatus(obs_,
-                  fabric_->InvalidateRegion(node_, it->second.staged_rkey),
+                  fabric_->InvalidateRegion(node_, it->second.staged.rkey),
                   "LogPeer::Revoke invalidate staged");
   }
   // The carve's slab extent is NOT returned to the free list either: the
@@ -445,14 +431,7 @@ int LogPeer::RunLeakGc(SimTime min_age) {
       }
     }
     if (free_it) {
-      FreeCarve(entry.rkey, entry.slab, entry.slab_offset,
-                entry.region_bytes);
-      available_bytes_ += entry.region_bytes;
-      if (entry.staged_rkey != 0) {
-        FreeCarve(entry.staged_rkey, entry.staged_slab, entry.staged_offset,
-                  entry.region_bytes);
-        available_bytes_ += entry.region_bytes;
-      }
+      FreeEntry(entry);
       it = mr_map_.erase(it);
       freed++;
     } else {

@@ -156,16 +156,12 @@ class LogPeer {
   };
 
   struct MrEntry {
-    RKey rkey = 0;
+    Carve region;
+    // Staged catch-up region; staged.rkey != 0 while a switch is pending.
+    Carve staged;
     uint64_t region_bytes = 0;
     uint64_t epoch = 0;
     SimTime allocated_at = 0;
-    int slab = -1;             // slab index the carve came from
-    uint64_t slab_offset = 0;  // extent offset within the slab
-    // Staged catch-up region, if a switch is pending.
-    RKey staged_rkey = 0;
-    int staged_slab = -1;
-    uint64_t staged_offset = 0;
   };
 
   // One pinned + NIC-registered slab with a first-fit extent allocator
@@ -190,9 +186,11 @@ class LogPeer {
   // no existing extent fits (kResourceExhausted when the lend budget cannot
   // cover a new slab either).
   Result<Carve> CarveRegion(uint64_t region_bytes);
-  // Returns a carve's extent to its slab's free list (coalescing with
-  // neighbours) and drops the fabric region backing it.
-  void FreeCarve(RKey rkey, int slab, uint64_t offset, uint64_t len);
+  // Returns a carve's extent of `len` region bytes to its slab's free list
+  // (coalescing with neighbours) and drops the fabric region backing it.
+  void FreeCarve(const Carve& carve, uint64_t len);
+  // Frees an entry's region and any staged one, crediting availability.
+  void FreeEntry(const MrEntry& entry);
   Result<AllocationGrant> AllocateInternal(const std::string& app,
                                            const std::string& file,
                                            uint64_t region_bytes,

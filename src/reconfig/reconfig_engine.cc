@@ -92,7 +92,7 @@ void ReconfigEngine::ExecuteDrain(const ReconfigEvent& event, LogPeer* peer) {
   if (drain_in_progress_) {
     // The migration below pumps the simulation, so a later scheduled drain
     // can fire while this one is mid-copy. One planned membership change
-    // at a time, same as MigrateSlot's own re-entrancy guard.
+    // at a time: a nested migration would supersede this one's.
     ops_skipped_++;
     ObsAdd(c_skipped_);
     Note(event, peer->name() + " (skipped: another drain in flight)");

@@ -90,8 +90,8 @@ class ReconfigEngine {
   int ops_skipped_ = 0;
   int ops_failed_ = 0;
   // A drain's migration pumps the simulation (catch-up rounds), so another
-  // scheduled drain can fire re-entrantly mid-copy; it is skipped, the
-  // same way MigrateSlot rejects overlapping migrations of one file.
+  // scheduled drain can fire re-entrantly mid-copy; it is skipped rather
+  // than left to supersede the running migration.
   bool drain_in_progress_ = false;
   std::vector<std::string> log_;
   std::vector<uint64_t> tokens_;

@@ -349,7 +349,15 @@ Result<std::unique_ptr<SplitFile>> SplitFs::Open(
 
 Status SplitFs::Unlink(const std::string& path) {
   if (ncl_->Exists(path)) {
-    return ncl_->Delete(path);
+    ASSIGN_OR_RETURN(DeleteReport report, ncl_->DeleteWithReport(path));
+    if (report.AllReleasesFailed()) {
+      // The file is gone from the ap-map either way, but every region leaks
+      // until the peers' epoch GC: a non-fatal warning for the caller.
+      return UnavailableError("deleted " + path + " but all " +
+                              std::to_string(report.peers_attempted) +
+                              " peer releases failed; regions leak until GC");
+    }
+    return OkStatus();
   }
   return dfs_->Unlink(path);
 }

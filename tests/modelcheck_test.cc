@@ -1,5 +1,6 @@
 // The model checker must (a) certify the safe protocol over the bounded
-// state space and (b) catch each of the three injected bugs from §4.6.
+// state space and (b) catch each injected bug: the three from §4.6 and
+// the stale migration and replacement cutovers.
 #include <gtest/gtest.h>
 
 #include "src/modelcheck/model.h"
@@ -101,6 +102,19 @@ TEST(ModelCheckTest, StaleCutoverBugIsCaught) {
   McResult result = CheckNcl(config);
   EXPECT_TRUE(result.violation_found)
       << "checker missed the stale-snapshot cutover bug";
+}
+
+TEST(ModelCheckTest, ReplaceStaleCutoverBugIsCaught) {
+  // A replacement snapshot-copies the spare, a write issued during the
+  // copy lands on the old members only, and the cutover marks the spare
+  // caught up to it anyway: the spare claims a write it never received.
+  McConfig config = SmallConfig();
+  config.bug_replace_stale_cutover = true;
+  McResult result = CheckNcl(config);
+  EXPECT_TRUE(result.violation_found)
+      << "checker missed the stale replacement cutover bug";
+  EXPECT_NE(result.violation.find("holes"), std::string::npos)
+      << result.violation;
 }
 
 TEST(ModelCheckTest, StateCapRespected) {

@@ -2,10 +2,12 @@
 // space-leak GC, and the unsafe-variant demonstrations of §4.6.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/controller/controller.h"
@@ -145,6 +147,64 @@ class NclTest : public ::testing::Test {
     // The two caught-up slots are a quorum: the file keeps taking appends.
     ASSERT_TRUE((*recovered)->Append("more").ok());
     EXPECT_EQ(Contents(recovered->get()), expect + "more");
+  }
+
+  // Creates "/wal/1" with one 32 KiB append, crashes its first member and
+  // schedules `race` 100 us later, inside the snapshot copy of the
+  // replacement that the next append ("after") starts once it commits.
+  // Then appends "tail", drains, and checks that a fresh client recovers
+  // every byte, the racer's included (`race` appends "racer"). Returns the
+  // client and file for further checks.
+  std::pair<std::unique_ptr<NclClient>, std::unique_ptr<NclFile>>
+  ExpectAppendRacingReplacementSurvives(
+      NclConfig config, const std::function<void(NclFile*)>& race) {
+    auto client = MakeClient(config);
+    auto created = client->Create("/wal/1");
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    if (!created.ok()) {
+      return {};
+    }
+    std::unique_ptr<NclFile> file = std::move(*created);
+    const std::string fat(32 << 10, 'x');
+    EXPECT_TRUE(file->Append(fat).ok());
+    PeerNamed(file->peer_names()[0])->Crash();
+    NclFile* raw = file.get();
+    sim_.ScheduleAt(sim_.Now() + Micros(100), [raw, &race] { race(raw); });
+    EXPECT_TRUE(file->Append("after").ok());
+    EXPECT_TRUE(file->Append("tail").ok());
+    EXPECT_TRUE(file->Drain().ok());
+    sim_.RunUntilIdle();
+    const std::string expect = fat + "afterracertail";
+    EXPECT_EQ(Contents(file.get()), expect);
+    auto fresh = MakeClient(config);
+    auto recovered = fresh->Recover("/wal/1");
+    EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+    if (recovered.ok()) {
+      const std::string got = Contents(recovered->get());
+      EXPECT_EQ(got.size(), expect.size());
+      EXPECT_TRUE(got == expect)
+          << "recovered tail: "
+          << got.substr(std::min(got.size(), fat.size()));
+    }
+    return {std::move(client), std::move(file)};
+  }
+
+  // The race above with a blocking racer, which re-enters WaitFor and
+  // replaces the same dead slot from inside the first replacement's copy:
+  // exactly one successor joins, and the ap-map names it.
+  void ExpectBlockingRacerJoinsOneSuccessor() {
+    bool racer_ok = false;
+    auto [client, file] = ExpectAppendRacingReplacementSurvives(
+        NclConfig{},
+        [&racer_ok](NclFile* f) { racer_ok = f->Append("racer").ok(); });
+    ASSERT_NE(file, nullptr);
+    EXPECT_TRUE(racer_ok);
+    EXPECT_EQ(client->peers_replaced(), 1);
+    EXPECT_EQ(file->alive_peers(), 3);
+    auto apmap = controller_.GetApMap("test-app", "/wal/1");
+    ASSERT_TRUE(apmap.ok());
+    EXPECT_EQ(apmap->peers, file->peer_names());
+    EXPECT_NE(apmap->peers[0], "p0") << "the ap-map must name the successor";
   }
 
   Simulation sim_;
@@ -481,11 +541,13 @@ TEST_F(NclTest, DeleteWarnsWhenEveryReleaseFails) {
     peer->Crash();
     ASSERT_TRUE(peer->Restart().ok());
   }
-  // Every release fails: Delete still removes the ap-map entry (the file is
-  // gone) but surfaces a non-fatal kUnavailable warning so the caller knows
-  // peer memory leaks until the epoch GC.
-  Status st = client->Delete("/wal/1");
-  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
+  // Every release fails: the delete still removes the ap-map entry (the
+  // file is gone) but its report says so, so the caller knows peer memory
+  // leaks until the epoch GC.
+  auto report = client->DeleteWithReport("/wal/1");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->AllReleasesFailed());
+  EXPECT_EQ(report->peers_attempted, 3);
   EXPECT_FALSE(client->Exists("/wal/1"));
   EXPECT_EQ(ClientCounter("release_failures"), 3u);
 }
@@ -829,6 +891,51 @@ TEST_F(NclTest, WritesFailWhenNoReplacementAvailable) {
   PeerNamed((*file)->peer_names()[0])->Crash();
   PeerNamed((*file)->peer_names()[1])->Crash();
   EXPECT_EQ((*file)->Append("y").code(), StatusCode::kUnavailable);
+}
+
+// An append fired from a simulation event while a replacement copies the
+// snapshot lands on the old members only. The successor must be caught up
+// on it before it joins, or it claims a sequence number whose bytes it
+// never received and recovery from it returns zeros.
+TEST_F(NclTest, AsyncAppendRacingReplacementCopyIsNotLost) {
+  StartPeers(4);
+  ExpectAppendRacingReplacementSurvives(NclConfig{}, [](NclFile* file) {
+    EXPECT_TRUE(file->AppendAsync("racer").ok());
+  });
+  EXPECT_GE(ClientCounter("suffix_reposts"), 1u);
+}
+
+// A blocking racer re-enters WaitFor, whose eager replacement starts a
+// second join for the same dead slot inside the first one's copy. With one
+// spare (p3) the nested join re-allocates the outer one's region there,
+// and the outer copy fails on a WR error.
+TEST_F(NclTest, BlockingAppendRacingReplacementJoinsOneSuccessor) {
+  StartPeers(4);
+  ExpectBlockingRacerJoinsOneSuccessor();
+}
+
+// With two spares the nested join lands on the other one, so the outer
+// join finishes its copy and must stand down at the supersession check.
+// The append that started it reads that as a skipped replacement, not as
+// a crash.
+TEST_F(NclTest, SupersededReplacementStandsDown) {
+  StartPeers(5);
+  ExpectBlockingRacerJoinsOneSuccessor();
+}
+
+// Case (a) on a k=2, m=2 stripe: a shard's suffix round encodes through
+// the geometry's slot bytes, not a replica's buffer view.
+TEST_F(NclTest, AsyncAppendRacingShardRepairIsNotLost) {
+  StartPeers(5);
+  NclConfig config;
+  config.ec_enabled = true;
+  config.ec = EcGeometry{2, 2, 64};
+  config.fault_budget = 2;
+  ExpectAppendRacingReplacementSurvives(config, [](NclFile* file) {
+    EXPECT_TRUE(file->AppendAsync("racer").ok());
+  });
+  EXPECT_GE(ClientCounter("suffix_reposts"), 1u);
+  EXPECT_GE(metrics_.CounterValue("ncl.ec.repairs"), 1u);
 }
 
 TEST_F(NclTest, ReplacementSurvivesSubsequentRecovery) {
@@ -1307,7 +1414,9 @@ TEST_F(NclTest, RecreatedLogNeverRecoversIntoItsPredecessorsBytes) {
       ASSERT_TRUE((*file)->Append(std::string(4096, 'o')).ok());
     }
     EXPECT_GE(fabric_.SpareBufferBytes(), 4096u);
-    ASSERT_TRUE(client->Delete("/wal/1").ok());
+    auto report = client->DeleteWithReport("/wal/1");
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_FALSE(report->AllReleasesFailed());
     EXPECT_EQ(fabric_.SpareBufferBytes(), 0u);
     auto file = client->Create("/wal/1");
     ASSERT_TRUE(file.ok());

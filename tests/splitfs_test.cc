@@ -218,6 +218,22 @@ TEST_F(SplitFsTest, UnlinkRoutesToTheRightLayer) {
   EXPECT_EQ(fs->Unlink("/ghost").code(), StatusCode::kNotFound);
 }
 
+// When every peer refuses the release (each restarted and lost its
+// mr-map), the ncl file is still gone, but Unlink warns that the regions
+// leak until the epoch GC.
+TEST_F(SplitFsTest, UnlinkWarnsWhenEveryReleaseFails) {
+  auto fs = MakeFs();
+  SplitOpenOptions ncl_opts;
+  ncl_opts.oncl = true;
+  ASSERT_TRUE(fs->Open("/wal", ncl_opts).ok());
+  for (auto& peer : peers_) {
+    peer->Crash();
+    ASSERT_TRUE(peer->Restart().ok());
+  }
+  EXPECT_EQ(fs->Unlink("/wal").code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(fs->Exists("/wal"));
+}
+
 TEST_F(SplitFsTest, WalRotationPattern) {
   // The RocksDB pattern: write wal-1, checkpoint to an sstable, delete
   // wal-1, create wal-2 (Table 2's delete-reclaim policy).

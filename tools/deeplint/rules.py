@@ -89,8 +89,9 @@ EPOCH_FENCE_ALLOWED = {
         (
             "NclClient::Create",  # fresh file: epoch 0 ap-map publish
             "NclClient::Recover",  # recovery: bump precedes (§4.5.1)
-            "NclFile::ReplaceSlot",  # crash repair: bump-then-write
-            "NclFile::MigrateSlot",  # planned migration: bump-then-write
+            # successor join (crash repair and planned migration):
+            # bump-then-write
+            "NclFile::JoinSuccessor",
             "NclFile::WriteApMap",  # the wrapper's own definition
         )
     ),
