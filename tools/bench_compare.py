@@ -14,6 +14,12 @@ Options:
   --fail-on-regress Exit 1 when any series regresses past the threshold
                     (default: report only, exit 0 — the CI step is
                     advisory while baselines season).
+  --exact           For deterministic (virtual-time) benches: every field
+                    of every series (count, mean, quantiles, max, scalars,
+                    layers) and every entry of the `metrics` section must
+                    be equal, and no series or metric may be added or
+                    removed (--series still selects the series; metrics
+                    are always compared). Exits 1 on any difference.
   --self-test       Run the built-in unit checks and exit.
 
 For every series present in both files the p50 and p95 deltas are printed;
@@ -22,8 +28,8 @@ grow series across PRs). "Worse" is direction-aware: for time-like units
 (ns/us/ms/s) higher is worse, for throughput-like units (KB/s, KOps/s, x)
 lower is worse.
 
-Exit codes: 0 ok / within threshold, 1 regression (with --fail-on-regress),
-2 usage or unreadable input.
+Exit codes: 0 ok / within threshold, 1 regression (with --fail-on-regress)
+or any difference (with --exact), 2 usage or unreadable input.
 """
 
 import argparse
@@ -39,6 +45,7 @@ QUANTILES = ("p50", "p95")
 
 
 def load(path):
+    """Returns the whole schema-v1 document at `path`."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -48,6 +55,11 @@ def load(path):
     if doc.get("schema_version") != 1:
         print("ERROR: %s: schema_version != 1" % path, file=sys.stderr)
         sys.exit(2)
+    return doc
+
+
+def series_of(doc):
+    """The document's series, keyed by name."""
     return {s["name"]: s for s in doc.get("series", []) if s.get("name")}
 
 
@@ -92,6 +104,29 @@ def compare(baseline, candidate, threshold_pct):
     return rows, regressions, added, removed
 
 
+def exact_diffs(baseline, candidate, base_metrics, cand_metrics):
+    """Every difference between two runs, one line each: a series or metric
+    only on one side, or a series field / metric whose value differs."""
+    diffs = []
+    for kind, base, cand in (("series", baseline, candidate),
+                             ("metric", base_metrics, cand_metrics)):
+        for name in sorted(set(base) - set(cand)):
+            diffs.append("removed %s: %s" % (kind, name))
+        for name in sorted(set(cand) - set(base)):
+            diffs.append("added %s: %s" % (kind, name))
+    for name in sorted(set(baseline) & set(candidate)):
+        b, c = baseline[name], candidate[name]
+        for field in sorted(set(b) | set(c)):
+            if b.get(field) != c.get(field):
+                diffs.append("%s.%s: %r -> %r"
+                             % (name, field, b.get(field), c.get(field)))
+    for name in sorted(set(base_metrics) & set(cand_metrics)):
+        if base_metrics[name] != cand_metrics[name]:
+            diffs.append("metric %s: %r -> %r"
+                         % (name, base_metrics[name], cand_metrics[name]))
+    return diffs
+
+
 def fmt_delta(delta):
     if delta is None:
         return "0.0%"
@@ -133,6 +168,26 @@ def self_test():
     assert [n for n, _, _ in regressions] == ["t", "t"]
     assert added == [] and removed == []
     assert filter_series(base, None) is base
+    # --exact: identical runs pass; one op more in one series, a changed
+    # layer, or a metric missing from one side each fail — even where the
+    # thresholded comparison sees no p50/p95 move at all.
+    det = {"d": {"name": "d", "unit": "us", "count": 10, "p50": 5.0,
+                 "p95": 5.0, "layers": {"x": 1.0}}}
+    metrics = {"ncl.a": 1, "ncl.b": 2}
+    assert exact_diffs(det, det, metrics, metrics) == []
+    one_more_op = {"d": dict(det["d"], count=11)}
+    assert exact_diffs(det, one_more_op, metrics, metrics) == [
+        "d.count: 10 -> 11"]
+    assert compare(det, one_more_op, 5.0)[1] == []
+    moved_layer = {"d": dict(det["d"], layers={"x": 2.0})}
+    assert len(exact_diffs(det, moved_layer, metrics, metrics)) == 1
+    assert exact_diffs(det, det, metrics, {"ncl.a": 1}) == [
+        "removed metric: ncl.b"]
+    assert exact_diffs(det, det, {"ncl.a": 1}, metrics) == [
+        "added metric: ncl.b"]
+    assert exact_diffs(det, det, metrics, {"ncl.a": 1, "ncl.b": 3}) == [
+        "metric ncl.b: 2 -> 3"]
+    assert exact_diffs(det, {}, {}, {}) == ["removed series: d"]
     print("bench_compare self-test OK")
     return 0
 
@@ -147,6 +202,9 @@ def main():
     parser.add_argument("--series", metavar="REGEX", default=None,
                         help="only compare series matching this regex")
     parser.add_argument("--fail-on-regress", action="store_true")
+    parser.add_argument("--exact", action="store_true",
+                        help="fail on any difference in any series field "
+                             "or metric")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
 
@@ -156,12 +214,23 @@ def main():
         parser.print_usage(sys.stderr)
         return 2
 
+    base_doc, cand_doc = load(args.baseline), load(args.candidate)
     try:
-        baseline = filter_series(load(args.baseline), args.series)
-        candidate = filter_series(load(args.candidate), args.series)
+        baseline = filter_series(series_of(base_doc), args.series)
+        candidate = filter_series(series_of(cand_doc), args.series)
     except re.error as e:
         print("ERROR: bad --series regex: %s" % e, file=sys.stderr)
         return 2
+    if args.exact:
+        diffs = exact_diffs(baseline, candidate,
+                            base_doc.get("metrics", {}),
+                            cand_doc.get("metrics", {}))
+        for line in diffs:
+            print("  " + line)
+        print("exact: %d series, %d metrics, %d difference(s)"
+              % (len(baseline), len(base_doc.get("metrics", {})),
+                 len(diffs)))
+        return 1 if diffs else 0
     rows, regressions, added, removed = compare(
         baseline, candidate, args.threshold)
 
