@@ -17,13 +17,12 @@ constexpr uint64_t kSlabBytes = 64ull << 20;
 }  // namespace
 
 LogPeer::LogPeer(std::string name, Fabric* fabric, Controller* controller,
-                 uint64_t lend_bytes, ObsContext obs, LogPeerOptions options)
+                 uint64_t lend_bytes, ObsContext obs)
     : name_(std::move(name)),
       fabric_(fabric),
       controller_(controller),
       lend_bytes_(lend_bytes),
       available_bytes_(lend_bytes),
-      options_(options),
       obs_(obs) {
   // Per-peer instruments, "ncl.peer.<name>.*" (same per-instance naming as
   // the dfs per-server counters).
@@ -86,18 +85,7 @@ void LogPeer::ChargeRpc() {
   fabric_->sim()->Advance(fabric_->params().rdma.setup_rpc_latency);
 }
 
-uint64_t LogPeer::CarveExtentBytes(uint64_t region_bytes) const {
-  uint64_t align = options_.carve_align;
-  if (align == 0) {
-    return region_bytes;
-  }
-  return (region_bytes + align - 1) / align * align;
-}
-
 Result<LogPeer::Carve> LogPeer::CarveRegion(uint64_t region_bytes) {
-  // The extent cut from the slab is the carve-aligned size; the fabric
-  // region bound over it stays exactly the requested size.
-  const uint64_t extent_bytes = CarveExtentBytes(region_bytes);
   // First fit across existing slabs, index order (determinism): the pinned
   // memory is already NIC-registered, so a hit here skips MR setup entirely
   // (§4.3's "recycle the memory region", generalized to arbitrary sizes).
@@ -105,7 +93,7 @@ Result<LogPeer::Carve> LogPeer::CarveRegion(uint64_t region_bytes) {
   uint64_t offset = 0;
   for (int i = 0; i < static_cast<int>(slabs_.size()) && slab_idx < 0; ++i) {
     for (const auto& [off, len] : slabs_[i].free) {
-      if (len >= extent_bytes) {
+      if (len >= region_bytes) {
         slab_idx = i;
         offset = off;
         break;
@@ -116,13 +104,13 @@ Result<LogPeer::Carve> LogPeer::CarveRegion(uint64_t region_bytes) {
     // No extent fits: pin + register a fresh slab, paying the expensive MR
     // setup once for every carve that will land in it.
     uint64_t slab_bytes =
-        std::max(std::min(lend_bytes_, kSlabBytes), extent_bytes);
+        std::max(std::min(lend_bytes_, kSlabBytes), region_bytes);
     uint64_t lendable = lend_bytes_ - std::min(lend_bytes_, slab_bytes_total_);
     slab_bytes = std::min(slab_bytes, lendable);
-    if (slab_bytes < extent_bytes) {
+    if (slab_bytes < region_bytes) {
       return ResourceExhaustedError("peer " + name_ +
                                     " slab pool cannot grow by " +
-                                    std::to_string(extent_bytes) + " bytes");
+                                    std::to_string(region_bytes) + " bytes");
     }
     fabric_->sim()->Advance(
         fabric_->params().MrRegisterLatency(slab_bytes));
@@ -142,10 +130,10 @@ Result<LogPeer::Carve> LogPeer::CarveRegion(uint64_t region_bytes) {
   auto it = slab.free.find(offset);
   uint64_t extent = it->second;
   slab.free.erase(it);
-  if (extent > extent_bytes) {
-    slab.free[offset + extent_bytes] = extent - extent_bytes;
+  if (extent > region_bytes) {
+    slab.free[offset + region_bytes] = extent - region_bytes;
   }
-  slab.used += extent_bytes;
+  slab.used += region_bytes;
   return Carve{*rkey, slab_idx, offset};
 }
 
@@ -156,9 +144,6 @@ void LogPeer::FreeCarve(const Carve& carve, uint64_t len) {
   if (carve.slab < 0 || carve.slab >= static_cast<int>(slabs_.size())) {
     return;
   }
-  // Return the full aligned extent the carve occupied, not just the
-  // requested bytes, or the rounding slack would leak from the free map.
-  len = CarveExtentBytes(len);
   Slab& slab = slabs_[carve.slab];
   slab.used -= std::min(slab.used, len);
   auto [it, inserted] = slab.free.emplace(carve.offset, len);

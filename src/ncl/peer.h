@@ -34,18 +34,6 @@ enum class LogPeerState : int {
   kDead = 2,
 };
 
-// Tuning for the peer-side slab pool (multi-tenant region carving).
-struct LogPeerOptions {
-  // Carve alignment: extents are rounded up to a multiple of this before
-  // being cut from (or returned to) a slab; 0 disables rounding. EC
-  // deployments set this to the shard-region grain so the k+m shard
-  // regions of a stripe — whose byte sizes differ only by stripe-unit
-  // rounding — all occupy identical extents, and first-fit never fragments
-  // under repair/migration churn: a freed shard extent is exactly reusable
-  // by any successor shard.
-  uint64_t carve_align = 0;
-};
-
 class LogPeer {
  public:
   // `lend_bytes` is how much spare memory this node contributes to the pool.
@@ -53,8 +41,7 @@ class LogPeer {
   // shared registry; defaulted so infrastructure-only tests need no
   // registry.
   LogPeer(std::string name, Fabric* fabric, Controller* controller,
-          uint64_t lend_bytes, ObsContext obs = {},
-          LogPeerOptions options = {});
+          uint64_t lend_bytes, ObsContext obs = {});
 
   // Registers the peer on the controller. Must be called before the peer
   // can be handed to applications.
@@ -178,10 +165,6 @@ class LogPeer {
 
   Status CheckAlive() const;
   void ChargeRpc();
-  // Extent size a region of `region_bytes` occupies in its slab: the
-  // requested size rounded up per options_.carve_align. Applied identically
-  // on carve and free so the extent map stays consistent.
-  uint64_t CarveExtentBytes(uint64_t region_bytes) const;
   // Carves `region_bytes` out of the slab pool, registering a new slab when
   // no existing extent fits (kResourceExhausted when the lend budget cannot
   // cover a new slab either).
@@ -207,7 +190,6 @@ class LogPeer {
   NodeId node_;
   uint64_t lend_bytes_;
   uint64_t available_bytes_;
-  LogPeerOptions options_;
   bool alive_ = false;
   bool draining_ = false;
   std::map<MrKey, MrEntry> mr_map_;

@@ -279,12 +279,11 @@ class EcClusterTest : public ::testing::Test {
     app_node_ = fabric_.AddNode("app-server");
   }
 
-  void StartPeers(int n, LogPeerOptions options = {}, uint64_t lend = kLend) {
+  void StartPeers(int n) {
     for (int i = 0; i < n; ++i) {
       auto peer = std::make_unique<LogPeer>("p" + std::to_string(i), &fabric_,
-                                            &controller_, lend,
-                                            ObsContext{&metrics_, nullptr},
-                                            options);
+                                            &controller_, kLend,
+                                            ObsContext{&metrics_, nullptr});
       EXPECT_TRUE(peer->Start().ok());
       directory_.Register(peer.get());
       peers_.push_back(std::move(peer));
@@ -580,34 +579,6 @@ TEST_F(EcClusterTest, RecoveryFencesGeometryMismatch) {
   auto wrong = MakeClient(EcConfig(2, 1));
   EXPECT_EQ(wrong->Recover("wal").status().code(),
             StatusCode::kFailedPrecondition);
-}
-
-// ---------------------------------------------- shard-aligned carving --
-
-TEST_F(EcClusterTest, CarveAlignmentPacksShardRegions) {
-  EcGeometry geo{2, 2, 64};
-  uint64_t shard_region = kNclEcHeaderBytes + geo.ShardCapacity(1 << 20);
-  LogPeerOptions options;
-  options.carve_align = shard_region;
-  StartPeers(4, options);
-  NclConfig config = EcConfig(2, 2);
-  auto client = MakeClient(config);
-  ASSERT_TRUE(client->Create("wal-a").ok());
-  ASSERT_TRUE(client->Create("wal-b").ok());
-  for (const auto& peer : peers_) {
-    // Two shard carves, both exactly one aligned extent each.
-    EXPECT_EQ(peer->slab_used_bytes(), 2 * shard_region) << peer->name();
-  }
-  // Churn: delete one file and re-create; the freed extent is reused
-  // without growing the slab.
-  uint64_t slab_before = peers_[0]->slab_bytes();
-  {
-    auto doomed = client->Recover("wal-a");
-    ASSERT_TRUE(doomed.ok());
-    ASSERT_TRUE((*doomed)->Delete().ok());
-  }
-  ASSERT_TRUE(client->Create("wal-c").ok());
-  EXPECT_EQ(peers_[0]->slab_bytes(), slab_before);
 }
 
 // ------------------------------------------------------- model check --
