@@ -390,22 +390,14 @@ int LogPeer::RunLeakGc(SimTime min_age) {
     bool free_it = false;
     auto apmap = controller_->GetApMap(app, file);
     if (apmap.ok()) {
-      if (apmap->epoch > entry.epoch) {
-        // The application moved to a newer epoch for this file without us:
-        // our allocation was abandoned.
-        free_it = true;
-      } else if (apmap->epoch == entry.epoch) {
-        bool member = false;
-        for (const std::string& p : apmap->peers) {
-          if (p == name_) {
-            member = true;
-            break;
-          }
-        }
-        free_it = !member;
-      }
-      // apmap->epoch < entry.epoch: our allocation is newer than the
-      // recorded entry — the ap-map update is still in progress; keep.
+      // A peer the ap-map names keeps its region, whatever the region's
+      // epoch: a replacement bumps the ap-map's past the survivors', and a
+      // recovery's region switch keeps the old one. A non-member's region
+      // was abandoned once the ap-map reached its epoch; one newer than
+      // the ap-map belongs to an update still in progress.
+      const bool member = std::find(apmap->peers.begin(), apmap->peers.end(),
+                                    name_) != apmap->peers.end();
+      free_it = !member && apmap->epoch >= entry.epoch;
     } else {
       // No ap-map entry for the file. Compare against the app-wide epoch:
       // if the app has moved past our allocation epoch it will never record

@@ -123,8 +123,10 @@ class LogPeer {
 
   // ---- Space-leak GC (§4.5.1) ----------------------------------------------
 
-  // Scans the mr-map and frees allocations whose application has moved on.
-  // `min_age` guards in-progress allocations (an allocation made at the
+  // Scans the mr-map and frees allocations whose application has moved on:
+  // a region of a peer the file's ap-map does not name, once the ap-map's
+  // epoch reached the region's (members keep theirs), or, with no ap-map,
+  // once the app's epoch passed it. `min_age` guards in-progress allocations (an allocation made at the
   // app's current epoch whose ap-map write has not landed yet looks
   // identical to a leaked one; the paper's protocol assumes the probe does
   // not race the initialization, which we make explicit with a grace

@@ -385,7 +385,7 @@ class QueuePair {
   // One WRITE (PostWrite, or within a PostWriteChain / PostWriteBatch
   // chain). Built from a view, the bytes are copied into the fabric's WR
   // payload arena before the post call returns, so the backing storage only
-  // needs to outlive the call itself. Built from a slice (bulk full-state
+  // needs to outlive the call itself. Built from a slice (catch-up image
   // posts), `owner` holds exactly the bytes `data` views, and the WR keeps
   // that reference until it lands instead of copying; the bytes stay
   // alive even if the poster dies with the WR in flight.
