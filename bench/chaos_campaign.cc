@@ -23,8 +23,7 @@ int main() {
   bench::Title("Chaos campaign: seeded fault schedules vs. the protocol");
 
   CampaignOptions options;
-  // Full mode is nightly scale: 10x the 200-seed tier-1 sweep. The scale
-  // is what makes the calendar-queue scheduler's throughput load-bearing.
+  // Full mode is nightly scale: 10x the 200-seed tier-1 sweep.
   options.runs = reporter.smoke() ? 3 : 2000;
   Result<std::optional<uint64_t>> runs = UnsignedFromEnv("SPLITFT_CHAOS_RUNS");
   if (!runs.ok() || (*runs && (**runs == 0 || **runs > INT_MAX))) {

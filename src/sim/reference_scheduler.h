@@ -4,10 +4,10 @@
 //
 //   * tests/sim_test.cc — the scheduler-equivalence suite replays
 //     randomized Schedule/ScheduleAt/Cancel/AdvanceTo workloads against
-//     this reference and asserts the calendar-queue core fires the same
+//     this reference and asserts the indexed-heap core fires the same
 //     events at the same timestamps in the same order;
-//   * bench/micro_sim.cc — the ≥5x events/sec claim is measured against
-//     this implementation on the same machine in the same process.
+//   * bench/micro_sim.cc — the core's events/sec speedup is measured
+//     against this implementation on the same machine in the same process.
 //
 // Do NOT use this in production code; Simulation (src/sim/simulation.h) is
 // the scheduler. This class intentionally preserves the seed's quirks,

@@ -134,12 +134,12 @@ TEST(DeterminismTest, DifferentSeedsActuallyDiverge) {
   EXPECT_NE(a.metrics_json, c.metrics_json);
 }
 
-// The calendar-queue scheduler's cursor crosses a bucket boundary every
-// 1024 virtual ns and wraps the whole 4096-bucket ring every ~4.2 ms. A
-// 2 ms-stepped, multi-millisecond chaos scenario (above) already rolls the
-// wheel over dozens of times; this variant pins the workload's own append
-// cadence to exact bucket-boundary timestamps so rollover handling itself
-// is inside the byte-compared window.
+// A variant whose append cadence is pinned to exact multiples of 1024
+// virtual ns, to one either side, or clear past a ~4.2 ms horizon: the
+// bucket edges and ring horizon of an earlier calendar-queue scheduler.
+// The scheduler is one heap now and has no such edges; the scenario keeps
+// its steps, so its pinned digest still covers RunUntil stops between
+// appends and long idle jumps of the clock.
 RunArtifacts RunBucketBoundaryScenario(uint64_t seed) {
   TestbedOptions options;
   options.tracing = true;
@@ -152,8 +152,8 @@ RunArtifacts RunBucketBoundaryScenario(uint64_t seed) {
   auto file = server->fs->Open("/det-roll-wal", opts);
   CHECK_OK(file.status());
 
-  constexpr SimTime kBucket = sim_internal::EventQueue::kBucketWidth;
-  constexpr SimTime kHorizon = sim_internal::EventQueue::kHorizon;
+  constexpr SimTime kBucket = 1024;
+  constexpr SimTime kHorizon = 4096 * kBucket;
   Simulation* sim = testbed.sim();
   Rng rng(seed);
   for (int k = 0; k < 40; ++k) {
@@ -162,7 +162,7 @@ RunArtifacts RunBucketBoundaryScenario(uint64_t seed) {
     DiscardStatus(testbed.obs(), (*file)->Append(payload),
                   "rollover append");
     // Step exactly to the next bucket edge, to one edge ± 1, or clear past
-    // the full wheel horizon (forcing overflow migration + cursor sync).
+    // the whole horizon.
     SimTime now = sim->Now();
     SimTime next_edge = (now / kBucket + 1) * kBucket;
     switch (k % 4) {
