@@ -100,6 +100,11 @@ class Controller {
   // the allocation (§4.3).
   Result<std::vector<PeerRecord>> GetPeers(size_t n, uint64_t min_bytes,
                                            const std::set<std::string>& exclude);
+  // The peer registry's zxid: it moves with every registration,
+  // unregistration, availability update and state flip. Read without an
+  // RPC, as a client holding a ZooKeeper watch on /peers learns of a
+  // change; a GetPeers answer can only differ once it moved.
+  uint64_t PeerRegistryZxid() const { return registry_.zxid(); }
 
   // ---- Application epochs (space-leak GC, §4.5.1) ------------------------
 

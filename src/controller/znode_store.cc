@@ -17,6 +17,7 @@ void ZnodeStore::ExpireSession(SessionId session) {
   for (auto it = nodes_.begin(); it != nodes_.end();) {
     if (it->second.ephemeral_owner == session) {
       it = nodes_.erase(it);
+      zxid_++;
     } else {
       ++it;
     }
@@ -32,6 +33,7 @@ Status ZnodeStore::Create(const std::string& path, std::string data,
   it->second.data = std::move(data);
   it->second.version = 0;
   it->second.ephemeral_owner = ephemeral_owner;
+  zxid_++;
   return OkStatus();
 }
 
@@ -58,6 +60,7 @@ Status ZnodeStore::Set(const std::string& path, std::string data,
   }
   it->second.data = std::move(data);
   it->second.version++;
+  zxid_++;
   return OkStatus();
 }
 
@@ -65,6 +68,7 @@ Status ZnodeStore::Delete(const std::string& path) {
   if (nodes_.erase(path) == 0) {
     return NotFoundError("znode missing: " + path);
   }
+  zxid_++;
   return OkStatus();
 }
 

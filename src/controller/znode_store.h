@@ -67,9 +67,13 @@ class ZnodeStore {
   std::vector<std::string> Children(const std::string& dir) const;
 
   size_t size() const { return nodes_.size(); }
+  // The number of changes committed so far (ZooKeeper's zxid): every
+  // creation, update and deletion moves it, an ephemeral expiry included.
+  uint64_t zxid() const { return zxid_; }
 
  private:
   std::map<std::string, Znode> nodes_;
+  uint64_t zxid_ = 0;
   SessionId next_session_ = 1;
   SessionId session_step_ = 1;
 };

@@ -111,14 +111,15 @@ std::string_view NclGeometry::SlotBytes(uint32_t role,
   return *scratch;
 }
 
-SharedBytes NclGeometry::SlotSlice(uint32_t role, const CowBuffer& logical,
+SharedBytes NclGeometry::SlotSlice(uint32_t role, std::string_view logical,
                                    const SlotRange& range) const {
+  std::string bytes;
   if (k_ == 1) {
-    return logical.Slice(range.begin, range.size());
+    bytes.assign(logical.substr(range.begin, range.size()));
+  } else {
+    SlotBytes(role, logical, range, &bytes);
   }
-  std::string encoded;
-  SlotBytes(role, logical.view(), range, &encoded);
-  return SharedBytes(std::move(encoded));
+  return SharedBytes(std::move(bytes));
 }
 
 NclGeometry::Claim NclGeometry::ClaimFrom(

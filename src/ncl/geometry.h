@@ -90,9 +90,10 @@ class NclGeometry {
   std::string_view SlotBytes(uint32_t role, std::string_view logical,
                              const SlotRange& range,
                              std::string* scratch) const;
-  // The same bytes as a slice a bulk WR can hold by reference: a slice of
-  // `logical` for a replica, an owned encoding for a shard.
-  SharedBytes SlotSlice(uint32_t role, const CowBuffer& logical,
+  // The same bytes, detached from `logical`, as a slice a bulk WR can hold
+  // by reference and a fabric region adopt: a copy for a replica, the
+  // encoding for a shard.
+  SharedBytes SlotSlice(uint32_t role, std::string_view logical,
                         const SlotRange& range) const;
 
   // ---- Recovery ------------------------------------------------------------

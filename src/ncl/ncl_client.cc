@@ -789,11 +789,15 @@ Status NclFile::WaitFor(uint64_t seq) {
 
   // Off the ack path: restore the fault-tolerance level eagerly. Expired
   // suspects are demoted first so they become eligible for replacement.
+  // After a try found no spare peer, the next waits for the peer registry
+  // to change; blocked writes above still try on every turn.
   if (config.eager_peer_replacement) {
     // Whether any suspect resurrected is irrelevant here; the loop below
     // replaces whatever is still down.
     MaybeRetrySuspects();
-    ReplaceDeadSlots(geo().n());
+    if (no_spare_zxid_ != client_->controller_->PeerRegistryZxid()) {
+      ReplaceDeadSlots(geo().n());
+    }
     AdvanceCommitWatermark();
   }
   return OkStatus();
@@ -940,7 +944,14 @@ bool NclFile::PostSuffix(PeerSlot* slot) {
   return true;
 }
 
+SharedBytes NclFile::ReplicaImage() const {
+  return geo().striped()
+             ? SharedBytes()
+             : geo().SlotSlice(0, buffer_.view(), geo().FullRange(length_));
+}
+
 void NclFile::PostImage(PeerSlot* slot, RKey rkey,
+                        const SharedBytes& replica_image,
                         std::optional<std::string_view> base) {
   const uint64_t header_bytes = geo().header_bytes();
   const SlotRange range = geo().FullRange(length_);
@@ -948,10 +959,14 @@ void NclFile::PostImage(PeerSlot* slot, RKey rkey,
     slot->inflight.emplace_back(slot->qp->PostWrite(op), commits);
   };
   if (!range.empty()) {
-    // The image WRs reference their bytes instead of copying them; an
-    // append racing them copies buffer_ first (CowBuffer), so they land
-    // the snapshot they were posted with.
-    SharedBytes image = geo().SlotSlice(slot->role, buffer_, range);
+    // The image WRs reference their bytes instead of copying them, and the
+    // region adopts the chunks they cover whole. The bytes are detached
+    // from buffer_, so appends racing the WRs, and every append after
+    // them, still write buffer_ in place.
+    SharedBytes image =
+        geo().striped()
+            ? geo().SlotSlice(slot->role, buffer_.view(), range)
+            : replica_image;
     if (!base) {
       post({rkey, header_bytes + range.begin, std::move(image)}, 0);
     } else {
@@ -969,7 +984,7 @@ void NclFile::PostImage(PeerSlot* slot, RKey rkey,
 
 void NclFile::PostCatchUp(PeerSlot* slot) {
   if (!PostSuffix(slot)) {
-    PostImage(slot, slot->rkey);
+    PostImage(slot, slot->rkey, ReplicaImage());
   }
 }
 
@@ -1140,8 +1155,10 @@ void NclFile::CatchUpViaStagedRegions() {
     });
   }
   // The images go one slot after another: every WRITE leaves through the
-  // client's one link.
+  // client's one link. The replicas all post one copy of the log, so the
+  // staged regions that adopt it hold it once.
   const uint64_t image_bytes = geo().FullRange(length_).size();
+  const SharedBytes replica_image = ReplicaImage();
   auto write_image = [&](PeerSlot* slot, RKey rkey) -> Status {
     ObsSpan span(obs.tracer, "ncl.catchup.bulk");
     std::optional<std::string> base;
@@ -1153,7 +1170,7 @@ void NclFile::CatchUpViaStagedRegions() {
       RETURN_IF_ERROR(AwaitInflight({slot}));
       base = *std::exchange(slot->landed, std::nullopt);
     }
-    PostImage(slot, rkey, base);
+    PostImage(slot, rkey, replica_image, base);
     return AwaitInflight({slot});
   };
   for (size_t i = 0; i < live.size(); ++i) {
@@ -1194,9 +1211,14 @@ Result<NclFile::PeerSlot> NclFile::AllocateSuccessor(
   if (!epoch.ok()) {
     return epoch.status();
   }
+  const uint64_t zxid = client->controller_->PeerRegistryZxid();
   auto got = client->AllocateOnFreshPeer(
       name_, geo().SlotRegionBytes(capacity_), *epoch, exclude);
   if (!got.ok()) {
+    if (got.status().code() == StatusCode::kUnavailable) {
+      // No spare peer (a controller outage times out instead).
+      no_spare_zxid_ = zxid;
+    }
     // Nothing was allocated under the new epoch, so the file keeps its
     // own: a join this one nested in is not superseded by a failed try.
     return got.status();
@@ -1244,7 +1266,7 @@ Status NclFile::JoinSuccessor(PeerSlot* slot, std::set<std::string> exclude) {
   // snapshot its header acks.
   {
     ObsSpan span(client_->obs_.tracer, "ncl.catchup.bulk");
-    PostImage(&fresh, fresh.rkey);
+    PostImage(&fresh, fresh.rkey, ReplicaImage());
     RETURN_IF_ERROR(AwaitInflight({&fresh}));
   }
   // Catch-up rounds. Each ships only (acked, seq_] from the window history

@@ -434,13 +434,18 @@ class NclFile {
   void RaiseCommittedSeq();
   void PruneWindow();
   // ---- The one catch-up builder (§4.5.1–§4.5.2) --------------------------
+  // A replicated file's slot image over FullRange(length_), copied once
+  // out of buffer_ for one catch-up round: every replica of the round
+  // posts it, and the regions that adopt its chunks share one host copy
+  // without pinning buffer_. Empty for a striped file.
+  SharedBytes ReplicaImage() const;
   // A region is caught up once it holds the current image and header.
   // PostImage posts the WRs that bring `slot`'s region `rkey` there: the
-  // slot image (each image WR holds its bytes by reference), or with
-  // `base`, a read-back of that region's image, only the ranges that
-  // differ from it; then the header, whose completion acks seq_. One
-  // doorbell per WR.
-  void PostImage(PeerSlot* slot, RKey rkey,
+  // slot image (`replica_image` for a replica, the slot's own encoding for
+  // a shard; each image WR holds its bytes by reference), or with `base`,
+  // a read-back of that region's image, only the ranges that differ from
+  // it; then the header, whose completion acks seq_. One doorbell per WR.
+  void PostImage(PeerSlot* slot, RKey rkey, const SharedBytes& replica_image,
                  std::optional<std::string_view> base = std::nullopt);
   // Reposts only the unacked suffix (slot->acked_seq, seq_] from the window
   // history as one WR chain (one doorbell; the header acks seq_). Returns
@@ -515,8 +520,8 @@ class NclFile {
   uint64_t committed_seq_ = 0;
   // Recent appends, oldest first, covering at least (min alive acked, seq_].
   std::deque<WindowEntry> window_;
-  // Local copy of the file contents; reads and bulk catch-up WRs take
-  // slices of it.
+  // Local copy of the file contents; reads take slices of it, catch-up
+  // rounds a detached copy (ReplicaImage).
   CowBuffer buffer_;
   std::vector<PeerSlot> slots_;
   std::vector<std::string> peer_names_;
@@ -530,6 +535,11 @@ class NclFile {
   // catch-up rounds can ship suffixes instead of images while appends
   // race.
   std::vector<const PeerSlot*> joining_;
+  // The peer registry's zxid (Controller::PeerRegistryZxid) when a
+  // successor allocation last found no spare peer. While the registry
+  // still reads it, WaitFor's eager replacement is skipped: a try would
+  // find none again, only to bump the epoch and pay its controller RPCs.
+  std::optional<uint64_t> no_spare_zxid_;
 
   // Set by every change to an input of the commit watermark, the degraded
   // lag or PruneWindow: a slot's acked_seq or alive flag, the membership,

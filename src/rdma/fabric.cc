@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <unordered_set>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -69,8 +70,8 @@ void Fabric::Region::Read(uint64_t offset, uint64_t len,
     size_t index = offset / kRegionChunkBytes;
     uint64_t within = offset % kRegionChunkBytes;
     uint64_t n = std::min(len, ChunkLen(index) - within);
-    if (chunks[index] != nullptr) {
-      out->append(chunks[index].get() + within, n);
+    if (const char* bytes = chunks[index].data(); bytes != nullptr) {
+      out->append(bytes + within, n);
     } else {
       out->append(n, '\0');
     }
@@ -79,35 +80,53 @@ void Fabric::Region::Read(uint64_t offset, uint64_t len,
   }
 }
 
-void Fabric::Region::Write(uint64_t offset, std::string_view data) {
+void Fabric::Region::Write(uint64_t offset, std::string_view data,
+                           const SharedBytes* owner) {
   while (!data.empty()) {
     size_t index = offset / kRegionChunkBytes;
     uint64_t within = offset % kRegionChunkBytes;
-    uint64_t n = std::min<uint64_t>(data.size(), ChunkLen(index) - within);
-    std::unique_ptr<char[]>& chunk = chunks[index];
-    if (chunk == nullptr) {
-      // Fresh memory reads as zeros; zero only what this write leaves.
-      const uint64_t chunk_len = ChunkLen(index);
-      chunk = std::make_unique_for_overwrite<char[]>(chunk_len);
-      std::memset(chunk.get(), 0, within);
-      std::memset(chunk.get() + within + n, 0, chunk_len - within - n);
+    const uint64_t chunk_len = ChunkLen(index);
+    uint64_t n = std::min<uint64_t>(data.size(), chunk_len - within);
+    Chunk& chunk = chunks[index];
+    if (owner != nullptr && n == chunk_len) {
+      // The write covers the whole chunk: hold the payload's bytes.
+      chunk.own.reset();
+      chunk.adopted =
+          owner->Slice(static_cast<size_t>(data.data() - owner->data()), n);
+    } else {
+      if (chunk.own == nullptr) {
+        // Fill only what this write leaves: the adopted bytes, or the
+        // zeros fresh memory reads as.
+        const char* old = chunk.adopted.data();
+        chunk.own = std::make_unique_for_overwrite<char[]>(chunk_len);
+        char* bytes = chunk.own.get();
+        const uint64_t end = within + n;
+        if (old != nullptr) {
+          std::memcpy(bytes, old, within);
+          std::memcpy(bytes + end, old + end, chunk_len - end);
+        } else {
+          std::memset(bytes, 0, within);
+          std::memset(bytes + end, 0, chunk_len - end);
+        }
+        chunk.adopted = SharedBytes();
+      }
+      std::memcpy(chunk.own.get() + within, data.data(), n);
     }
-    std::memcpy(chunk.get() + within, data.data(), n);
     offset += n;
     data.remove_prefix(n);
   }
 }
 
 void Fabric::Region::Zero() {
-  for (std::unique_ptr<char[]>& chunk : chunks) {
-    chunk.reset();
+  for (Chunk& chunk : chunks) {
+    chunk = Chunk();
   }
 }
 
 uint64_t Fabric::Region::ResidentBytes() const {
   uint64_t bytes = 0;
   for (size_t i = 0; i < chunks.size(); ++i) {
-    if (chunks[i] != nullptr) {
+    if (chunks[i].data() != nullptr) {
       bytes += ChunkLen(i);
     }
   }
@@ -355,15 +374,19 @@ Status Fabric::CopyRegion(NodeId node_id, RKey src, RKey dst) {
     return InvalidArgumentError("region sizes differ");
   }
   // Only materialized chunks carry bytes; the rest stay zero on both sides.
+  // An adopted chunk is immutable, so the copy shares it.
   for (size_t i = 0; i < from->chunks.size(); ++i) {
-    if (from->chunks[i] == nullptr) {
-      to->chunks[i].reset();
+    const Chunk& chunk = from->chunks[i];
+    if (chunk.own == nullptr) {
+      to->chunks[i] = Chunk{nullptr, chunk.adopted};
       continue;
     }
-    if (to->chunks[i] == nullptr) {
-      to->chunks[i] = std::make_unique_for_overwrite<char[]>(to->ChunkLen(i));
+    to->chunks[i].adopted = SharedBytes();
+    if (to->chunks[i].own == nullptr) {
+      to->chunks[i].own =
+          std::make_unique_for_overwrite<char[]>(to->ChunkLen(i));
     }
-    std::memcpy(to->chunks[i].get(), from->chunks[i].get(), from->ChunkLen(i));
+    std::memcpy(to->chunks[i].own.get(), chunk.own.get(), from->ChunkLen(i));
   }
   return OkStatus();
 }
@@ -378,6 +401,23 @@ uint64_t Fabric::ResidentRegionBytes(NodeId node_id) const {
   for (const RegionSlot& slot : region_slots_) {
     if (slot.node == node_id) {
       bytes += slot.region.ResidentBytes();
+    }
+  }
+  return bytes;
+}
+
+uint64_t Fabric::HostRegionBytes() const {
+  uint64_t bytes = 0;
+  std::unordered_set<const char*> adopted;
+  for (const RegionSlot& slot : region_slots_) {
+    const Region& region = slot.region;
+    for (size_t i = 0; i < region.chunks.size(); ++i) {
+      const Chunk& chunk = region.chunks[i];
+      if (chunk.own != nullptr ||
+          (chunk.adopted.data() != nullptr &&
+           adopted.insert(chunk.adopted.data()).second)) {
+        bytes += region.ChunkLen(i);
+      }
     }
   }
   return bytes;
@@ -577,7 +617,8 @@ bool Fabric::TryDeliverOnce(WorkRequest* wr,
     CompleteWr(qp, *wr, WcStatus::kSuccess, std::move(wr->landing));
   } else {
     // One-sided write: lands in remote memory with no remote CPU.
-    slot->region.Write(wr->remote_offset, wr->payload());
+    slot->region.Write(wr->remote_offset, wr->payload(),
+                       wr->pinned.empty() ? nullptr : &wr->pinned);
     CompleteWr(qp, *wr, WcStatus::kSuccess);
   }
   return true;

@@ -156,8 +156,11 @@ class Fabric {
   Result<uint64_t> RegionSize(NodeId node, RKey rkey) const;
 
   // Host-side diagnostics (no simulated meaning): bytes of region memory
-  // materialized on `node`, and bytes held by the WR payload arenas.
+  // materialized on `node`; host bytes behind every region of the fabric,
+  // a chunk adopted from a WRITE payload counted once however many regions
+  // share it; and bytes held by the WR payload arenas.
   uint64_t ResidentRegionBytes(NodeId node) const;
+  uint64_t HostRegionBytes() const;
   uint64_t PooledPayloadBytes() const;
 
   // ---- Spare host buffer (host-side, no simulated meaning) ---------------
@@ -198,25 +201,42 @@ class Fabric {
  private:
   friend class QueuePair;
 
+  // One chunk of a region: a buffer of its own, or an adopted immutable
+  // slice of a WRITE payload (DESIGN.md §15, "Region memory"); neither
+  // while it was never written.
+  struct Chunk {
+    const char* data() const {
+      return own != nullptr ? own.get() : adopted.data();
+    }
+
+    std::unique_ptr<char[]> own;
+    SharedBytes adopted;
+  };
+
   // A registered region's bytes, materialized on demand. `size` is the
   // registered length, which every cost is priced by. The bytes live in
   // chunks of kRegionChunkBytes (the last one holds only the remainder),
-  // each allocated by the first write that touches it; a missing chunk
+  // each materialized by the first write that touches it; a missing chunk
   // reads as zeros.
   struct Region {
     explicit Region(uint64_t bytes);
 
     uint64_t ChunkLen(size_t index) const;
     // Both require [offset, offset + len) to lie within `size`. Read
-    // replaces `*out` with the bytes, reusing its capacity.
+    // replaces `*out` with the bytes, reusing its capacity. Write copies
+    // `data` into the chunks it touches, except that with `owner` (which
+    // holds the bytes `data` views) a chunk it covers whole adopts a slice
+    // of `owner` instead; a partial write into an adopted chunk copies the
+    // chunk first.
     void Read(uint64_t offset, uint64_t len, std::string* out) const;
-    void Write(uint64_t offset, std::string_view data);
+    void Write(uint64_t offset, std::string_view data,
+               const SharedBytes* owner = nullptr);
     // Drops every chunk: the region reads as zeros again.
     void Zero();
     uint64_t ResidentBytes() const;
 
     uint64_t size;
-    std::vector<std::unique_ptr<char[]>> chunks;
+    std::vector<Chunk> chunks;
     bool valid = true;
   };
 
@@ -275,7 +295,8 @@ class Fabric {
     uint64_t len;
     // A write's payload: `len` bytes at `bytes`, held either in the arena
     // (`block` set) or by `pinned` — the owner of a bulk write posted with
-    // one, or the WR's own copy of an oversized payload.
+    // one, or the WR's own copy of an oversized payload. The region a
+    // pinned payload lands in adopts the chunks it covers whole.
     const char* bytes = nullptr;
     PayloadBlock* block = nullptr;
     SharedBytes pinned;
@@ -388,7 +409,10 @@ class QueuePair {
   // needs to outlive the call itself. Built from a slice (catch-up image
   // posts), `owner` holds exactly the bytes `data` views, and the WR keeps
   // that reference until it lands instead of copying; the bytes stay
-  // alive even if the poster dies with the WR in flight.
+  // alive even if the poster dies with the WR in flight. The target region
+  // then keeps a reference to every chunk the bytes cover whole, so an
+  // owner that aliases a growing buffer (a CowBuffer slice) would make its
+  // next mutation copy the buffer.
   struct WriteOp {
     WriteOp() = default;
     WriteOp(RKey key, uint64_t offset, std::string_view bytes)

@@ -87,6 +87,19 @@ class ReferenceRcModel {
   // The rkey dies: invalidated, deregistered or recycled away.
   void KillRegion(RKey rkey) { regions_.erase(rkey); }
 
+  // Local (CPU) access, mirroring Fabric::WriteRegion and CopyRegion on
+  // live regions, and a live region's bytes (null for a dead rkey).
+  void WriteRegion(RKey rkey, uint64_t offset, std::string_view data) {
+    regions_.at(rkey).bytes.replace(offset, data.size(), data);
+  }
+  void CopyRegion(RKey src, RKey dst) {
+    regions_.at(dst).bytes = regions_.at(src).bytes;
+  }
+  const std::string* bytes(RKey rkey) const {
+    auto it = regions_.find(rkey);
+    return it == regions_.end() ? nullptr : &it->second.bytes;
+  }
+
   int OpenQp(NodeId local, NodeId remote) {
     qps_.push_back(Qp{local, remote, !Reachable(local, remote), 1, {}});
     return static_cast<int>(qps_.size() - 1);

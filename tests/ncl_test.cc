@@ -660,6 +660,43 @@ TEST_F(NclTest, RecoverToleratesFPeerCrashes) {
   EXPECT_EQ(Contents(recovered->get()), "acked-data");
 }
 
+// With one of three peers dead and no spare, eager replacement asks the
+// controller once. Until the peer registry changes, the appends after it
+// neither bump the epoch nor pay for a try; a peer that registers makes
+// the next append replace the slot.
+TEST_F(NclTest, MissingSpareIsNotRetriedUntilTheRegistryChanges) {
+  StartPeers(3);
+  auto client = MakeClient();
+  auto file = client->Create("/wal/1");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Append("healthy").ok());
+  const uint64_t epoch = *controller_.GetAppEpoch("test-app");
+  PeerNamed((*file)->peer_names()[0])->Crash();
+  ASSERT_TRUE((*file)->Append("first").ok());  // finds no spare
+  EXPECT_EQ((*file)->alive_peers(), 2);
+  const uint64_t rpcs = controller_.rpc_count();
+  const SimTime start = sim_.Now();
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_TRUE((*file)->Append("more").ok());
+  }
+  EXPECT_EQ(controller_.rpc_count(), rpcs);
+  EXPECT_LT(sim_.Now() - start, Micros(100));
+  EXPECT_LE(*controller_.GetAppEpoch("test-app"), epoch + 1);
+  EXPECT_EQ((*file)->alive_peers(), 2);
+
+  auto spare = std::make_unique<LogPeer>("p3", &fabric_, &controller_, kLend);
+  ASSERT_TRUE(spare->Start().ok());
+  directory_.Register(spare.get());
+  peers_.push_back(std::move(spare));
+  ASSERT_TRUE((*file)->Append("tail").ok());
+  EXPECT_EQ((*file)->alive_peers(), 3);
+  std::string oracle = "healthyfirst";
+  for (int i = 0; i < 9; ++i) {
+    oracle += "more";
+  }
+  EXPECT_EQ(Contents(file->get()), oracle + "tail");
+}
+
 TEST_F(NclTest, RecoverUnavailableWhenMajorityLost) {
   StartPeers(3);
   {
@@ -1573,6 +1610,51 @@ TEST_F(NclTest, BulkCatchUpWrLandsAfterItsFileIsDestroyed) {
 TEST_F(NclTest, RecoveredReplicaAppendsInPlace) {
   StartPeers(3);
   ExpectRecoveredLogAppendsInPlace(NclConfig{});
+}
+
+// Recovery stages the same image on all three replicas: their regions
+// adopt the whole chunks of one host copy of it instead of copying it
+// three times, and the log stays intact through appends and a second
+// recovery.
+TEST_F(NclTest, StagedReplicasShareOneImageCopy) {
+  StartPeers(3);
+  constexpr uint64_t kChunk = Fabric::kRegionChunkBytes;
+  constexpr uint64_t kImage = 5 * kChunk;
+  NclConfig config;
+  config.default_capacity = 8 * kChunk;
+  std::string oracle;
+  {
+    auto client = MakeClient(config);
+    auto file = client->Create("/wal/1");
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    for (uint64_t i = 0; i < kImage / (64 << 10); ++i) {
+      std::string record(64 << 10, static_cast<char>('a' + i % 26));
+      oracle += record;
+      ASSERT_TRUE((*file)->Append(record).ok());
+    }
+  }
+  sim_.RunUntilIdle();
+  auto fresh = MakeClient(config);
+  auto recovered = fresh->Recover("/wal/1");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  uint64_t resident = 0;
+  for (const auto& peer : peers_) {
+    resident += fabric_.ResidentRegionBytes(peer->node());
+  }
+  EXPECT_GE(resident, 3 * kImage);
+  // One copy of the image's whole chunks, plus each region's partial
+  // first and last chunks.
+  EXPECT_LE(fabric_.HostRegionBytes(), kImage + 3 * 2 * kChunk);
+
+  ASSERT_TRUE((*recovered)->Append("tail").ok());
+  oracle += "tail";
+  EXPECT_TRUE(Contents(recovered->get()) == oracle);
+  recovered->reset();
+  sim_.RunUntilIdle();
+  auto third = MakeClient(config);
+  auto again = third->Recover("/wal/1");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(Contents(again->get()) == oracle);
 }
 
 TEST_F(NclTest, RecoveredStripeAppendsInPlace) {

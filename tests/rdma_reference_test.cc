@@ -7,19 +7,29 @@
 // recycles and registers regions. Whatever the timing did, every QP's CQ
 // must yield exactly the model's completions: same order, same statuses,
 // same READ bytes.
+//
+// A second suite runs the same schedules on regions of a few chunks
+// (Fabric::kRegionChunkBytes): WRITEs that cover whole chunks, half of them
+// posted with an owner the region may adopt, partial WRITEs into adopted
+// chunks, and local WriteRegion and CopyRegion between quiesced phases.
+// After every phase each live region must also read back, locally, as the
+// model's flat bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/shared_bytes.h"
 #include "src/rdma/fabric.h"
 #include "src/rdma/reference_qp.h"
 #include "src/sim/params.h"
@@ -29,14 +39,20 @@ namespace splitft {
 namespace {
 
 constexpr int kSequences = 10000;
+constexpr int kChunkySequences = 60;
+constexpr uint64_t kChunk = Fabric::kRegionChunkBytes;
 
 // One sequence: two initiators, two targets, five QPs (two share a link),
 // each QP the only one to touch the regions it owns.
 class Sequence {
  public:
-  // With `trace` set, every action is appended to it, one per line.
-  Sequence(uint64_t seed, std::string* trace)
-      : rng_(seed), fabric_(&sim_, &params_), trace_(trace) {
+  // With `trace` set, every action is appended to it, one per line. A
+  // `chunky` sequence runs on regions of a few chunks.
+  Sequence(uint64_t seed, std::string* trace, bool chunky = false)
+      : rng_(seed),
+        fabric_(&sim_, &params_),
+        trace_(trace),
+        chunky_(chunky) {
     // Half the sequences keep a NIC retry window, so WRs toward a dead
     // target stall head-of-line before they fail.
     params_.rdma.unreachable_retry_timeout =
@@ -77,6 +93,8 @@ class Sequence {
 
   uint64_t posts() const { return posts_; }
   const std::array<uint64_t, 4>& statuses() const { return statuses_; }
+  // Quiesced phases after which two regions shared chunk storage.
+  uint64_t shared_phases() const { return shared_phases_; }
 
  private:
   struct Qp {
@@ -107,7 +125,11 @@ class Sequence {
   }
 
   void Register(Qp* q) {
-    const uint64_t size = rng_.Bernoulli(0.5) ? 64 : 256;
+    // A chunky region ends in a whole chunk or in a short one.
+    const uint64_t size = chunky_ ? (rng_.Bernoulli(0.5) ? 3 * kChunk
+                                                         : 2 * kChunk + 100)
+                        : rng_.Bernoulli(0.5) ? 64
+                                              : 256;
     auto rkey = fabric_.RegisterRegion(q->remote, size);
     if (!rkey.ok()) {
       return;  // the target is down
@@ -124,7 +146,7 @@ class Sequence {
   // An rkey for the next WR: mostly a live one of the QP's own, sometimes
   // a dead one, one from the other target, or one never issued.
   RKey PickRkey(const Qp& q, uint64_t* size) {
-    *size = 64;
+    *size = chunky_ ? 2 * kChunk : 64;
     const uint64_t roll = rng_.Uniform(100);
     if (roll < 80 && !q.live.empty()) {
       const auto& [rkey, bytes] = q.live[rng_.Uniform(q.live.size())];
@@ -148,17 +170,58 @@ class Sequence {
     if (rng_.Bernoulli(0.03)) {
       return {size - 2, 8};
     }
+    if (chunky_) {
+      return PickChunkyRange(size);
+    }
     // Small regions and short ranges: later WRs often overlap earlier ones.
     const uint64_t len = rng_.UniformRange(1, 16);
     return {rng_.Uniform(std::min<uint64_t>(size, 48) - len + 1), len};
   }
 
+  // Whole chunks (the short last one included), a range straddling a
+  // chunk boundary, or a few bytes anywhere.
+  std::pair<uint64_t, uint64_t> PickChunkyRange(uint64_t size) {
+    const uint64_t chunks = (size + kChunk - 1) / kChunk;
+    const uint64_t roll = rng_.Uniform(3);
+    if (roll == 0) {
+      const uint64_t first = rng_.Uniform(chunks);
+      const uint64_t end = std::min(
+          size, (first + rng_.UniformRange(1, chunks - first)) * kChunk);
+      return {first * kChunk, end - first * kChunk};
+    }
+    if (roll == 1) {
+      const uint64_t boundary = rng_.UniformRange(1, chunks - 1) * kChunk;
+      const uint64_t offset = boundary - rng_.UniformRange(1, 64);
+      return {offset, std::min(size - offset,
+                               rng_.UniformRange(65, kChunk + 128))};
+    }
+    const uint64_t len = rng_.UniformRange(1, 16);
+    return {rng_.Uniform(size - len + 1), len};
+  }
+
   std::string Payload(uint64_t len) {
+    // A chunky payload repeats a random block of prime length: cheap to
+    // build at chunk sizes, and misaligned with every chunk boundary.
+    const uint64_t random = chunky_ ? std::min<uint64_t>(len, 251) : len;
     std::string bytes(len, '\0');
-    for (char& c : bytes) {
-      c = static_cast<char>('a' + rng_.Uniform(26));
+    for (uint64_t i = 0; i < random; ++i) {
+      bytes[i] = static_cast<char>('a' + rng_.Uniform(26));
+    }
+    for (uint64_t filled = random; filled < len; filled *= 2) {
+      std::memcpy(bytes.data() + filled, bytes.data(),
+                  std::min(filled, len - filled));
     }
     return bytes;
+  }
+
+  // A chunky sequence posts half its WRITEs with an owner, which the
+  // fabric holds instead of copying and whose whole chunks a region adopts.
+  QueuePair::WriteOp MakeWrite(RKey rkey, uint64_t offset,
+                               const std::string& data) {
+    if (chunky_ && rng_.Bernoulli(0.5)) {
+      return QueuePair::WriteOp(rkey, offset, SharedBytes(data));
+    }
+    return QueuePair::WriteOp(rkey, offset, std::string_view(data));
   }
 
   void Step() {
@@ -170,7 +233,7 @@ class Sequence {
       const auto [offset, len] = PickRange(size);
       const std::string data = Payload(len);
       Log([&] { return "write " + Name(q) + Range(rkey, offset, len); });
-      Expect(q, q.qp->PostWrite(rkey, offset, data),
+      Expect(q, q.qp->PostWrite(MakeWrite(rkey, offset, data)),
              model_.PostWrite(q.model, rkey, offset, data));
     } else if (roll < 55) {
       const RKey rkey = PickRkey(q, &size);
@@ -190,7 +253,7 @@ class Sequence {
         const auto [offset, len] = PickRange(size);
         payloads.push_back(Payload(len));
         Log([&] { return "chain " + Name(q) + Range(rkey, offset, len); });
-        ops.emplace_back(rkey, offset, std::string_view(payloads.back()));
+        ops.push_back(MakeWrite(rkey, offset, payloads.back()));
         want.push_back(model_.PostWrite(q.model, rkey, offset, payloads[i]));
       }
       std::vector<uint64_t> got(count);
@@ -269,6 +332,9 @@ class Sequence {
         return Fail("QP " + std::to_string(i) + " never completed wr " +
                     std::to_string(want.front().wr_id));
       }
+      if (chunky_) {
+        CompareRegions(q);
+      }
       if (q.qp->Outstanding() != 0) {
         return Fail("QP " + std::to_string(i) + " idle with WRs outstanding");
       }
@@ -276,6 +342,75 @@ class Sequence {
         return Fail("QP " + std::to_string(i) + " error state differs");
       }
     }
+  }
+
+  // Reads every live region of `q` locally against the model's bytes, a
+  // piece at a time.
+  void CompareRegions(const Qp& q) {
+    constexpr uint64_t kPiece = 64 << 10;
+    for (const auto& [rkey, size] : q.live) {
+      const std::string* want = model_.bytes(rkey);
+      for (uint64_t offset = 0; offset < size; offset += kPiece) {
+        const uint64_t len = std::min(kPiece, size - offset);
+        auto got = fabric_.ReadRegion(q.remote, rkey, offset, len);
+        if (!got.ok() || want == nullptr ||
+            std::string_view(*want).substr(offset, len) != *got) {
+          return Fail(Name(q) + " rkey " + std::to_string(rkey) +
+                      " reads back other bytes than the model's at " +
+                      std::to_string(offset));
+        }
+      }
+    }
+  }
+
+  // Whether two regions share chunk storage now.
+  bool SharesChunks() const {
+    const uint64_t resident =
+        fabric_.ResidentRegionBytes(2) + fabric_.ResidentRegionBytes(3);
+    return fabric_.HostRegionBytes() < resident;
+  }
+
+  // A local write into one of the QP's live regions.
+  void LocalWrite(Qp* q) {
+    if (q->live.empty()) {
+      return;
+    }
+    const auto [rkey, size] = q->live[rng_.Uniform(q->live.size())];
+    auto [offset, len] = PickChunkyRange(size);
+    const std::string data = Payload(len);
+    Log([&] { return "local write " + Name(*q) + Range(rkey, offset, len); });
+    if (!fabric_.WriteRegion(q->remote, rkey, offset, data).ok()) {
+      return Fail("local write into a live region failed");
+    }
+    model_.WriteRegion(rkey, offset, data);
+  }
+
+  // A local copy between two same-sized live regions on the QP's target.
+  void LocalCopy(Qp* q) {
+    std::vector<std::pair<RKey, uint64_t>> live;
+    for (const Qp& each : qps_) {
+      if (each.remote == q->remote) {
+        live.insert(live.end(), each.live.begin(), each.live.end());
+      }
+    }
+    if (live.size() < 2) {
+      return;
+    }
+    const auto [src, size] = live[rng_.Uniform(live.size())];
+    std::erase_if(live, [src, size](const std::pair<RKey, uint64_t>& each) {
+      return each.first == src || each.second != size;
+    });
+    if (live.empty()) {
+      return;
+    }
+    const RKey dst = live[rng_.Uniform(live.size())].first;
+    Log([&] {
+      return "copy rkey " + std::to_string(src) + " to " + std::to_string(dst);
+    });
+    if (!fabric_.CopyRegion(q->remote, src, dst).ok()) {
+      return Fail("copying between live regions failed");
+    }
+    model_.CopyRegion(src, dst);
   }
 
   // One change while nothing is in flight.
@@ -318,6 +453,15 @@ class Sequence {
       default:
         Open(&q);
         break;
+    }
+    if (chunky_) {
+      // Then a local write or copy, on a live region of the same QP.
+      if (rng_.Bernoulli(0.5)) {
+        LocalWrite(&q);
+      } else {
+        LocalCopy(&q);
+      }
+      shared_phases_ += SharesChunks() ? 1 : 0;
     }
     // A QP in error flushes everything; most get a fresh QP.
     for (Qp& each : qps_) {
@@ -387,10 +531,12 @@ class Sequence {
   Fabric fabric_;
   ReferenceRcModel model_;
   std::string* trace_;
+  bool chunky_;
   std::vector<Qp> qps_;
   std::string error_;
   uint64_t posts_ = 0;
   std::array<uint64_t, 4> statuses_{};
+  uint64_t shared_phases_ = 0;
 };
 
 TEST(RcReferenceTest, FabricMatchesReferenceModel) {
@@ -415,6 +561,26 @@ TEST(RcReferenceTest, FabricMatchesReferenceModel) {
     EXPECT_GT(statuses[i], 1000u)
         << WcStatusName(static_cast<WcStatus>(i)) << " too rare";
   }
+}
+
+TEST(RcReferenceTest, ChunkedRegionsMatchReferenceModel) {
+  uint64_t posts = 0;
+  uint64_t shared_phases = 0;
+  for (uint64_t seed = 1; seed <= kChunkySequences; ++seed) {
+    Sequence sequence(seed, nullptr, /*chunky=*/true);
+    const std::string error = sequence.Run();
+    if (!error.empty()) {
+      std::string trace;
+      Sequence(seed, &trace, /*chunky=*/true).Run();
+      FAIL() << "chunky sequence seed " << seed << ": " << error << "\n"
+             << trace;
+    }
+    posts += sequence.posts();
+    shared_phases += sequence.shared_phases();
+  }
+  EXPECT_GT(posts, 1500u);
+  // Copies share adopted chunks often enough to be exercised.
+  EXPECT_GT(shared_phases, 20u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/shared_bytes.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/rdma/fabric.h"
@@ -523,6 +524,52 @@ TEST_F(RdmaTest, CopyRegionClonesContents) {
   EXPECT_EQ(*fabric_.ReadRegion(peer_, *dst, 2 * kChunk + 5, 4), "tail");
   EXPECT_EQ(*fabric_.ReadRegion(peer_, *dst, 0, 16), std::string(16, '\0'));
   EXPECT_FALSE(fabric_.CopyRegion(peer_, *src, *other).ok());
+}
+
+// A WRITE that owns its payload lends whole chunks to the region instead
+// of copying them; the chunks stay one copy until a write changes one.
+TEST_F(RdmaTest, OwnedWholeChunkWriteIsAdoptedAndCopiedOnlyOnChange) {
+  auto a = fabric_.RegisterRegion(peer_, 3 * kChunk);
+  auto b = fabric_.RegisterRegion(peer_, 3 * kChunk);
+  ASSERT_TRUE(a.ok() && b.ok());
+  std::string bytes(3 * kChunk - 100, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>('a' + i % 23);
+  }
+  const SharedBytes image{std::string(bytes)};
+  QueuePair qp(&fabric_, app_, peer_);
+  // [100, 3 MiB): chunk 0 in part, chunks 1 and 2 whole.
+  qp.PostWrite({*a, 100, image});
+  qp.PostWrite({*b, 100, image});
+  ASSERT_EQ(WaitCompletion(&qp).status, WcStatus::kSuccess);
+  ASSERT_EQ(WaitCompletion(&qp).status, WcStatus::kSuccess);
+  EXPECT_EQ(fabric_.ResidentRegionBytes(peer_), 6 * kChunk);
+  // Each region copied its chunk 0; both hold the image's other chunks.
+  EXPECT_EQ(fabric_.HostRegionBytes(), 4 * kChunk);
+
+  // A partial write into an adopted chunk copies that chunk only.
+  qp.PostWrite(*a, kChunk + 10, "new");
+  ASSERT_EQ(WaitCompletion(&qp).status, WcStatus::kSuccess);
+  EXPECT_EQ(fabric_.HostRegionBytes(), 5 * kChunk);
+  std::string want_a = std::string(100, '\0') + bytes;
+  want_a.replace(kChunk + 10, 3, "new");
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *a, 0, 3 * kChunk), want_a);
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *b, 100, bytes.size()), bytes);
+  // So does a local one.
+  ASSERT_TRUE(fabric_.WriteRegion(peer_, *b, 2 * kChunk, "local").ok());
+  EXPECT_EQ(fabric_.HostRegionBytes(), 6 * kChunk);
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *a, 2 * kChunk, 5),
+            bytes.substr(2 * kChunk - 100, 5));
+
+  // A copy shares the source's adopted chunk and copies its own ones.
+  ASSERT_TRUE(fabric_.CopyRegion(peer_, *a, *b).ok());
+  EXPECT_EQ(fabric_.HostRegionBytes(), 5 * kChunk);
+  EXPECT_EQ(*fabric_.ReadRegion(peer_, *b, 0, 3 * kChunk), want_a);
+  // Recycling and a crash drop the references.
+  ASSERT_TRUE(fabric_.RecycleRegion(peer_, *a).ok());
+  EXPECT_EQ(fabric_.HostRegionBytes(), 3 * kChunk);
+  fabric_.CrashNode(peer_);
+  EXPECT_EQ(fabric_.HostRegionBytes(), 0u);
 }
 
 // ------------------------------------------------------- WR payload pool --

@@ -8,8 +8,9 @@
 # that holds this script: the commit of the checkout the binaries were
 # built in (`git describe --always --dirty` run inside <bench-binary-dir>,
 # "unknown" outside a checkout), `nproc`, and for each binary its exit
-# status, wall seconds, user and system CPU seconds and minor page faults
-# (the getrusage(2) record wait4(2) returns for it). One row per change,
+# status, wall seconds, user and system CPU seconds, minor page faults and
+# maximum resident set size in MB (the getrusage(2) record wait4(2) returns
+# for it; ru_maxrss is in KiB on Linux). One row per change,
 # checked in, shows how full-size host time moves over the project's
 # history.
 #
@@ -24,7 +25,7 @@ fi
 unset SPLITFT_BENCH_SMOKE
 
 # Runs binary $1 with its output in file $2 and prints "<exit> <wall_s>
-# <user_s> <sys_s> <minor_faults>" for it.
+# <user_s> <sys_s> <minor_faults> <maxrss_mb>" for it.
 run_measured() {
   python3 - "$1" "$2" <<'PY'
 import os
@@ -40,8 +41,9 @@ with open(sys.argv[2], "wb") as log:
     wall = time.monotonic() - start
 child.returncode = os.waitstatus_to_exitcode(status)
 code = child.returncode if child.returncode >= 0 else 128 - child.returncode
-print(code, "%.3f %.3f %.3f %d" %
-      (wall, usage.ru_utime, usage.ru_stime, usage.ru_minflt))
+print(code, "%.3f %.3f %.3f %d %.1f" %
+      (wall, usage.ru_utime, usage.ru_stime, usage.ru_minflt,
+       usage.ru_maxrss / 1024))
 PY
 }
 
@@ -57,14 +59,16 @@ failed=0
 rows=""
 for bin in "${bins[@]}"; do
   name=$(basename "$bin")
-  read -r status wall user sys minflt < <(run_measured "$bin" "$name.log")
-  if [ -z "${minflt:-}" ]; then  # the binary could not be started
-    status=127 wall=0 user=0 sys=0 minflt=0
+  read -r status wall user sys minflt maxrss \
+    < <(run_measured "$bin" "$name.log")
+  if [ -z "${maxrss:-}" ]; then  # the binary could not be started
+    status=127 wall=0 user=0 sys=0 minflt=0 maxrss=0
   fi
-  printf '%-24s exit=%-3d wall=%ss user=%ss sys=%ss minflt=%d\n' \
-    "$name" "$status" "$wall" "$user" "$sys" "$minflt"
+  printf '%-24s exit=%-3d wall=%ss user=%ss sys=%ss minflt=%d maxrss=%sMB\n' \
+    "$name" "$status" "$wall" "$user" "$sys" "$minflt" "$maxrss"
   rows+="${rows:+, }\"$name\": {\"exit\": $status, \"wall_s\": $wall"
-  rows+=", \"user_s\": $user, \"sys_s\": $sys, \"minflt\": $minflt}"
+  rows+=", \"user_s\": $user, \"sys_s\": $sys, \"minflt\": $minflt"
+  rows+=", \"maxrss_mb\": $maxrss}"
   if [ "$status" -ne 0 ]; then
     failed=1
   fi
