@@ -15,7 +15,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/rdma/fabric.h"
-#include "src/reconfig/reconfig_engine.h"
 #include "src/sim/params.h"
 #include "src/sim/simulation.h"
 
@@ -190,7 +189,6 @@ void Accumulate(CampaignStats* stats, const ClientCounters& now,
 void RunChaosSchedule(uint64_t seed, const CampaignOptions& options,
                       CampaignResult* result) {
   MiniCluster cluster(options);
-  ChaosEngine engine(cluster.Targets());
   RandomPlanOptions plan_options = options.plan;
   plan_options.num_peers = options.num_peers;
   if (seed % 4 == 0) {
@@ -206,15 +204,18 @@ void RunChaosSchedule(uint64_t seed, const CampaignOptions& options,
   // The planned-reconfiguration schedule composing with the faults: drains
   // (with live region migration off the drained peer) and re-activations,
   // derived from the same seed so a violating run reproduces both halves.
-  ReconfigPlan reconfig_plan;
+  // Its events follow the faults in the one plan the engine schedules.
   if (options.with_reconfig) {
     ReconfigPlanOptions rp = options.reconfig_plan;
     rp.num_peers = options.num_peers;
     rp.horizon = plan_options.horizon;
     rp.lease_handover = false;  // raw NclClient: no SplitFs lease to move
     rp.num_dfs_servers = 0;     // no dfs in the mini-cluster
-    reconfig_plan = ReconfigPlan::Random(seed ^ 0x9e3c0f15ull, rp);
-    schedule += "  planned:\n" + reconfig_plan.Describe();
+    FaultPlan planned = FaultPlan::RandomReconfig(seed ^ 0x9e3c0f15ull, rp);
+    schedule += "  planned:\n" + planned.Describe();
+    for (const FaultEvent& ev : planned.events()) {
+      plan.Add(ev);
+    }
   }
 
   result->stats.runs++;
@@ -232,20 +233,11 @@ void RunChaosSchedule(uint64_t seed, const CampaignOptions& options,
     return;
   }
 
-  // Unleash the schedules and drive the append workload across them.
+  // Unleash the schedule and drive the append workload across it.
+  ChaosTargets targets = cluster.Targets();
+  targets.ncl = &client;
+  ChaosEngine engine(std::move(targets));
   engine.Schedule(plan);
-  std::unique_ptr<ReconfigEngine> reconfig;
-  if (options.with_reconfig) {
-    ReconfigTargets rt;
-    rt.sim = &cluster.sim;
-    rt.controller = cluster.controller.get();
-    for (auto& p : cluster.peers) {
-      rt.peers.push_back(p.get());
-    }
-    rt.ncl = &client;
-    reconfig = std::make_unique<ReconfigEngine>(std::move(rt));
-    reconfig->Schedule(reconfig_plan);
-  }
   Rng workload_rng(seed ^ 0x3c0ad5ull);
   std::string shadow;        // every append applied locally (the oracle)
   uint64_t acked_len = 0;    // durable prefix: through the last OK append
@@ -306,12 +298,9 @@ void RunChaosSchedule(uint64_t seed, const CampaignOptions& options,
   // retire planned operations and transient faults (crashed peers stay
   // crashed), and recover with a fresh client.
   file->reset();
-  if (reconfig != nullptr) {
-    result->stats.reconfig_ops_completed += reconfig->ops_completed();
-    result->stats.reconfig_ops_skipped += reconfig->ops_skipped();
-    reconfig->Quiesce();
-  }
-  engine.HealAll();
+  result->stats.reconfig_ops_completed += engine.ops_completed();
+  result->stats.reconfig_ops_skipped += engine.ops_skipped();
+  engine.Quiesce();
   NclConfig recovery_config = MakeConfig(options, seed * 2654435761ull + 2);
   recovery_config.pool = cluster.pool.get();
   NclClient fresh(recovery_config, cluster.fabric.get(),

@@ -20,7 +20,6 @@
 
 #include "src/chaos/fault_plan.h"
 #include "src/ncl/ec.h"
-#include "src/reconfig/reconfig_plan.h"
 #include "src/sim/retry.h"
 
 namespace splitft {
@@ -67,7 +66,7 @@ struct CampaignViolation {
   uint64_t seed = 0;
   std::string invariant;
   std::string detail;
-  std::string schedule;  // FaultPlan::Describe() of the violating run
+  std::string schedule;  // the violating run's plans, Describe()d
 };
 
 struct CampaignStats {

@@ -52,6 +52,20 @@ LogPeer* Testbed::peer_by_name(const std::string& name) {
   return nullptr;
 }
 
+ChaosTargets Testbed::chaos_targets() {
+  ChaosTargets targets;
+  targets.sim = &sim_;
+  targets.fabric = &fabric_;
+  targets.controller = &controller_;
+  targets.directory = &directory_;
+  for (const auto& peer : peers_) {
+    targets.peers.push_back(peer.get());
+  }
+  targets.app_node = app_node_;
+  targets.dfs = &cluster_;
+  return targets;
+}
+
 NclConnectionPool* Testbed::shared_pool() {
   if (shared_pool_ == nullptr) {
     shared_pool_ = std::make_unique<NclConnectionPool>(&fabric_, app_node_,

@@ -13,6 +13,7 @@
 #include "src/apps/redis/redis.h"
 #include "src/apps/sqlitelite/sqlite_lite.h"
 #include "src/apps/storage_app.h"
+#include "src/chaos/chaos_engine.h"
 #include "src/controller/controller.h"
 #include "src/dfs/dfs.h"
 #include "src/ncl/connection_pool.h"
@@ -97,6 +98,10 @@ class Testbed {
   LogPeer* peer_by_name(const std::string& name);
   int num_peers() const { return static_cast<int>(peers_.size()); }
   NodeId app_node() const { return app_node_; }
+  // A ChaosEngine's handles on this cluster: everything but the
+  // application server, which callers set (fs, ncl, extra_ncl) when their
+  // plan holds drains or lease handovers.
+  ChaosTargets chaos_targets();
 
   // The testbed-owned connection pool rooted at app_node(), constructed
   // lazily on first use. Servers built with `.ncl = {.pool = shared_pool()}`

@@ -87,7 +87,7 @@ class Simulation {
   }
 
   // Cancellable variant, used by fault injectors whose pending heal/expiry
-  // events may be retired early (e.g. ChaosEngine::HealAll). The returned
+  // events may be retired early (e.g. ChaosEngine::Quiesce). The returned
   // token cancels the event if it has not fired yet; cancelling a fired or
   // unknown token is a no-op. Tokens are (arena slot, generation) pairs:
   // once the event fires or is cancelled the slot's generation is bumped,

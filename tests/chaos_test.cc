@@ -609,16 +609,7 @@ TEST(ChaosEngineTest, InjectsAndHealsAgainstTestbed) {
   options.num_peers = 4;
   Testbed testbed(options);
 
-  ChaosTargets targets;
-  targets.sim = testbed.sim();
-  targets.fabric = testbed.fabric();
-  targets.controller = testbed.controller();
-  targets.directory = testbed.directory();
-  for (int i = 0; i < testbed.num_peers(); ++i) {
-    targets.peers.push_back(testbed.peer(i));
-  }
-  targets.app_node = testbed.app_node();
-  ChaosEngine engine(targets);
+  ChaosEngine engine(testbed.chaos_targets());
 
   FaultPlan plan;
   plan.Add({Millis(1), FaultKind::kTransientPartition, 0, Millis(50), 0});
@@ -637,7 +628,7 @@ TEST(ChaosEngineTest, InjectsAndHealsAgainstTestbed) {
                                         testbed.peer(2)->node()),
             0);
 
-  engine.HealAll();
+  engine.Quiesce();
   EXPECT_FALSE(testbed.fabric()->IsPartitioned(testbed.app_node(),
                                                testbed.peer(0)->node()));
   EXPECT_FALSE(testbed.controller()->unavailable());

@@ -1,21 +1,22 @@
 // Planned reconfiguration tests (DESIGN.md §13): peer drain with live
 // region migration (epoch-fenced snapshot copy + suffix catch-up + ap-map
 // cutover), the SetApMap bump-then-write fence, cooperative lease
-// handover, rolling dfs server restarts, and the ReconfigEngine/Plan
-// machinery — including the migrate-vs-crash and migrate-vs-append races.
+// handover, rolling dfs server restarts, and the planned kinds of the
+// ChaosEngine and FaultPlan — including the migrate-vs-crash and
+// migrate-vs-append races.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/chaos/chaos_engine.h"
+#include "src/chaos/fault_plan.h"
 #include "src/controller/controller.h"
 #include "src/dfs/dfs.h"
 #include "src/harness/testbed.h"
 #include "src/ncl/ncl_client.h"
 #include "src/ncl/peer.h"
-#include "src/reconfig/reconfig_engine.h"
-#include "src/reconfig/reconfig_plan.h"
 #include "src/sim/simulation.h"
 
 namespace splitft {
@@ -29,15 +30,13 @@ TestbedOptions Options(int num_peers,
   return options;
 }
 
-ReconfigEvent Event(SimTime at, ReconfigKind kind, int peer = -1,
-                    int server = -1, SimTime duration = 0) {
-  ReconfigEvent ev;
-  ev.at = at;
-  ev.kind = kind;
-  ev.peer = peer;
-  ev.server = server;
-  ev.duration = duration;
-  return ev;
+FaultEvent Event(SimTime at, FaultKind kind, int peer = -1, int server = -1,
+                 SimTime duration = 0) {
+  return {.at = at,
+          .kind = kind,
+          .peer = peer,
+          .duration = duration,
+          .server = server};
 }
 
 // ------------------------------------------------ Controller: drain state --
@@ -403,8 +402,8 @@ TEST(ReconfigPlanTest, RandomPlansAreSeedDeterministic) {
   ReconfigPlanOptions options;
   options.num_events = 8;
   options.num_dfs_servers = 3;
-  ReconfigPlan a = ReconfigPlan::Random(42, options);
-  ReconfigPlan b = ReconfigPlan::Random(42, options);
+  FaultPlan a = FaultPlan::RandomReconfig(42, options);
+  FaultPlan b = FaultPlan::RandomReconfig(42, options);
   ASSERT_EQ(a.events().size(), b.events().size());
   for (size_t i = 0; i < a.events().size(); ++i) {
     EXPECT_EQ(a.events()[i].at, b.events()[i].at);
@@ -416,7 +415,7 @@ TEST(ReconfigPlanTest, RandomPlansAreSeedDeterministic) {
     EXPECT_LE(a.events()[i - 1].at, a.events()[i].at);
   }
   EXPECT_FALSE(a.Describe().empty());
-  EXPECT_NE(ReconfigPlan::Random(43, options).Describe(), a.Describe());
+  EXPECT_NE(FaultPlan::RandomReconfig(43, options).Describe(), a.Describe());
 }
 
 TEST(ReconfigEngineTest, ExecutesAFullPlannedCampaign) {
@@ -429,15 +428,9 @@ TEST(ReconfigEngineTest, ExecutesAFullPlannedCampaign) {
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE((*file)->Append("seed").ok());
 
-  ReconfigTargets targets;
-  targets.sim = testbed.sim();
-  targets.controller = testbed.controller();
-  for (int i = 0; i < testbed.num_peers(); ++i) {
-    targets.peers.push_back(testbed.peer(i));
-  }
-  targets.dfs = testbed.dfs_cluster();
+  ChaosTargets targets = testbed.chaos_targets();
   targets.fs = server->fs.get();
-  ReconfigEngine engine(targets, testbed.obs());
+  ChaosEngine engine(targets, testbed.obs());
 
   // Drain a peer that actually holds the file's region so the plan
   // exercises a real migration ("peer-<i>" → index i).
@@ -450,11 +443,11 @@ TEST(ReconfigEngineTest, ExecutesAFullPlannedCampaign) {
   }
 
   SessionId lease_before = server->fs->lease();
-  ReconfigPlan plan;
-  plan.Add(Event(Micros(50), ReconfigKind::kPeerDrain, victim))
-      .Add(Event(Micros(300), ReconfigKind::kLeaseHandover))
-      .Add(Event(Micros(400), ReconfigKind::kDfsRestart, -1, 2, Micros(200)))
-      .Add(Event(Millis(1), ReconfigKind::kPeerActivate, victim));
+  FaultPlan plan;
+  plan.Add(Event(Micros(50), FaultKind::kPeerDrain, victim))
+      .Add(Event(Micros(300), FaultKind::kLeaseHandover))
+      .Add(Event(Micros(400), FaultKind::kDfsRestart, -1, 2, Micros(200)))
+      .Add(Event(Millis(1), FaultKind::kPeerActivate, victim));
   engine.Schedule(plan);
   // The drain's migration pumps the simulation forward (controller RPCs
   // model quorum-committed ZooKeeper ops), which pushes later plan events —
@@ -506,15 +499,10 @@ TEST(ReconfigEngineTest, DrainMigratesPooledCoTenants) {
   ASSERT_TRUE((*f1)->Append("a0").ok());
   ASSERT_TRUE((*f2)->Append("b0").ok());
 
-  ReconfigTargets targets;
-  targets.sim = testbed.sim();
-  targets.controller = testbed.controller();
-  for (int i = 0; i < testbed.num_peers(); ++i) {
-    targets.peers.push_back(testbed.peer(i));
-  }
+  ChaosTargets targets = testbed.chaos_targets();
   targets.fs = s1->fs.get();
   targets.extra_ncl.push_back(s2->fs->ncl());
-  ReconfigEngine engine(targets, testbed.obs());
+  ChaosEngine engine(targets, testbed.obs());
 
   // Pick a victim both tenants are resident on (3-wide replication on 5
   // peers guarantees the two ap-maps intersect).
@@ -533,7 +521,7 @@ TEST(ReconfigEngineTest, DrainMigratesPooledCoTenants) {
   ASSERT_FALSE(victim_name.empty());
   int victim = std::stoi(victim_name.substr(std::string("peer-").size()));
 
-  engine.Execute(Event(0, ReconfigKind::kPeerDrain, victim));
+  engine.Inject(Event(0, FaultKind::kPeerDrain, victim));
   EXPECT_EQ(engine.ops_failed(), 0);
   EXPECT_EQ(engine.ops_completed(), 1);
   EXPECT_EQ(s1->fs->ncl()->regions_migrated(), 1);
@@ -571,14 +559,9 @@ TEST(ReconfigEngineTest, DrainOfAnEcMemberLeavesKPlusMActivePeers) {
   ASSERT_TRUE(file.ok());
   ASSERT_TRUE((*file)->Append("e0").ok());
 
-  ReconfigTargets targets;
-  targets.sim = testbed.sim();
-  targets.controller = testbed.controller();
-  for (int i = 0; i < testbed.num_peers(); ++i) {
-    targets.peers.push_back(testbed.peer(i));
-  }
+  ChaosTargets targets = testbed.chaos_targets();
   targets.fs = server->fs.get();
-  ReconfigEngine engine(targets, testbed.obs());
+  ChaosEngine engine(targets, testbed.obs());
 
   auto before = testbed.controller()->GetApMap("ec-app", "wal");
   ASSERT_TRUE(before.ok());
@@ -586,7 +569,7 @@ TEST(ReconfigEngineTest, DrainOfAnEcMemberLeavesKPlusMActivePeers) {
   const std::string victim_name = before->peers.front();
   int victim = std::stoi(victim_name.substr(std::string("peer-").size()));
 
-  engine.Execute(Event(0, ReconfigKind::kPeerDrain, victim));
+  engine.Inject(Event(0, FaultKind::kPeerDrain, victim));
   EXPECT_EQ(engine.ops_skipped(), 0);
   EXPECT_EQ(engine.ops_failed(), 0);
   EXPECT_EQ(engine.ops_completed(), 1);
@@ -605,18 +588,11 @@ TEST(ReconfigEngineTest, DrainOfAnEcMemberLeavesKPlusMActivePeers) {
 
 TEST(ReconfigEngineTest, QuiesceRetiresOutstandingOperations) {
   Testbed testbed(Options(6, 3));
-  ReconfigTargets targets;
-  targets.sim = testbed.sim();
-  targets.controller = testbed.controller();
-  for (int i = 0; i < testbed.num_peers(); ++i) {
-    targets.peers.push_back(testbed.peer(i));
-  }
-  targets.dfs = testbed.dfs_cluster();
-  ReconfigEngine engine(targets);
+  ChaosEngine engine(testbed.chaos_targets());
 
   // Start a drain and a dfs restart but never let the plan finish them.
-  engine.Execute(Event(0, ReconfigKind::kPeerDrain, 2));
-  engine.Execute(Event(0, ReconfigKind::kDfsRestart, -1, 1, Seconds(5)));
+  engine.Inject(Event(0, FaultKind::kPeerDrain, 2));
+  engine.Inject(Event(0, FaultKind::kDfsRestart, -1, 1, Seconds(5)));
   EXPECT_TRUE(testbed.peer(2)->draining());
   EXPECT_EQ(testbed.dfs_cluster()->offline_server(), 1);
 

@@ -71,7 +71,6 @@ DRAIN_CALLS = frozenset(
         "Drain",
         "WaitFor",
         "Quiesce",
-        "HealAll",
     )
 )
 
