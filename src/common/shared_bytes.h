@@ -38,6 +38,10 @@ class SharedBytes {
   // Copying the bytes out is always spelled out.
   explicit operator std::string() const { return std::string(view_); }
 
+  // The whole string this slice keeps alive (null for an empty default
+  // slice); host-memory accounting counts each owner once.
+  const std::string* owner() const { return owner_.get(); }
+
   // Bytes [offset, offset + len) of this slice, clamped to its end,
   // sharing its owner.
   SharedBytes Slice(size_t offset, size_t len) const {

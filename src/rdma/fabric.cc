@@ -408,15 +408,16 @@ uint64_t Fabric::ResidentRegionBytes(NodeId node_id) const {
 
 uint64_t Fabric::HostRegionBytes() const {
   uint64_t bytes = 0;
-  std::unordered_set<const char*> adopted;
+  std::unordered_set<const std::string*> owners;
   for (const RegionSlot& slot : region_slots_) {
     const Region& region = slot.region;
     for (size_t i = 0; i < region.chunks.size(); ++i) {
       const Chunk& chunk = region.chunks[i];
-      if (chunk.own != nullptr ||
-          (chunk.adopted.data() != nullptr &&
-           adopted.insert(chunk.adopted.data()).second)) {
+      const std::string* owner = chunk.adopted.owner();
+      if (chunk.own != nullptr) {
         bytes += region.ChunkLen(i);
+      } else if (owner != nullptr && owners.insert(owner).second) {
+        bytes += owner->size();
       }
     }
   }

@@ -157,8 +157,9 @@ class Fabric {
 
   // Host-side diagnostics (no simulated meaning): bytes of region memory
   // materialized on `node`; host bytes behind every region of the fabric,
-  // a chunk adopted from a WRITE payload counted once however many regions
-  // share it; and bytes held by the WR payload arenas.
+  // a WRITE payload that chunks adopted slices of counted once, in full,
+  // however many chunks and regions share it; and bytes held by the WR
+  // payload arenas.
   uint64_t ResidentRegionBytes(NodeId node) const;
   uint64_t HostRegionBytes() const;
   uint64_t PooledPayloadBytes() const;

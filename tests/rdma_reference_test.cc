@@ -11,7 +11,9 @@
 // A second suite runs the same schedules on regions of a few chunks
 // (Fabric::kRegionChunkBytes): WRITEs that cover whole chunks, half of them
 // posted with an owner the region may adopt, partial WRITEs into adopted
-// chunks, and local WriteRegion and CopyRegion between quiesced phases.
+// chunks, sqlite's circular WAL (an owned image of a whole region, then
+// records overwritten in place in its other chunks), and local WriteRegion
+// and CopyRegion between quiesced phases.
 // After every phase each live region must also read back, locally, as the
 // model's flat bytes.
 #include <gtest/gtest.h>
@@ -413,6 +415,31 @@ class Sequence {
     model_.CopyRegion(src, dst);
   }
 
+  // sqlite's circular WAL: an owned image of a whole live region, which
+  // the region adopts chunk by chunk, then one record overwritten in place
+  // in each chunk after the first. Each overwrite copies its chunk, so the
+  // image stays alive behind chunk 0 alone.
+  void CircularWal(Qp* q) {
+    if (q->live.empty()) {
+      return;
+    }
+    const auto [rkey, size] = q->live[rng_.Uniform(q->live.size())];
+    const std::string image = Payload(size);
+    Log([&] { return "image " + Name(*q) + Range(rkey, 0, size); });
+    Expect(*q,
+           q->qp->PostWrite(QueuePair::WriteOp(rkey, 0, SharedBytes(image))),
+           model_.PostWrite(q->model, rkey, 0, image));
+    for (uint64_t chunk = kChunk; chunk < size; chunk += kChunk) {
+      const uint64_t len = rng_.UniformRange(1, 16);
+      const uint64_t offset =
+          chunk + rng_.Uniform(std::min(kChunk, size - chunk) - len + 1);
+      const std::string record = Payload(len);
+      Log([&] { return "overwrite " + Name(*q) + Range(rkey, offset, len); });
+      Expect(*q, q->qp->PostWrite(MakeWrite(rkey, offset, record)),
+             model_.PostWrite(q->model, rkey, offset, record));
+    }
+  }
+
   // One change while nothing is in flight.
   void Reconfigure() {
     Qp& q = qps_[rng_.Uniform(qps_.size())];
@@ -455,11 +482,18 @@ class Sequence {
         break;
     }
     if (chunky_) {
-      // Then a local write or copy, on a live region of the same QP.
-      if (rng_.Bernoulli(0.5)) {
-        LocalWrite(&q);
-      } else {
-        LocalCopy(&q);
+      // Then a local write or copy, or a circular-WAL round, on a live
+      // region of the same QP.
+      switch (rng_.Uniform(3)) {
+        case 0:
+          LocalWrite(&q);
+          break;
+        case 1:
+          LocalCopy(&q);
+          break;
+        default:
+          CircularWal(&q);
+          break;
       }
       shared_phases_ += SharesChunks() ? 1 : 0;
     }
@@ -581,6 +615,30 @@ TEST(RcReferenceTest, ChunkedRegionsMatchReferenceModel) {
   EXPECT_GT(posts, 1500u);
   // Copies share adopted chunks often enough to be exercised.
   EXPECT_GT(shared_phases, 20u);
+
+  // The circular WAL's host cost, on a fabric of its own: after the
+  // overwrites only chunk 0 adopts the image, but the whole image stays
+  // alive behind it, beside the two copied chunks.
+  Simulation sim;
+  SimParams params;
+  Fabric fabric(&sim, &params);
+  const NodeId app = fabric.AddNode("app");
+  const NodeId peer = fabric.AddNode("peer");
+  auto rkey = fabric.RegisterRegion(peer, 3 * kChunk);
+  ASSERT_TRUE(rkey.ok());
+  QueuePair qp(&fabric, app, peer);
+  qp.PostWrite({*rkey, 0, SharedBytes(std::string(3 * kChunk, 'i'))});
+  qp.PostWrite(*rkey, kChunk + 7, "record-1");
+  qp.PostWrite(*rkey, 2 * kChunk + 7, "record-2");
+  sim.RunUntilIdle();
+  Completion c;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(qp.PollCq(&c));
+    EXPECT_EQ(c.status, WcStatus::kSuccess);
+  }
+  EXPECT_EQ(*fabric.ReadRegion(peer, *rkey, kChunk + 7, 8), "record-1");
+  EXPECT_EQ(fabric.ResidentRegionBytes(peer), 3 * kChunk);
+  EXPECT_EQ(fabric.HostRegionBytes(), 5 * kChunk);
 }
 
 }  // namespace

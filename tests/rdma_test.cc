@@ -544,30 +544,31 @@ TEST_F(RdmaTest, OwnedWholeChunkWriteIsAdoptedAndCopiedOnlyOnChange) {
   ASSERT_EQ(WaitCompletion(&qp).status, WcStatus::kSuccess);
   ASSERT_EQ(WaitCompletion(&qp).status, WcStatus::kSuccess);
   EXPECT_EQ(fabric_.ResidentRegionBytes(peer_), 6 * kChunk);
-  // Each region copied its chunk 0; both hold the image's other chunks.
-  EXPECT_EQ(fabric_.HostRegionBytes(), 4 * kChunk);
+  // Each region copied its chunk 0; both hold the image's other chunks,
+  // which keep the whole image alive.
+  EXPECT_EQ(fabric_.HostRegionBytes(), 2 * kChunk + bytes.size());
 
   // A partial write into an adopted chunk copies that chunk only.
   qp.PostWrite(*a, kChunk + 10, "new");
   ASSERT_EQ(WaitCompletion(&qp).status, WcStatus::kSuccess);
-  EXPECT_EQ(fabric_.HostRegionBytes(), 5 * kChunk);
+  EXPECT_EQ(fabric_.HostRegionBytes(), 3 * kChunk + bytes.size());
   std::string want_a = std::string(100, '\0') + bytes;
   want_a.replace(kChunk + 10, 3, "new");
   EXPECT_EQ(*fabric_.ReadRegion(peer_, *a, 0, 3 * kChunk), want_a);
   EXPECT_EQ(*fabric_.ReadRegion(peer_, *b, 100, bytes.size()), bytes);
   // So does a local one.
   ASSERT_TRUE(fabric_.WriteRegion(peer_, *b, 2 * kChunk, "local").ok());
-  EXPECT_EQ(fabric_.HostRegionBytes(), 6 * kChunk);
+  EXPECT_EQ(fabric_.HostRegionBytes(), 4 * kChunk + bytes.size());
   EXPECT_EQ(*fabric_.ReadRegion(peer_, *a, 2 * kChunk, 5),
             bytes.substr(2 * kChunk - 100, 5));
 
   // A copy shares the source's adopted chunk and copies its own ones.
   ASSERT_TRUE(fabric_.CopyRegion(peer_, *a, *b).ok());
-  EXPECT_EQ(fabric_.HostRegionBytes(), 5 * kChunk);
+  EXPECT_EQ(fabric_.HostRegionBytes(), 4 * kChunk + bytes.size());
   EXPECT_EQ(*fabric_.ReadRegion(peer_, *b, 0, 3 * kChunk), want_a);
   // Recycling and a crash drop the references.
   ASSERT_TRUE(fabric_.RecycleRegion(peer_, *a).ok());
-  EXPECT_EQ(fabric_.HostRegionBytes(), 3 * kChunk);
+  EXPECT_EQ(fabric_.HostRegionBytes(), 2 * kChunk + bytes.size());
   fabric_.CrashNode(peer_);
   EXPECT_EQ(fabric_.HostRegionBytes(), 0u);
 }
