@@ -151,19 +151,29 @@ LogPeer* NclClient::LookupPeerWithRetry(const std::string& name) {
 
 Result<std::pair<LogPeer*, AllocationGrant>> NclClient::AllocateOnFreshPeer(
     const std::string& file, uint64_t region_bytes, uint64_t epoch,
-    const std::set<std::string>& exclude) {
+    const std::set<std::string>& exclude, bool* spare_missing) {
   std::set<std::string> tried = exclude;
+  // Whether every candidate skipped so far was crashed: an unreachable
+  // setup process or a rejecting peer may serve a later try unannounced.
+  bool only_crashed = true;
   for (int attempt = 0; attempt < kAllocationAttempts; ++attempt) {
     auto peers = RetryControllerRpc(
         [&] { return controller_->GetPeers(1, region_bytes, tried); });
     if (!peers.ok()) {
+      if (spare_missing != nullptr) {
+        // A controller outage times out instead.
+        *spare_missing = only_crashed &&
+                         peers.status().code() == StatusCode::kUnavailable;
+      }
       return peers.status();
     }
     const PeerRecord& rec = (*peers)[0];
     tried.insert(rec.name);
     LogPeer* peer = directory_->Lookup(rec.name);
     if (peer == nullptr || !peer->alive()) {
-      // Stale controller registration (peer crashed without unregistering).
+      // Stale controller registration (peer crashed without unregistering),
+      // or a setup process unreachable for now.
+      only_crashed = only_crashed && peer != nullptr;
       continue;
     }
     auto grant = peer->Allocate(config_.app_id, file, region_bytes, epoch);
@@ -171,6 +181,7 @@ Result<std::pair<LogPeer*, AllocationGrant>> NclClient::AllocateOnFreshPeer(
       return std::make_pair(peer, *grant);
     }
     // The controller's availability was a hint; the peer rejected (§4.3).
+    only_crashed = false;
   }
   return UnavailableError("no log peer could grant " +
                           std::to_string(region_bytes) + " bytes for " + file);
@@ -789,15 +800,11 @@ Status NclFile::WaitFor(uint64_t seq) {
 
   // Off the ack path: restore the fault-tolerance level eagerly. Expired
   // suspects are demoted first so they become eligible for replacement.
-  // After a try found no spare peer, the next waits for the peer registry
-  // to change; blocked writes above still try on every turn.
   if (config.eager_peer_replacement) {
     // Whether any suspect resurrected is irrelevant here; the loop below
     // replaces whatever is still down.
     MaybeRetrySuspects();
-    if (no_spare_zxid_ != client_->controller_->PeerRegistryZxid()) {
-      ReplaceDeadSlots(geo().n());
-    }
+    ReplaceDeadSlots(geo().n());
     AdvanceCommitWatermark();
   }
   return OkStatus();
@@ -1212,12 +1219,14 @@ Result<NclFile::PeerSlot> NclFile::AllocateSuccessor(
     return epoch.status();
   }
   const uint64_t zxid = client->controller_->PeerRegistryZxid();
-  auto got = client->AllocateOnFreshPeer(
-      name_, geo().SlotRegionBytes(capacity_), *epoch, exclude);
+  bool spare_missing = false;
+  auto got = client->AllocateOnFreshPeer(name_,
+                                         geo().SlotRegionBytes(capacity_),
+                                         *epoch, exclude, &spare_missing);
   if (!got.ok()) {
-    if (got.status().code() == StatusCode::kUnavailable) {
-      // No spare peer (a controller outage times out instead).
+    if (spare_missing) {
       no_spare_zxid_ = zxid;
+      no_spare_exclude_ = exclude;
     }
     // Nothing was allocated under the new epoch, so the file keeps its
     // own: a join this one nested in is not superseded by a failed try.
@@ -1321,6 +1330,33 @@ Status NclFile::ReplaceSlot(PeerSlot* slot) {
   return OkStatus();
 }
 
+bool NclFile::SpareKnownMissing(const PeerSlot& slot) const {
+  if (no_spare_zxid_ != client_->controller_->PeerRegistryZxid()) {
+    return false;
+  }
+  // A try for `slot` excludes the other members and the joining
+  // successors (ReplaceSlot, JoinSuccessor). Only a peer the failed try
+  // excluded and this one would not could be offered now, and a crashed
+  // one cannot rejoin without re-registering.
+  for (const std::string& name : no_spare_exclude_) {
+    const bool still_excluded =
+        std::any_of(slots_.begin(), slots_.end(),
+                    [&](const PeerSlot& s) {
+                      return &s != &slot && s.peer_name == name;
+                    }) ||
+        std::any_of(joining_.begin(), joining_.end(),
+                    [&](const PeerSlot* s) { return s->peer_name == name; });
+    if (still_excluded) {
+      continue;
+    }
+    const LogPeer* peer = client_->directory_->Lookup(name);
+    if (peer == nullptr || peer->alive()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void NclFile::ReplaceDeadSlots(int want) {
   for (PeerSlot& slot : slots_) {
     if (slot.alive) {
@@ -1328,6 +1364,9 @@ void NclFile::ReplaceDeadSlots(int want) {
     }
     if (alive_peers() >= want) {
       break;
+    }
+    if (SpareKnownMissing(slot)) {
+      continue;  // a try would find no spare peer again
     }
     if (!ReplaceSlot(&slot).ok()) {
       continue;  // failed or superseded: the slot stays dead for now

@@ -199,10 +199,13 @@ class NclClient {
   friend class NclFile;
 
   // Finds a peer (excluding `exclude`) that grants `region_bytes`, trying
-  // several candidates because controller info is a hint.
+  // several candidates because controller info is a hint. On failure,
+  // `*spare_missing` (when given) tells whether the peer registry alone
+  // decided it: GetPeers ran out of candidates after skipping only crashed
+  // peers, none of which returns without re-registering.
   Result<std::pair<LogPeer*, AllocationGrant>> AllocateOnFreshPeer(
       const std::string& file, uint64_t region_bytes, uint64_t epoch,
-      const std::set<std::string>& exclude);
+      const std::set<std::string>& exclude, bool* spare_missing = nullptr);
 
   // Releases `file`'s region on each of `holders` (best effort: a failed
   // release is counted and warned about, and the region leaks until the
@@ -485,9 +488,14 @@ class NclFile {
   // Replaces a dead slot through JoinSuccessor (§4.5.2). On success the
   // slot is alive and fully caught up.
   Status ReplaceSlot(PeerSlot* slot);
-  // Replaces dead slots until `want` slots are alive. A replacement that
-  // fails or is superseded leaves its slot dead for a later turn.
+  // Replaces dead slots until `want` slots are alive, skipping the slots
+  // SpareKnownMissing rules out. A replacement that fails or is superseded
+  // leaves its slot dead for a later turn.
   void ReplaceDeadSlots(int want);
+  // True when a try to replace `slot` would find no spare peer again: the
+  // peer registry is unchanged since a try found none, and every peer that
+  // try excluded and this one would not is crashed.
+  bool SpareKnownMissing(const PeerSlot& slot) const;
   // Planned migration of a *live* slot's region to a fresh peer through
   // JoinSuccessor, then the release of the source region. Returns kAborted
   // when a concurrent membership change superseded it.
@@ -535,11 +543,13 @@ class NclFile {
   // catch-up rounds can ship suffixes instead of images while appends
   // race.
   std::vector<const PeerSlot*> joining_;
-  // The peer registry's zxid (Controller::PeerRegistryZxid) when a
-  // successor allocation last found no spare peer. While the registry
-  // still reads it, WaitFor's eager replacement is skipped: a try would
-  // find none again, only to bump the epoch and pay its controller RPCs.
+  // The peer registry's zxid (Controller::PeerRegistryZxid) and the peers
+  // excluded when a successor allocation last found no spare peer. A try
+  // SpareKnownMissing rules out is skipped, by blocked and eager
+  // replacement alike: it would find none again, only to bump the epoch
+  // and pay its controller RPCs.
   std::optional<uint64_t> no_spare_zxid_;
+  std::set<std::string> no_spare_exclude_;
 
   // Set by every change to an input of the commit watermark, the degraded
   // lag or PruneWindow: a slot's acked_seq or alive flag, the membership,

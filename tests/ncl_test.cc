@@ -697,6 +697,38 @@ TEST_F(NclTest, MissingSpareIsNotRetriedUntilTheRegistryChanges) {
   EXPECT_EQ(Contents(file->get()), oracle + "tail");
 }
 
+// Blocked writes share the gate: with two of three peers dead and no
+// spare, the first blocked append asks the controller once and fails.
+// The blocked appends after it fail without a try, so the epoch moves at
+// most once until a peer registers; then the next append replaces a slot
+// and regains the quorum.
+TEST_F(NclTest, BlockedAppendsDoNotRetryAMissingSpareUntilTheRegistryChanges) {
+  StartPeers(3);
+  auto client = MakeClient();
+  auto file = client->Create("/wal/1");
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE((*file)->Append("healthy").ok());
+  const uint64_t epoch = *controller_.GetAppEpoch("test-app");
+  const std::vector<std::string> names = (*file)->peer_names();
+  PeerNamed(names[0])->Crash();
+  PeerNamed(names[1])->Crash();
+  EXPECT_EQ((*file)->Append("blocked").code(), StatusCode::kUnavailable);
+  const uint64_t rpcs = controller_.rpc_count();
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ((*file)->Append("blocked").code(), StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(controller_.rpc_count(), rpcs);
+  EXPECT_LE(*controller_.GetAppEpoch("test-app"), epoch + 1);
+
+  auto spare = std::make_unique<LogPeer>("p3", &fabric_, &controller_, kLend);
+  ASSERT_TRUE(spare->Start().ok());
+  directory_.Register(spare.get());
+  peers_.push_back(std::move(spare));
+  ASSERT_TRUE((*file)->Append("tail").ok());
+  EXPECT_GT(*controller_.GetAppEpoch("test-app"), epoch + 1);
+  EXPECT_EQ((*file)->alive_peers(), 2);
+}
+
 TEST_F(NclTest, RecoverUnavailableWhenMajorityLost) {
   StartPeers(3);
   {
